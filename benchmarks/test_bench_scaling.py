@@ -1,12 +1,12 @@
-"""E8/E14 -- multicore block cycle: render-backend scaling.
+"""E8/E14 -- dispatch rate and multicore block cycle.
 
-E8 measures the thread render pool and the dispatch layer's pipelined
-request rate.  E14 measures what E8 could not deliver: *true* multicore
-rendering with the process-sharded backend (``render_proc.py``), serial
-vs procs block-cycle throughput at 16 LOUDs with byte-identity asserted
-on every host.  The >= 2x speedup gate arms only where there are cores
-to scale onto (``os.cpu_count() >= 4``) -- on a single-core runner the
-procs path still runs and the equivalence assertions always hold.
+E8 measures the dispatch layer's pipelined request rate.  E14 measures
+multicore rendering with the process-sharded backend
+(``render_proc.py``): serial vs procs block-cycle throughput at 16 LOUDs
+with byte-identity asserted on every host.  The >= 2x speedup gate arms
+only where there are cores to scale onto (``os.cpu_count() >= 4``) --
+on a single-core runner the procs path still runs and the equivalence
+assertions always hold.
 """
 
 import os
@@ -53,7 +53,7 @@ def _build_louds(client, loud_count):
         loud.start_queue()
 
 
-def _tick_run(render_workers, loud_count, blocks, backend="threads"):
+def _tick_run(render_workers, loud_count, blocks, backend):
     """Step ``blocks`` ticks; return (blocks/sec, capture, snapshot)."""
     server = AudioServer(HardwareConfig(), render_workers=render_workers,
                          render_min_rows=2, render_backend=backend)
@@ -74,42 +74,6 @@ def _tick_run(render_workers, loud_count, blocks, backend="threads"):
     finally:
         client.close()
         server.stop()
-
-
-def test_render_pool_scaling(report):
-    """Serial vs 4-worker block cycle at 1, 4 and 16 LOUDs."""
-    blocks = scaled(400, 40)
-    cpus = os.cpu_count() or 1
-    speedups = {}
-    for loud_count in (1, 4, 16):
-        serial_rate, serial_capture, _ = _tick_run(1, loud_count, blocks)
-        parallel_rate, parallel_capture, snapshot = _tick_run(
-            4, loud_count, blocks)
-        # The whole point: parallel output is byte-identical.
-        assert np.array_equal(serial_capture, parallel_capture), (
-            "parallel render diverged at %d LOUDs" % loud_count)
-        # Multi-row plans must actually have exercised the pool (a
-        # single-LOUD plan legitimately stays on the serial path).
-        if loud_count >= 4:
-            assert snapshot["counters"]["renderpool.rows"] > 0
-            assert snapshot["counters"]["renderpool.parallel_ticks"] > 0
-        speedup = parallel_rate / serial_rate
-        speedups[loud_count] = speedup
-        record_perf("block_cycle.serial.%dlouds" % loud_count,
-                    serial_rate, louds=loud_count)
-        record_perf("block_cycle.parallel4.%dlouds" % loud_count,
-                    parallel_rate, louds=loud_count,
-                    speedup=round(speedup, 2), cpus=cpus,
-                    fast=bool(os.environ.get("REPRO_BENCH_FAST")),
-                    renderpool_rows=snapshot["counters"].get(
-                        "renderpool.rows", 0))
-        report.row("E8", "block cycle %d LOUDs, 4 workers" % loud_count,
-                   "%.0f blk/s (%.2fx serial)" % (parallel_rate, speedup),
-                   "threads: measured only; the gate moved to E14")
-    # The thread pool's 2x gate never armed in practice (the GIL eats
-    # the win); E14 gates the process backend instead.
-    report.note("E8   | thread speedups: %s"
-                % {k: round(v, 2) for k, v in speedups.items()})
 
 
 def test_process_backend_scaling(report):

@@ -80,6 +80,7 @@ IMPLICIT_LOCK_FILES = {
     "trunk/gateway.py": frozenset({
         "_connect_route",   # short-lived connector thread
         "_accept_loop",     # the listener's own thread
+        "_accept_handshake",  # short-lived per-connection thread
         "wait_connected",   # wall-clock helper for tests/tools
     }),
     # The mesh route table mutates only on the gateway's tick, so every

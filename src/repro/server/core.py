@@ -17,9 +17,10 @@ Threads (paper section 6.1 mapped onto our design; see DESIGN.md §4):
   clients at once (``--io-backend shards``; ``ioloop.py``);
 * the **audio hub thread** is the device layer; the server registers one
   tick callback that runs the command-queue conductors and the wire-graph
-  rendering engine inside the hub's block cycle;
-* the **render pool** workers shard the block cycle's render plan rows
-  across cores (``render_pool.py``), merging deterministically.
+  rendering engine inside the hub's block cycle.  The render phase runs
+  serially on the hub thread (``render_pool.py``) unless
+  ``--render-backend procs`` shards it across worker processes
+  (``render_proc.py``), merging deterministically.
 
 The re-entrant *topology* lock serializes mutating dispatch against the
 block cycle; pure and snapshot-served queries bypass it entirely
@@ -143,18 +144,17 @@ class AudioServer:
         #: lock-free query snapshot.
         self._topology_version = 0
         self._query_snapshot: QuerySnapshot | None = None
-        #: Selectable render backend (docs/PERFORMANCE.md): "threads"
-        #: (the PR 4 sharded pool), "procs" (process sharding over
-        #: shared memory), or "serial" (no pool at all).  Whatever the
-        #: backend, plans below the row threshold (or a <2-worker pool)
-        #: render serially in _on_tick, which stays the byte-identical
-        #: oracle.
+        #: Selectable render backend (docs/PERFORMANCE.md): "serial"
+        #: renders on the hub thread and is the byte-identical oracle;
+        #: "procs" shards rows across worker processes over shared
+        #: memory and falls back to the serial loop for plans below the
+        #: row threshold (or a <2-worker pool).
         backend = (render_backend
                    or os.environ.get("REPRO_RENDER_BACKEND", "")
-                   or "threads").strip().lower()
-        if backend not in ("serial", "threads", "procs"):
-            raise ValueError("unknown render backend %r "
-                             "(serial, threads or procs)" % backend)
+                   or "serial").strip().lower()
+        if backend not in ("serial", "procs"):
+            raise ValueError("unknown render backend %r (serial or procs)"
+                             % backend)
         self.render_backend = backend
         if backend == "procs":
             from .render_proc import ProcessRenderPool
@@ -162,9 +162,7 @@ class AudioServer:
             self.render_pool = ProcessRenderPool(
                 self, workers=render_workers, min_rows=render_min_rows)
         else:
-            self.render_pool = RenderPool(
-                self, workers=0 if backend == "serial" else render_workers,
-                min_rows=render_min_rows)
+            self.render_pool = RenderPool()
         #: Selectable connection I/O backend (docs/PERFORMANCE.md,
         #: "Connection scaling"): "threads" keeps the per-client
         #: reader/writer pumps (the oracle), "shards" hands every
@@ -334,15 +332,7 @@ class AudioServer:
             try:
                 for queue, _devices in plan:
                     queue.tick_pre(sample_time, frames)
-                if not self.render_pool.render(plan, sample_time, frames):
-                    # Serial path: the oracle the pool must match
-                    # byte-for-byte, and the fallback for small plans.
-                    for _queue, devices in plan:
-                        for device in devices:
-                            device.begin_tick(sample_time, frames)
-                    for _queue, devices in plan:
-                        for device in devices:
-                            device.consume(sample_time, frames)
+                self.render_pool.render(plan, sample_time, frames)
                 for queue, devices in plan:
                     queue.tick_post(sample_time, frames, devices)
             finally:
@@ -404,7 +394,7 @@ class AudioServer:
         if self.trunk is not None:
             self.trunk.start()
         # Process workers spawn in the background; ticks render serially
-        # until they report ready (a no-op for the thread backend).
+        # until they report ready (a no-op for the serial backend).
         self.render_pool.start()
         if start_hub:
             self.hub.start()

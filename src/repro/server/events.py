@@ -13,14 +13,14 @@ built rather than on every constituent device.
 Two concurrency layers sit on top of the fan-out (docs/PERFORMANCE.md,
 "Concurrency model"):
 
-* **worker deferral** -- render-pool workers must not interleave
-  emissions nondeterministically, so while a worker renders a plan row
-  the router's thread-local deferral buffer captures its ``emit*``
-  calls; the pool replays each row's buffer on the hub thread in
-  plan-row order.  The edge-trigger sets (``_hungry_streams``,
-  ``_announced_streams``) are therefore only ever mutated with the
-  stream lock held, and deferred calls re-enter the normal path on
-  replay.
+* **row deferral** -- the process render backend (``render_proc.py``)
+  renders some rows hub-side while workers run others, then applies
+  the workers' results, so while it handles one plan row the router's
+  thread-local deferral buffer captures that row's ``emit*`` calls; the
+  backend replays the buffers in plan-row order, reproducing the serial
+  interleaving.  The edge-trigger sets (``_hungry_streams``,
+  ``_announced_streams``) are only ever mutated with the stream lock
+  held, and deferred calls re-enter the normal path on replay.
 * **tick batching** -- ``begin_tick_batch``/``flush_tick_batch`` bracket
   the block cycle; events emitted inside accumulate per client and are
   flushed as one outbound-queue append and one writer wakeup per
@@ -36,7 +36,7 @@ from ..protocol.attributes import AttributeList
 from ..protocol.events import Event
 from ..protocol.types import EVENT_MASK_FOR_CODE, EventCode
 
-#: Per-thread deferral buffer armed by render-pool workers.
+#: Per-thread deferral buffer armed by the process render backend.
 _deferral = threading.local()
 
 

@@ -7,8 +7,8 @@ Usage::
                        [--stats-interval SECONDS]
                        [--outbound-bound MESSAGES]
                        [--stall-deadline SECONDS]
+                       [--render-backend {serial,procs}]
                        [--render-workers N] [--render-min-rows ROWS]
-                       [--render-backend {serial,threads,procs}]
                        [--io-backend {threads,shards}] [--io-shards N]
                        [--trunk-listen [HOST:]PORT]
                        [--trunk-route PREFIX=HOST:PORT]...
@@ -78,21 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="evict a client whose socket blocks its "
                              "writer thread this long (default 5.0)")
+    parser.add_argument("--render-backend", default=None,
+                        choices=("serial", "procs"),
+                        help="render backend: 'serial' (default; the hub "
+                             "thread renders every LOUD) or 'procs' "
+                             "(process sharding over shared memory; env "
+                             "REPRO_RENDER_BACKEND)")
     parser.add_argument("--render-workers", type=int, default=None,
                         metavar="N",
-                        help="render-pool worker threads (default: the "
-                             "core count, capped; <2 disables parallel "
-                             "rendering; env REPRO_RENDER_WORKERS)")
+                        help="procs backend: worker processes (default: "
+                             "the core count, capped; <2 renders "
+                             "serially; env REPRO_RENDERPROC_WORKERS)")
     parser.add_argument("--render-min-rows", type=int, default=None,
                         metavar="ROWS",
-                        help="render plans below this many rows stay on "
-                             "the serial path (default 4)")
-    parser.add_argument("--render-backend", default=None,
-                        choices=("serial", "threads", "procs"),
-                        help="render backend: 'threads' (default), "
-                             "'procs' (process sharding over shared "
-                             "memory), or 'serial' (no pool; env "
-                             "REPRO_RENDER_BACKEND)")
+                        help="procs backend: render plans below this many "
+                             "rows stay on the serial path (default 4)")
     parser.add_argument("--io-backend", default=None,
                         choices=("threads", "shards"),
                         help="connection I/O backend: 'threads' (default; "

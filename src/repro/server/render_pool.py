@@ -1,192 +1,47 @@
-"""The multicore render engine: sharded block-cycle workers.
+"""The in-process renderer: every render-plan row on the hub thread.
 
 The precompiled render plan is a list of independent ``(queue,
-devices)`` rows -- one per active root LOUD.  Wires never cross LOUD
-trees, the decode cache is internally locked, the mix scratch is
-thread-local, and hardware mixing accumulates int16 blocks in an exact,
-commutative int32 sum -- so the rows can render concurrently and the
-device output is byte-identical to the serial path regardless of
-completion order.  The numpy decode/mix/resample kernels release the
-GIL, so on a multicore host independent LOUDs genuinely overlap.
-
-Two things need care:
-
-* **events** -- consume-phase emissions (sync marks, DATA_REQUEST,
-  DTMF) must reach clients in a stable order.  Workers run with the
-  router's thread-local deferral armed; the pool replays each row's
-  buffered emissions *in plan-row order* after the join, reproducing
-  exactly the serial interleaving.
-* **errors** -- the serial path stops at the first raising row.  The
-  pool replays events only up to (and including) the first failing
-  row, then re-raises that row's exception, so observable behaviour
-  matches.
-
-The serial path stays in ``AudioServer._on_tick`` both as the oracle
-for equivalence tests and as the fallback: plans below ``min_rows``
-rows (or a pool sized under two workers, e.g. a single-core host) are
-not worth the dispatch overhead and return ``False`` from
-:meth:`RenderPool.render` so the caller renders serially.
+devices)`` rows -- one per active root LOUD.  :func:`render_rows` runs
+the block cycle's render phase over it: ``begin_tick`` on every device
+of every row, then ``consume`` on every device of every row.  This loop
+is the byte-identical oracle every other backend is measured against,
+and the one place it lives: :class:`RenderPool` is the default backend
+built on it, and the process backend (``render_proc.py``) calls it for
+every row or tick its worker processes cannot take.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
 
-#: Plans with fewer rows than this render serially by default; the
-#: submit/join overhead beats the parallelism win for tiny plans.
-DEFAULT_MIN_ROWS = 4
+def render_rows(plan: list[tuple], sample_time: int, frames: int) -> None:
+    """Render ``plan``'s rows through the real devices, in row order.
 
-#: Upper bound on worker threads however many cores the host reports.
-MAX_WORKERS = 16
-
-
-def default_worker_count() -> int:
-    """REPRO_RENDER_WORKERS if set, else the host's core count."""
-    raw = os.environ.get("REPRO_RENDER_WORKERS", "")
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return min(os.cpu_count() or 1, MAX_WORKERS)
+    Every device resets its per-block render memo before any
+    ``consume`` pulls a source through a wire.
+    """
+    for _queue, devices in plan:
+        for device in devices:
+            device.begin_tick(sample_time, frames)
+    for _queue, devices in plan:
+        for device in devices:
+            device.consume(sample_time, frames)
 
 
 class RenderPool:
-    """Persistent workers rendering render-plan rows in parallel."""
-
-    def __init__(self, server, workers: int | None = None,
-                 min_rows: int | None = None) -> None:
-        self.server = server
-        if workers is None:
-            workers = default_worker_count()
-        self.workers = max(0, min(int(workers), MAX_WORKERS))
-        if min_rows is None:
-            raw = os.environ.get("REPRO_RENDER_MIN_ROWS", "")
-            min_rows = int(raw) if raw.isdigit() else DEFAULT_MIN_ROWS
-        self.min_rows = max(2, int(min_rows))
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
-        metrics = server.metrics
-        self._m_workers = metrics.gauge("renderpool.workers")
-        self._m_rows = metrics.counter("renderpool.rows")
-        self._m_parallel_ticks = metrics.counter("renderpool.parallel_ticks")
-        self._m_serial_ticks = metrics.counter("renderpool.serial_ticks")
-        self._m_imbalance = metrics.gauge("renderpool.imbalance")
-        self._m_workers.set(self.workers if self.enabled else 0)
-
-    @property
-    def enabled(self) -> bool:
-        """Parallel rendering needs at least two workers to pay off."""
-        return self.workers >= 2
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        executor = self._executor
-        if executor is None:
-            with self._executor_lock:
-                executor = self._executor
-                if executor is None:
-                    executor = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="render-worker")
-                    self._executor = executor
-        return executor
+    """Renders the whole plan serially, in plan-row order."""
 
     def start(self) -> None:
-        """Interface parity with ProcessRenderPool; threads spawn lazily."""
-
-    def wait_ready(self, timeout: float = 0.0) -> int:
-        """Interface parity with ProcessRenderPool; always ready."""
-        return self.workers if self.enabled else 0
+        """Nothing to spawn: no work leaves the hub thread."""
 
     def shutdown(self) -> None:
-        """Join the workers before teardown proceeds.
-
-        ``wait=True`` matters: with ``wait=False`` a shard mid-row could
-        still be touching devices (or emitting into a deferral buffer)
-        while the server tears the topology down under it.  The hub
-        thread is already stopped when this runs, so no new ticks can
-        submit work and the join is bounded by one in-flight row.
-        """
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    # -- the parallel tick ----------------------------------------------------
+        """Nothing to join."""
 
     def render(self, plan: list[tuple], sample_time: int,
                frames: int) -> bool:
-        """Render every plan row, or return False for the serial path.
+        """Render every plan row; True only if rows went to workers.
 
-        Runs on the hub thread while it holds the topology lock, so no
-        mutation can race the workers.  Row results land in per-index
-        slots; the deterministic merge below replays deferred events in
-        plan-row order and surfaces the first error exactly where the
-        serial loop would have stopped.
+        Runs on the hub thread while it holds the topology lock; this
+        backend has no workers, so it always returns False.
         """
-        if not self.enabled or len(plan) < self.min_rows:
-            self._m_serial_ticks.inc()
-            return False
-        shard_count = min(self.workers, len(plan))
-        shards: list[list] = [[] for _ in range(shard_count)]
-        for index, row in enumerate(plan):
-            shards[index % shard_count].append((index, row))
-        results: list = [None] * len(plan)
-        elapsed = [0.0] * shard_count
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(self._run_shard, shard, sample_time, frames,
-                            results, elapsed, shard_index)
-            for shard_index, shard in enumerate(shards)
-        ]
-        for future in futures:
-            future.result()
-        self._m_rows.inc(len(plan))
-        self._m_parallel_ticks.inc()
-        mean = sum(elapsed) / len(elapsed)
-        self._m_imbalance.set(max(elapsed) / mean if mean > 0 else 1.0)
-        self._replay(results)
-        return True
-
-    def _run_shard(self, shard: list, sample_time: int, frames: int,
-                   results: list, elapsed: list, shard_index: int) -> None:
-        """One worker's rows: render each with event deferral armed.
-
-        Distinct list indices are written from distinct threads, which
-        is safe under the GIL; exceptions are captured per row so the
-        merge can reproduce serial error semantics.
-        """
-        router = self.server.events
-        started = perf_counter()
-        for index, (_queue, devices) in shard:
-            deferred = router.start_deferred()
-            error = None
-            try:
-                for device in devices:
-                    device.begin_tick(sample_time, frames)
-                for device in devices:
-                    device.consume(sample_time, frames)
-            except Exception as exc:
-                error = exc
-            finally:
-                router.stop_deferred()
-            results[index] = (deferred, error)
-        elapsed[shard_index] = perf_counter() - started
-
-    def _replay(self, results: list) -> None:
-        """Flush deferred events in row order; re-raise the first error.
-
-        Rows after the first failing one have already rendered (the
-        audio cannot be un-mixed), but their events are suppressed just
-        as the serial loop would never have reached them.
-        """
-        for deferred, error in results:
-            for fn, fn_args in deferred:
-                fn(*fn_args)
-            if error is not None:
-                raise error
+        render_rows(plan, sample_time, frames)
+        return False

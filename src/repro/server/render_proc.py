@@ -1,11 +1,10 @@
 """True multicore rendering: process-sharded render backend.
 
-The thread pool in ``render_pool.py`` shards render-plan rows across
-threads, but the GIL serializes the Python half of every row, so on the
-measured box the threaded path *loses* to serial (BENCH_PERF.json,
-speedup 0.38-0.91).  This module cashes in the PR 4 lock decomposition
-by sharding rows across **OS processes** instead, the way Distributed
-MARF shards its pipeline stages (PAPERS.md).
+The serial renderer (``render_pool.py``) runs every render-plan row on
+the hub thread.  A thread pool cannot beat it -- the GIL serializes the
+Python half of every row -- so this backend shards rows across **OS
+processes** instead, the way Distributed MARF shards its pipeline
+stages (PAPERS.md).
 
 Workers cannot share live server objects, so the backend splits every
 row in two:
@@ -25,17 +24,19 @@ row in two:
 
 Workers write exact int32 partial sums into a shared-memory accumulator
 ring (the int32 hardware mix is commutative and exact, so byte-identity
-with the serial oracle in ``core.py`` is preserved) and reply with
-per-row *advance descriptors*: how far each playback item moved, when
-it finished, where its sync marks fall.  The hub -- still the only
-owner of server state -- applies the advances to the real handles and
-replays the resulting events in plan-row order through the same
-deferral machinery the thread pool uses (``render_pool.py``).
+with the serial oracle is preserved) and reply with per-row *advance
+descriptors*: how far each playback item moved, when it finished, where
+its sync marks fall.  The hub -- still the only owner of server state --
+applies the advances to the real handles and replays the resulting
+events in plan-row order through the event router's deferral buffers
+(``EventRouter.start_deferred``).
 
 Because workers never mutate hub state directly, a worker crash is
 recoverable *within the same tick*: the hub discards the partial sums,
 renders the affected rows serially from the untouched handles, respawns
-the worker, and the output stays byte-identical.
+the worker, and the output stays byte-identical.  Every row rendered on
+the hub -- and every tick no worker can take -- goes through the serial
+loop of ``render_pool.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from ..dsp.mixing import apply_gain, mix
 from ..obs import MICROSECOND_BUCKETS
-from .render_pool import DEFAULT_MIN_ROWS
+from .render_pool import render_rows
 from .vdevices.io import OutputDevice
 from .vdevices.player import PlayerDevice
 
@@ -62,6 +63,10 @@ RING_SLOTS = 4
 
 #: Upper bound on worker processes however many cores the host reports.
 MAX_PROC_WORKERS = 8
+
+#: Plans with fewer rows than this render serially by default; the IPC
+#: round trip beats the parallelism win for tiny plans.
+DEFAULT_MIN_ROWS = 4
 
 #: How long the hub waits for a worker's tick reply before declaring it
 #: dead (a killed worker is detected immediately via EOF; this bounds a
@@ -355,9 +360,9 @@ class ProcessRenderPool:
     """Persistent worker processes rendering compiled plan rows.
 
     Same contract as :class:`~repro.server.render_pool.RenderPool`:
-    ``render()`` either renders the whole plan (returning True) with
-    output and client-visible events byte-identical to the serial
-    oracle, or returns False so the caller's serial loop runs.
+    ``render()`` always renders the whole plan, with output and
+    client-visible events byte-identical to the serial renderer, and
+    returns True only when rows went to worker processes.
     """
 
     def __init__(self, server, workers: int | None = None,
@@ -587,16 +592,16 @@ class ProcessRenderPool:
     # -- the parallel tick ----------------------------------------------------
 
     def render(self, plan: list, sample_time: int, frames: int) -> bool:
-        """Render every plan row, or return False for the serial path.
+        """Render every plan row; True only if rows went to workers.
 
         Runs on the hub thread under the topology lock (no mutation can
         race the workers); uncompilable rows render right here, hub-
-        side, while the workers chew on the compiled ones.
+        side, while the workers chew on the compiled ones.  A tick no
+        worker can take renders through the serial loop.
         """
         if not self.enabled or not self._started \
                 or len(plan) < self.min_rows:
-            self._m_serial_ticks.inc()
-            return False
+            return self._render_serial(plan, sample_time, frames)
         self._check_ready()
         ready = []
         for worker in list(self._workers):
@@ -608,8 +613,7 @@ class ProcessRenderPool:
                 ready.append(worker)
         self._m_workers.set(len(ready))
         if not ready:
-            self._m_serial_ticks.inc()
-            return False
+            return self._render_serial(plan, sample_time, frames)
         compiled = self._compile(plan)
         jobs: list = []         # (row_id, compiled, states, gains, items)
         needs: list = []
@@ -625,8 +629,7 @@ class ProcessRenderPool:
                          item_lists))
             needs.extend(row_needs)
         if not jobs:
-            self._m_serial_ticks.inc()
-            return False
+            return self._render_serial(plan, sample_time, frames)
         try:
             return self._render_parallel(plan, compiled, jobs, needs,
                                          hub_rows, ready, sample_time,
@@ -644,11 +647,17 @@ class ProcessRenderPool:
                 self._respawn(worker)
             results: dict[int, tuple] = dict(failure.hub_results)
             for row_id, _compiled, _states, _gains, _items in jobs:
-                results[row_id] = self._render_row_serially(
-                    plan[row_id], sample_time, frames)
+                results[row_id] = self._deferred(
+                    render_rows, [plan[row_id]], sample_time, frames)
             self._m_parallel_ticks.inc()
             self._replay(plan, results)
             return True
+
+    def _render_serial(self, plan: list, sample_time: int,
+                       frames: int) -> bool:
+        self._m_serial_ticks.inc()
+        render_rows(plan, sample_time, frames)
+        return False
 
     def _render_parallel(self, plan, compiled, jobs, needs, hub_rows,
                          ready, sample_time, frames) -> bool:
@@ -692,8 +701,8 @@ class ProcessRenderPool:
                 worker.ready = False
                 dead.append(worker)
         # Hub renders the uncompilable rows while the workers run.
-        hub_results = {row_id: self._render_row_serially(
-                           plan[row_id], sample_time, frames)
+        hub_results = {row_id: self._deferred(
+                           render_rows, [plan[row_id]], sample_time, frames)
                        for row_id in hub_rows}
         self._m_hub_rows.inc(len(hub_rows))
         replies: dict[int, list] = {}
@@ -712,8 +721,9 @@ class ProcessRenderPool:
         # (events captured per row for the ordered replay below).
         results: dict[int, tuple] = dict(hub_results)
         for row_id, row_compiled, _states, _gains, item_lists in jobs:
-            results[row_id] = self._apply_advances(
-                row_compiled, item_lists, replies.get(row_id, []))
+            results[row_id] = self._deferred(
+                self._apply_advances, row_compiled, item_lists,
+                replies.get(row_id, []))
         # Sum the workers' exact int32 partials and hand each touched
         # slot its one combined block; end_block saturates once, exactly
         # like the serial mix.
@@ -768,56 +778,41 @@ class ProcessRenderPool:
                             message[2])
                 return None
 
-    def _render_row_serially(self, row: tuple, sample_time: int,
-                             frames: int) -> tuple:
-        """One row through the real devices, events deferred for the
-        ordered replay (identical to the thread pool's worker body)."""
+    def _deferred(self, fn, *args) -> tuple:
+        """Run ``fn(*args)`` with event deferral armed; returns the
+        ``(deferred events, error)`` pair :meth:`_replay` consumes."""
         router = self.server.events
         deferred = router.start_deferred()
-        error = None
         try:
-            _queue, devices = row
-            for device in devices:
-                device.begin_tick(sample_time, frames)
-            for device in devices:
-                device.consume(sample_time, frames)
+            fn(*args)
         except Exception as exc:
-            error = exc
+            return deferred, exc
         finally:
             router.stop_deferred()
-        return (deferred, error)
+        return deferred, None
 
-    def _apply_advances(self, row_compiled: CompiledRow, item_lists: list,
-                        row_advances: list) -> tuple:
+    @staticmethod
+    def _apply_advances(row_compiled: CompiledRow, item_lists: list,
+                        row_advances: list) -> None:
         """Apply one row's advance descriptors to the live handles.
 
         Cursors move, finished items leave the program, and the sync
         machinery emits through the same ``_emit_sync`` the serial path
-        uses -- into a deferral buffer replayed in plan-row order.
+        uses (deferred by the caller for the plan-row-order replay).
         """
-        router = self.server.events
-        deferred = router.start_deferred()
-        error = None
-        try:
-            for player, items, advances in zip(row_compiled.players,
-                                               item_lists, row_advances):
-                for index, take, finished, finish_time, sync_now \
-                        in advances:
-                    item = items[index]
-                    if take > 0:
-                        item.cursor += take
-                        item.frames_played += take
-                        item.started_playing = True
-                    player._emit_sync(item, sync_now)
-                    if finished:
-                        item.finish(finish_time)
-                        if item in player.program:
-                            player.program.remove(item)
-        except Exception as exc:
-            error = exc
-        finally:
-            router.stop_deferred()
-        return (deferred, error)
+        for player, items, advances in zip(row_compiled.players,
+                                           item_lists, row_advances):
+            for index, take, finished, finish_time, sync_now in advances:
+                item = items[index]
+                if take > 0:
+                    item.cursor += take
+                    item.frames_played += take
+                    item.started_playing = True
+                player._emit_sync(item, sync_now)
+                if finished:
+                    item.finish(finish_time)
+                    if item in player.program:
+                        player.program.remove(item)
 
     def _replay(self, plan: list, results: dict) -> None:
         """Flush deferred events in plan-row order; re-raise the first

@@ -8,7 +8,7 @@ and sequence-numbered mu-law bearer audio travel a compact
 length-prefixed wire format, and remote calls surface locally as
 Line-compatible endpoints so every exchange semantic works unchanged.
 
-The mesh plane (minor 2) removes the hand-wiring: gateways find each
+The mesh plane removes the hand-wiring: gateways find each
 other through a :class:`MeshRegistry`, learn the fleet's numbering plan
 from ROUTE_ADVERT frames into a :class:`RouteTable`, and tandem-switch
 calls across intermediate nodes.  See docs/TELEPHONY.md for the model
@@ -33,8 +33,7 @@ from .jitter import JitterBuffer
 from .link import TrunkLink
 from .routing import DEFAULT_MAX_HOPS, RouteTable
 from .wire import (
-    BATCH_MIN_MINOR,
-    MESH_MIN_MINOR,
+    TRUNK_MAJOR,
     UNREACHABLE_HOPS,
     FrameStream,
     FrameType,
@@ -42,16 +41,14 @@ from .wire import (
     TrunkFrame,
     TrunkProtocolError,
     decode_frame,
-    encode_audio_batch,
     read_frame,
 )
 
 __all__ = [
-    "BATCH_MIN_MINOR", "DEFAULT_MAX_HOPS", "FrameStream", "FrameType",
-    "Handshake", "InboundLeg", "JitterBuffer", "MESH_MIN_MINOR",
-    "MeshDiscovery", "MeshPeer", "MeshRegistry", "PeerRecord",
-    "RegistryProtocolError", "RemoteLine", "RouteTable", "TrunkFrame",
-    "TrunkGateway", "TrunkLink", "TrunkProtocolError", "TrunkRoute",
-    "UNREACHABLE_HOPS", "decode_frame", "encode_audio_batch",
-    "parse_route", "read_frame",
+    "DEFAULT_MAX_HOPS", "FrameStream", "FrameType", "Handshake",
+    "InboundLeg", "JitterBuffer", "MeshDiscovery", "MeshPeer",
+    "MeshRegistry", "PeerRecord", "RegistryProtocolError", "RemoteLine",
+    "RouteTable", "TRUNK_MAJOR", "TrunkFrame", "TrunkGateway",
+    "TrunkLink", "TrunkProtocolError", "TrunkRoute", "UNREACHABLE_HOPS",
+    "decode_frame", "parse_route", "read_frame",
 ]

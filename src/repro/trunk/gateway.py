@@ -70,9 +70,8 @@ from .link import (
     TrunkLink,
 )
 from .routing import DEFAULT_MAX_HOPS, RouteTable
-from .wire import BATCH_MIN_MINOR, MAX_ADVERT_ENTRIES, MESH_MIN_MINOR, \
-    TRUNK_MINOR, UNREACHABLE_HOPS, FrameType, Handshake, TrunkFrame, \
-    TrunkProtocolError, read_frame
+from .wire import MAX_ADVERT_ENTRIES, UNREACHABLE_HOPS, FrameType, \
+    Handshake, TrunkFrame, TrunkProtocolError
 
 log = logging.getLogger(__name__)
 
@@ -204,23 +203,14 @@ class _TrunkLeg(Line):
     # -- exchange-facing audio/signaling overrides ----------------------------
 
     def deliver_audio(self, samples: np.ndarray) -> None:
-        """The local party spoke: relay the block as bearer audio.
+        """The local party spoke: stage the block as bearer audio.
 
-        On a batching link the block is *staged*: the gateway's tick
-        encodes every staged call's audio for this window in one table
-        take and ships it as a single AUDIO_BATCH.  Old-minor links get
-        the per-frame encode + AUDIO frame, exactly as before the batch
-        path existed.
+        The gateway's tick encodes every staged call's audio for this
+        window in one table take and ships it as a single AUDIO_BATCH.
         """
         link = self.link
-        if link is not None and link.alive and link.batching:
+        if link is not None and link.alive:
             self.gateway.stage_audio(self, samples)
-            return
-        payload = mulaw_encode(np.asarray(samples, dtype=np.int16))
-        frame = TrunkFrame(FrameType.AUDIO, self.call_id,
-                           seq=self._seq_out, payload=payload)
-        self._seq_out += 1
-        self._send(frame)
 
     def deliver_dtmf(self, digits: str) -> None:
         """The local party pressed keys: relay them as signaling."""
@@ -293,7 +283,7 @@ class RemoteLine(_TrunkLeg):
 
     def _send_setup(self, link: TrunkLink) -> None:
         info = self.caller_info
-        if link.mesh and self.gateway.mesh_enabled:
+        if self.gateway.mesh_enabled:
             self._send(TrunkFrame(
                 FrameType.SETUP2, self.call_id, number=self.number,
                 caller_id=info.number,
@@ -387,23 +377,18 @@ class TrunkGateway:
                  jitter_depth_seconds: float = 0.32,
                  jitter_prime_seconds: float = 0.04,
                  retry: RetryPolicy | None = None,
-                 connect_timeout: float = 2.0,
-                 batch_enabled: bool = True) -> None:
+                 connect_timeout: float = 2.0) -> None:
         self.exchange = exchange
         self.name = name or "trunk-gateway"
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.keepalive_interval = keepalive_interval
         self.outbound_bound = outbound_bound
-        #: Whether this gateway offers the AUDIO_BATCH fast path.  Off,
-        #: it announces minor 0 and every link runs the per-frame oracle
-        #: path -- the knob the E16 bench (and old-peer interop tests)
-        #: turn.
-        self.batch_enabled = batch_enabled
-        self.wire_minor = TRUNK_MINOR if batch_enabled else 0
         self.jitter_depth_seconds = jitter_depth_seconds
         self.jitter_prime_seconds = jitter_prime_seconds
         self.retry = retry or RetryPolicy(attempts=1, base_delay=0.05,
                                           max_delay=2.0)
+        #: Bounds both handshake directions: a dial's connect + preamble
+        #: exchange, and an accepted peer's preamble.
         self.connect_timeout = connect_timeout
         self.host: str | None = None
         self.port: int | None = None
@@ -593,6 +578,12 @@ class TrunkGateway:
         if self._registry is not None:
             self._registry.stop()
         if self._listener is not None:
+            # shutdown() wakes the thread blocked in accept(); close()
+            # alone does not on Linux.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -709,10 +700,7 @@ class TrunkGateway:
             return
         # lock-ok: TrunkLink.send is a bounded queue handoff, not socket I/O
         if link.send(frame):
-            if frame.type is FrameType.AUDIO:
-                self._m_frames_out.inc()
-            else:
-                self._m_signaling_out.inc()
+            self._m_signaling_out.inc()
 
     def stage_audio(self, leg: _TrunkLeg, samples: np.ndarray) -> None:
         """Queue one leg's block for this window's AUDIO_BATCH flush.
@@ -850,8 +838,7 @@ class TrunkGateway:
                          daemon=True).start()
 
     def _connect_route(self, route: TrunkRoute) -> None:
-        local = Handshake(self.name, minor=self.wire_minor,
-                          sample_rate=self.exchange.sample_rate)
+        local = Handshake(self.name, sample_rate=self.exchange.sample_rate)
         try:
             sock = socket.create_connection(
                 (route.host, route.port), timeout=self.connect_timeout)
@@ -867,19 +854,14 @@ class TrunkGateway:
                 raise TrunkProtocolError(problem)
             sock.settimeout(None)
         except (OSError, ConnectionClosed, TrunkProtocolError) as exc:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            if isinstance(exc, TrunkProtocolError):
+                self._m_setup_refused.inc()
+            sock.close()
             self._connect_failed(route, str(exc))
             return
         link = TrunkLink(sock, peer, initiated=True,
                          keepalive_interval=self.keepalive_interval,
-                         outbound_bound=self.outbound_bound,
-                         batching=(self.batch_enabled
-                                   and peer.minor >= BATCH_MIN_MINOR),
-                         mesh=(self.wire_minor >= MESH_MIN_MINOR
-                               and peer.minor >= MESH_MIN_MINOR)).start()
+                         outbound_bound=self.outbound_bound).start()
         with self._state_lock:
             route.link = link
             route.connecting = False
@@ -968,7 +950,7 @@ class TrunkGateway:
         """
         version = self.table.version
         for link in self._all_links():
-            if not link.alive or not link.mesh:
+            if not link.alive:
                 continue
             state = self._advertised.get(link)
             if state is None:
@@ -994,39 +976,44 @@ class TrunkGateway:
     # -- accepting ------------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        local = Handshake(self.name, minor=self.wire_minor,
-                          sample_rate=self.exchange.sample_rate)
+        listener = self._listener
         while self._running:
             try:
-                sock, _addr = self._listener.accept()
+                sock, _addr = listener.accept()
             except OSError:
                 break
-            try:
-                sock.settimeout(self.connect_timeout)
-                peer = Handshake.read_from(sock)
-                sock.sendall(local.encode())
-                problem = local.compatible_with(peer)
-                if problem is not None:
-                    raise TrunkProtocolError(problem)
-                sock.settimeout(None)
-            except (OSError, ConnectionClosed, TrunkProtocolError) as exc:
-                log.warning("refused trunk connection: %s", exc)
-                self._m_setup_refused.inc()
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                continue
-            link = TrunkLink(
-                sock, peer, initiated=False,
-                keepalive_interval=self.keepalive_interval,
-                outbound_bound=self.outbound_bound,
-                batching=(self.batch_enabled
-                          and peer.minor >= BATCH_MIN_MINOR),
-                mesh=(self.wire_minor >= MESH_MIN_MINOR
-                      and peer.minor >= MESH_MIN_MINOR)).start()
-            with self._state_lock:
-                self._accepted.append(link)
+            # Each handshake gets its own short-lived thread, so a peer
+            # that connects and never speaks stalls only itself.
+            threading.Thread(target=self._accept_handshake, args=(sock,),
+                             name="trunk-handshake", daemon=True).start()
+
+    def _accept_handshake(self, sock: socket.socket) -> None:
+        """Exchange preambles with one accepted peer, bounded by
+        ``connect_timeout``; a compatible peer becomes a live link."""
+        local = Handshake(self.name, sample_rate=self.exchange.sample_rate)
+        try:
+            sock.settimeout(self.connect_timeout)
+            peer = Handshake.read_from(sock)
+            sock.sendall(local.encode())
+            problem = local.compatible_with(peer)
+            if problem is not None:
+                raise TrunkProtocolError(problem)
+            sock.settimeout(None)
+        except (OSError, ConnectionClosed, TrunkProtocolError) as exc:
+            log.warning("refused trunk connection: %s", exc)
+            self._m_setup_refused.inc()
+            sock.close()
+            return
+        with self._state_lock:
+            # stop() may have swept the links while this peer was
+            # handshaking; a link registered now would outlive it.
+            if self._running:
+                self._accepted.append(TrunkLink(
+                    sock, peer, initiated=False,
+                    keepalive_interval=self.keepalive_interval,
+                    outbound_bound=self.outbound_bound).start())
+                return
+        sock.close()
 
     # -- frame handling (tick thread) -----------------------------------------
 
@@ -1035,14 +1022,6 @@ class TrunkGateway:
             return self._legs.get(link, {}).get(call_id)
 
     def _handle_frame(self, link: TrunkLink, frame: TrunkFrame) -> None:
-        if frame.type is FrameType.AUDIO:
-            self._m_frames_in.inc()
-            leg = self._leg_for(link, frame.call_id)
-            if leg is not None:
-                # Raw bytes go straight into the ring; decode happens
-                # once per pop as a single table take.
-                leg.jitter.push(frame.seq, frame.payload)
-            return
         if frame.type is FrameType.AUDIO_BATCH:
             entries = frame.entries
             self._m_frames_in.inc(len(entries))
@@ -1053,6 +1032,8 @@ class TrunkGateway:
             for call_id, seq, payload in entries:
                 leg = by_call.get(call_id)
                 if leg is not None:
+                    # Raw bytes go straight into the ring; decode happens
+                    # once per pop as a single table take.
                     leg.jitter.push(seq, payload)
             return
         self._m_signaling_in.inc()
@@ -1064,8 +1045,8 @@ class TrunkGateway:
                 for prefix, origin, hops, seq in frame.adverts:
                     self.table.learn(link, prefix, origin, hops, seq)
             # A non-mesh gateway (static routes only) ignores adverts
-            # rather than refusing them: minor 2 is a capability, not
-            # an obligation.
+            # rather than refusing them: a mesh neighbor advertises to
+            # every link it has.
             return
         if frame.type in (FrameType.SETUP, FrameType.SETUP2):
             self._handle_setup(link, frame)
@@ -1260,6 +1241,5 @@ class TrunkGateway:
         return snapshot
 
 
-# read_frame is re-exported for tests that speak raw trunk protocol.
 __all__ = ["InboundLeg", "MeshPeer", "RemoteLine", "TrunkGateway",
-           "TrunkRoute", "parse_route", "read_frame"]
+           "TrunkRoute", "parse_route"]

@@ -10,18 +10,15 @@ A :class:`TrunkLink` owns an already-handshaken socket and two threads:
   ~0 syscalls instead of the old two blocking ``recv``\\ s;
 * the **writer** drains the outbound queue in *sweeps* -- one blocking
   ``get`` plus a ``get_nowait`` run -- encodes the whole sweep into one
-  reused buffer (consecutive bearer frames collapse into a single
-  ``AUDIO_BATCH`` when the peer negotiated it), and emits one
-  ``sendall`` per sweep.  It falls back to the exact pre-batch
-  frame-per-``sendall`` loop for old-minor peers, which keeps that path
-  alive as the equivalence oracle.  PING keepalives go out when the
-  queue idles.
+  reused buffer (consecutive bearer batches collapse into a single
+  ``AUDIO_BATCH``), and emits one ``sendall`` per sweep.  PING
+  keepalives go out when the queue idles.
 
 The gateway's tick thread runs inside the audio block cycle, under the
 server's topology lock -- so the link never does socket I/O on behalf of
 a caller: ``send`` is an enqueue, and a peer that stops reading costs at
-most the bounded outbound queue (oldest AUDIO frames are shed first;
-signaling is never dropped).  Liveness is the reader's last-received
+most the bounded outbound queue (bearer audio is shed; signaling is
+never dropped).  Liveness is the reader's last-received
 timestamp; the gateway declares the link dead when it goes stale.
 """
 
@@ -36,15 +33,12 @@ from collections import deque
 
 from ..protocol.wire import ConnectionClosed, set_nodelay
 from .wire import (
-    BATCH_MIN_MINOR,
     FrameStream,
     FrameType,
     Handshake,
-    MESH_MIN_MINOR,
     TrunkFrame,
     TrunkProtocolError,
     encode_audio_batch_into,
-    read_frame,
 )
 
 log = logging.getLogger(__name__)
@@ -74,9 +68,7 @@ class TrunkLink:
     def __init__(self, sock: socket.socket, peer: Handshake, *,
                  initiated: bool, name: str = "",
                  keepalive_interval: float = DEFAULT_KEEPALIVE_INTERVAL,
-                 outbound_bound: int = DEFAULT_OUTBOUND_BOUND,
-                 batching: bool | None = None,
-                 mesh: bool | None = None) -> None:
+                 outbound_bound: int = DEFAULT_OUTBOUND_BOUND) -> None:
         self.sock = sock
         self.peer = peer
         #: True when this endpoint opened the TCP connection; initiators
@@ -87,16 +79,6 @@ class TrunkLink:
         self.keepalive_timeout = (KEEPALIVE_TIMEOUT_FACTOR
                                   * keepalive_interval)
         self.outbound_bound = outbound_bound
-        #: Negotiated at handshake: both ends must speak minor >= 1 for
-        #: AUDIO_BATCH; an old-minor peer gets per-frame AUDIO through
-        #: the pre-batch writer loop, byte-compatible with PR 5.
-        self.batching = (peer.minor >= BATCH_MIN_MINOR if batching is None
-                         else batching)
-        #: Negotiated the same way at minor >= 2: whether this link may
-        #: carry ROUTE_ADVERT and SETUP2 frames.  An old-minor peer
-        #: keeps classic SETUP and learns nothing -- static interop.
-        self.mesh = (peer.minor >= MESH_MIN_MINOR if mesh is None
-                     else mesh)
         self.alive = True
         self.last_rx = time.monotonic()
         # Initiators allocate odd call ids, acceptors even, so calls
@@ -105,10 +87,7 @@ class TrunkLink:
         #: Parsed frames awaiting the gateway's tick, oldest first.
         self.inbound: deque[TrunkFrame] = deque()
         # Tallies the gateway folds into trunk.* metrics.
-        self.frames_in = 0
-        self.frames_out = 0
         self.shed_audio_frames = 0
-        self.keepalives_sent = 0
         self.sendalls = 0           # syscalls spent writing
         self.recvs = 0              # syscalls spent reading
         self.batch_frames_out = 0   # AUDIO_BATCH frames emitted
@@ -140,26 +119,13 @@ class TrunkLink:
     # -- sending (called under the exchange lock: enqueue only) ---------------
 
     def send(self, frame: TrunkFrame) -> bool:
-        """Queue a frame for the writer; False if it had to be shed.
+        """Queue a signaling or keepalive frame; False on a dead link.
 
-        Bearer frames past the outbound bound are shed oldest-intent
-        first (we drop the *new* frame -- concealment on the far side
-        covers the gap); signaling frames are always queued, because a
-        lost RELEASE would leak a call on the peer.  The shed check, the
-        tally bump and the enqueue happen under one lock so the decision
-        cannot interleave with the writer's drain-time decrement
-        (``Queue.put`` on an unbounded queue never blocks).
+        Never shed: a lost RELEASE would leak a call on the peer.
+        Bearer audio goes through :meth:`send_batch` instead.
         """
         if not self.alive:
             return False
-        if frame.type is FrameType.AUDIO:
-            with self._counts_lock:
-                if self._audio_queued >= self.outbound_bound:
-                    self.shed_audio_frames += 1
-                    return False
-                self._audio_queued += 1
-                self._outbound.put(frame)
-            return True
         self._outbound.put(frame)
         return True
 
@@ -169,19 +135,14 @@ class TrunkLink:
         ``entries`` are ``(call_id, seq, mulaw_payload)`` tuples.  The
         batch is all-or-nothing against the outbound bound: a saturated
         queue sheds the whole window (the far side conceals one block of
-        every call) rather than an arbitrary prefix of it.
+        every call) rather than an arbitrary prefix of it.  The shed
+        check, the tally bump and the enqueue happen under one lock so
+        the decision cannot interleave with the writer's drain-time
+        decrement (``Queue.put`` on an unbounded queue never blocks).
         """
         if not self.alive or not entries:
             return 0
         count = len(entries)
-        if not self.batching:
-            # Old-minor peer: fall back to per-frame bearer.
-            accepted = 0
-            for call_id, seq, payload in entries:
-                if self.send(TrunkFrame(FrameType.AUDIO, call_id, seq=seq,
-                                        payload=bytes(payload))):
-                    accepted += 1
-            return accepted
         with self._counts_lock:
             if self._audio_queued + count > self.outbound_bound:
                 self.shed_audio_frames += count
@@ -199,19 +160,12 @@ class TrunkLink:
     # -- pump threads ---------------------------------------------------------
 
     def _read_loop(self) -> None:
-        stream = FrameStream(self.sock) if self.batching else None
+        stream = FrameStream(self.sock)
         try:
             while self.alive:
-                if stream is not None:
-                    frames = stream.read_frames()
-                    self.recvs = stream.recvs
-                else:
-                    # Old-minor oracle path: two blocking recvs a frame,
-                    # exactly the pre-batch reader.
-                    frames = (read_frame(self.sock),)
-                    self.recvs += 2
+                frames = stream.read_frames()
+                self.recvs = stream.recvs
                 self.last_rx = time.monotonic()
-                self.frames_in += len(frames)
                 for frame in frames:
                     frame_type = frame.type
                     if frame_type is FrameType.PING:
@@ -230,9 +184,6 @@ class TrunkLink:
             self.close()
 
     def _write_loop(self) -> None:
-        if not self.batching:
-            self._write_loop_per_frame()
-            return
         out = bytearray()
         try:
             while self.alive:
@@ -240,7 +191,6 @@ class TrunkLink:
                     frame = self._outbound.get(
                         timeout=self.keepalive_interval)
                 except queue.Empty:
-                    self.keepalives_sent += 1
                     self.sock.sendall(_PING_BYTES)
                     self.sendalls += 1
                     continue
@@ -259,17 +209,11 @@ class TrunkLink:
                         stop = True
                         break
                     sweep.append(extra)
-                audio_blocks = 0
-                for swept in sweep:
-                    if swept.type is FrameType.AUDIO:
-                        audio_blocks += 1
-                    elif swept.type is FrameType.AUDIO_BATCH:
-                        audio_blocks += len(swept.entries)
+                del out[:]
+                audio_blocks = self._encode_sweep(sweep, out)
                 if audio_blocks:
                     with self._counts_lock:
                         self._audio_queued -= audio_blocks
-                del out[:]
-                self.frames_out += self._encode_sweep(sweep, out)
                 self.sock.sendall(out)
                 self.sendalls += 1
                 if stop:
@@ -281,73 +225,31 @@ class TrunkLink:
 
     def _encode_sweep(self, sweep: list[TrunkFrame],
                       out: bytearray) -> int:
-        """Encode a sweep, collapsing bearer runs into AUDIO_BATCH.
+        """Encode a sweep, collapsing bearer runs into one AUDIO_BATCH.
 
         Frame order is preserved: signaling flushes the current bearer
         run before being written, so RELEASE never overtakes the audio
-        queued ahead of it.  Returns the number of wire frames emitted.
+        queued ahead of it.  Returns the number of bearer blocks encoded.
         """
         run: list = []
-        wire_frames = 0
+        blocks = 0
         for frame in sweep:
-            frame_type = frame.type
-            if frame_type is FrameType.AUDIO:
-                run.append((frame.call_id, frame.seq, frame.payload))
-            elif frame_type is FrameType.AUDIO_BATCH:
+            if frame.type is FrameType.AUDIO_BATCH:
                 run.extend(frame.entries)
             else:
-                wire_frames += self._flush_run(run, out)
-                frame.encode_into(out)
-                wire_frames += 1
-        wire_frames += self._flush_run(run, out)
-        return wire_frames
+                blocks += self._flush_run(run, out)
+                out += frame.encode()
+        return blocks + self._flush_run(run, out)
 
     def _flush_run(self, run: list, out: bytearray) -> int:
-        if not run:
-            return 0
-        if len(run) == 1:
-            # A lone block rides a plain AUDIO frame (4 header bytes
-            # cheaper, and it keeps the per-frame decoder exercised
-            # between new peers too).
-            call_id, seq, payload = run[0]
-            TrunkFrame(FrameType.AUDIO, call_id, seq=seq,
-                       payload=payload).encode_into(out)
-        else:
+        """Write the pending bearer run as one AUDIO_BATCH; its size."""
+        count = len(run)
+        if count:
             encode_audio_batch_into(out, run)
             self.batch_frames_out += 1
-            self.batch_entries_out += len(run)
-        run.clear()
-        return 1
-
-    def _write_loop_per_frame(self) -> None:
-        """The pre-batch writer: one encode + one sendall per frame.
-
-        Old-minor peers get exactly this loop, which doubles as the
-        equivalence oracle the E16 bench measures the batched path
-        against.
-        """
-        try:
-            while self.alive:
-                try:
-                    frame = self._outbound.get(
-                        timeout=self.keepalive_interval)
-                except queue.Empty:
-                    self.keepalives_sent += 1
-                    self.sock.sendall(_PING_BYTES)
-                    self.sendalls += 1
-                    continue
-                if frame is None:
-                    break
-                if frame.type is FrameType.AUDIO:
-                    with self._counts_lock:
-                        self._audio_queued -= 1
-                self.sock.sendall(frame.encode())
-                self.sendalls += 1
-                self.frames_out += 1
-        except OSError:
-            pass
-        finally:
-            self.close()
+            self.batch_entries_out += count
+            run.clear()
+        return count
 
     # -- teardown -------------------------------------------------------------
 

@@ -3,8 +3,9 @@
 One trunk link is a TCP byte stream opened with a fixed-size versioned
 handshake, then carrying length-prefixed frames in both directions.
 Frames split into *signaling* (call control: SETUP, ALERTING, ANSWER,
-RELEASE, DTMF) and *bearer* (AUDIO: sequence-numbered blocks of G.711
-mu-law, reusing the table-driven codec from ``repro.dsp.encodings``).
+RELEASE, DTMF) and *bearer* (AUDIO_BATCH: sequence-numbered blocks of
+G.711 mu-law, reusing the table-driven codec from
+``repro.dsp.encodings``).
 The grammar is deliberately tiny -- small enough to hold in your head
 while reading a packet capture:
 
@@ -17,7 +18,6 @@ while reading a packet capture:
     ANSWER    := u32 call_id
     RELEASE   := u32 call_id  string reason
     DTMF      := u32 call_id  string digits
-    AUDIO     := u32 call_id  u32 seq  blob mulaw_payload
     PING      := u32 token
     PONG      := u32 token
     AUDIO_BATCH := u32 count
@@ -33,24 +33,25 @@ Call ids are allocated by the endpoint that *originates* the call; the
 endpoint that initiated the TCP connection uses odd ids and the acceptor
 even ids, so simultaneous calls in both directions can never collide.
 
-``AUDIO_BATCH`` (minor version 1) is the bearer-plane fast path: one
-flush window's worth of *every* call's audio packed into a single
-length-prefixed frame, so a 256-call link costs one frame (and one
-``sendall``) per window instead of 256.  The batch is negotiated at
-handshake time -- a peer announcing ``minor < 1`` keeps receiving plain
-per-frame ``AUDIO``, which stays both the compatibility path and the
-equivalence oracle for the batched one.
+``AUDIO_BATCH`` is the only bearer frame: one flush window's worth of
+*every* call's audio packed into a single length-prefixed frame, so a
+256-call link costs one frame (and one ``sendall``) per window instead
+of 256.  A window holding one block is a one-entry batch.  Frame type 6
+(the per-frame AUDIO of major version 1) is unassigned and decodes as
+an unknown type.
 
-``ROUTE_ADVERT`` and ``SETUP2`` (minor version 2) are the mesh routing
-plane (docs/TELEPHONY.md, "Mesh routing").  An advert entry announces
-that ``origin`` can be reached through the sender at ``hops`` trunk
-hops; hop count :data:`UNREACHABLE_HOPS` withdraws a previously
-advertised route.  ``SETUP2`` is SETUP plus the tandem-switching
-context: ``hops`` counts the trunk links the call has already crossed
-and ``via`` lists the gateways it has left, so a node that finds its
-own name in ``via`` refuses the loop.  Both are negotiated exactly like
-AUDIO_BATCH: a peer announcing ``minor < 2`` simply never sees them and
-keeps interoperating with plain SETUP and static routes.
+``ROUTE_ADVERT`` and ``SETUP2`` are the mesh routing plane
+(docs/TELEPHONY.md, "Mesh routing").  An advert entry announces that
+``origin`` can be reached through the sender at ``hops`` trunk hops;
+hop count :data:`UNREACHABLE_HOPS` withdraws a previously advertised
+route.  ``SETUP2`` is SETUP plus the tandem-switching context: ``hops``
+counts the trunk links the call has already crossed and ``via`` lists
+the gateways it has left, so a node that finds its own name in ``via``
+refuses the loop.  A gateway outside the mesh sends plain SETUP and
+ignores adverts.
+
+There is one protocol version, major 2 minor 0; the handshake refuses
+any other major, so a major-1 peer is turned away before a frame flows.
 
 Marshalling reuses the :class:`~repro.protocol.wire.Writer` /
 :class:`~repro.protocol.wire.Reader` primitives of the client protocol
@@ -71,18 +72,11 @@ from ..protocol.wire import ConnectionClosed, Reader, WireFormatError, \
 
 #: First bytes on the wire, both directions.
 TRUNK_MAGIC = b"RTRK"
-TRUNK_MAJOR = 1
-TRUNK_MINOR = 2
-
-#: Lowest minor version whose speaker understands AUDIO_BATCH frames.
-BATCH_MIN_MINOR = 1
-
-#: Lowest minor version whose speaker understands the mesh routing
-#: frames (ROUTE_ADVERT, SETUP2).
-MESH_MIN_MINOR = 2
+TRUNK_MAJOR = 2
+TRUNK_MINOR = 0
 
 #: Upper bound on one frame's encoded size; anything bigger is a
-#: protocol violation (an AUDIO block at 8 kHz is ~160 bytes, and a
+#: protocol violation (a 20 ms block at 8 kHz is ~160 bytes, and a
 #: 256-call AUDIO_BATCH stays well under 64 KiB).
 MAX_FRAME_BYTES = 1 << 20
 
@@ -107,7 +101,6 @@ _HANDSHAKE_HEAD = struct.Struct("<4sHHI")
 
 # Prebound structs for the hot bearer encoders (PR 2 style): the whole
 # frame header in one pack instead of a Writer's append-per-field.
-_AUDIO_HEAD = struct.Struct("<IBIII")      # length  type  call_id  seq  len
 _BATCH_HEAD = struct.Struct("<IBI")        # length  type  count
 _ENTRY_HEAD = struct.Struct("<III")        # call_id  seq  len
 
@@ -122,19 +115,12 @@ class FrameType(enum.IntEnum):
     ANSWER = 3
     RELEASE = 4
     DTMF = 5
-    AUDIO = 6
+    # 6 is unassigned: the per-frame AUDIO of major version 1.
     PING = 7
     PONG = 8
     AUDIO_BATCH = 9
     ROUTE_ADVERT = 10
     SETUP2 = 11
-
-
-#: Frame types that carry call signaling (everything but bearer/keepalive).
-SIGNALING_TYPES = frozenset({
-    FrameType.SETUP, FrameType.ALERTING, FrameType.ANSWER,
-    FrameType.RELEASE, FrameType.DTMF, FrameType.SETUP2,
-})
 
 
 @dataclass(frozen=True)
@@ -148,8 +134,6 @@ class TrunkFrame:
     forwarded_from: str = ""
     reason: str = ""
     digits: str = ""
-    seq: int = 0
-    payload: bytes = b""
     token: int = 0
     #: AUDIO_BATCH only: ``(call_id, seq, mulaw_payload)`` per call.
     entries: tuple = ()
@@ -162,18 +146,10 @@ class TrunkFrame:
     adverts: tuple = ()
 
     def encode(self) -> bytes:
-        if self.type is FrameType.AUDIO:
-            # Bearer fast path: one preallocated buffer, one prebound
-            # header pack -- no Writer object, no chunk concatenation.
-            payload = self.payload
-            buffer = bytearray(_AUDIO_HEAD.size + len(payload))
-            _AUDIO_HEAD.pack_into(buffer, 0, 13 + len(payload),
-                                  int(FrameType.AUDIO), self.call_id,
-                                  self.seq, len(payload))
-            buffer[_AUDIO_HEAD.size:] = payload
-            return bytes(buffer)
         if self.type is FrameType.AUDIO_BATCH:
-            return bytes(encode_audio_batch(self.entries))
+            out = bytearray()
+            encode_audio_batch_into(out, self.entries)
+            return bytes(out)
         writer = Writer()
         writer.u8(int(self.type))
         if self.type in (FrameType.PING, FrameType.PONG):
@@ -203,46 +179,15 @@ class TrunkFrame:
         body = writer.getvalue()
         return _LENGTH.pack(len(body)) + body
 
-    def encode_into(self, out: bytearray) -> None:
-        """Append this frame's wire bytes to a reused sweep buffer."""
-        if self.type is FrameType.AUDIO:
-            payload = self.payload
-            out += _AUDIO_HEAD.pack(13 + len(payload),
-                                    int(FrameType.AUDIO), self.call_id,
-                                    self.seq, len(payload))
-            out += payload
-        elif self.type is FrameType.AUDIO_BATCH:
-            encode_audio_batch_into(out, self.entries)
-        else:
-            out += self.encode()
-
-
-def encode_audio_batch(entries) -> bytearray:
-    """One AUDIO_BATCH frame packing every entry's bearer payload.
-
-    Encodes into a single exactly-sized preallocated ``bytearray`` with
-    prebound structs: one allocation per flush window, however many
-    calls ride it.  Entries are ``(call_id, seq, payload)`` where the
-    payload is any bytes-like mu-law block.
-    """
-    size = _BATCH_HEAD.size
-    for _call_id, _seq, payload in entries:
-        size += _ENTRY_HEAD.size + len(payload)
-    buffer = bytearray(size)
-    _BATCH_HEAD.pack_into(buffer, 0, size - _LENGTH.size,
-                          int(FrameType.AUDIO_BATCH), len(entries))
-    pos = _BATCH_HEAD.size
-    for call_id, seq, payload in entries:
-        length = len(payload)
-        _ENTRY_HEAD.pack_into(buffer, pos, call_id, seq, length)
-        pos += _ENTRY_HEAD.size
-        buffer[pos:pos + length] = payload
-        pos += length
-    return buffer
-
 
 def encode_audio_batch_into(out: bytearray, entries) -> None:
-    """Append one AUDIO_BATCH frame to a reused sweep buffer."""
+    """Append one AUDIO_BATCH frame to a reused sweep buffer.
+
+    Prebound structs, no intermediate frame objects: one header pack
+    per frame and per entry, however many calls ride it.  Entries are
+    ``(call_id, seq, payload)`` where the payload is any bytes-like
+    mu-law block.
+    """
     size = 5    # u8 type + u32 count
     for _call_id, _seq, payload in entries:
         size += _ENTRY_HEAD.size + len(payload)
@@ -313,9 +258,6 @@ def decode_frame(body: bytes) -> TrunkFrame:
             elif frame_type is FrameType.DTMF:
                 frame = TrunkFrame(frame_type, call_id,
                                    digits=reader.string())
-            elif frame_type is FrameType.AUDIO:
-                frame = TrunkFrame(frame_type, call_id, seq=reader.u32(),
-                                   payload=reader.blob())
             else:
                 frame = TrunkFrame(frame_type, call_id)
         reader.expect_end()
@@ -327,9 +269,9 @@ def decode_frame(body: bytes) -> TrunkFrame:
 def read_frame(sock: socket.socket) -> TrunkFrame:
     """Read one length-prefixed frame from a socket (blocking).
 
-    Two syscalls per frame -- the pre-batch reader, kept as the old-peer
-    compatibility path and the equivalence oracle for
-    :class:`FrameStream`.
+    Two syscalls per frame: the reference framer that
+    :class:`FrameStream` is fuzz-tested against, and the reader raw-socket
+    tests speak the protocol with.
     """
     (length,) = _LENGTH.unpack(recv_exact(sock, _LENGTH.size))
     if length == 0 or length > MAX_FRAME_BYTES:

@@ -247,21 +247,19 @@ class MeshFleet:
     """N in-process exchanges joined into one mesh.
 
     ``topology`` maps node name -> (prefixes, neighbors); the first
-    node serves the registry.  ``static`` and ``no_mesh`` support the
-    interop tests: a ``no_mesh`` node never joins the mesh (it is a
-    plain static-route gateway), and ``static`` wires classic
+    node serves the registry.  A ``no_mesh`` node never joins the mesh:
+    it is a plain static-route gateway that tests wire up with classic
     ``--trunk-route`` entries after the fleet is up.
     """
 
-    def __init__(self, topology, no_mesh=(), batch=None):
+    def __init__(self, topology, no_mesh=()):
         self.exchanges = {}
         self.gateways = {}
         for name, (prefixes, neighbors) in topology.items():
             exchange = TelephoneExchange(RATE)
             gateway = TrunkGateway(
                 exchange, name=name, metrics=MetricsRegistry(),
-                keepalive_interval=0.1,
-                batch_enabled=(batch or {}).get(name, True))
+                keepalive_interval=0.1)
             self.exchanges[name] = exchange
             self.gateways[name] = gateway
         first = True
@@ -569,30 +567,28 @@ class TestTandemRefusals:
             gateway.stop()
 
 
-class TestOldMinorInterop:
-    def test_static_old_minor_peer_reached_through_a_tandem(self):
-        # A (mesh) -> B (mesh, tandem) -> C (minor-0 static gateway).
+class TestStaticLeafInterop:
+    def test_static_peer_reached_through_a_tandem(self):
+        # A (mesh) -> B (mesh, tandem) -> C (static gateway, no mesh).
         # B owns prefix "3" in the mesh because *it* knows the static
-        # route there; C never sees a mesh frame.
+        # route there; C ignores the adverts B sends it.
         fleet = MeshFleet({
             "A": (("1",), {"B"}),
             "B": (("2", "3"), set()),
             "C": ((), set()),
-        }, no_mesh=("C",), batch={"C": False})
+        }, no_mesh=("C",))
         try:
             gw_b, gw_c = fleet.gateways["B"], fleet.gateways["C"]
             gw_b.add_route("3", "127.0.0.1", gw_c.port)
             assert gw_b.wait_connected(5.0)
-            static_link = gw_b.routes[0].link
-            assert not static_link.mesh      # minor 0 negotiated it off
             assert fleet.pump_until(lambda: fleet.knows("A", "300"))
             alice = fleet.exchanges["A"].add_line("100")
             carol = fleet.exchanges["C"].add_line("300")
             _call_with_audio(fleet, alice, carol)
-            # The tandem leg crossed B: mesh SETUP2 in, classic SETUP
-            # out to the old peer.
+            # The tandem leg crossed B, and C learned no routes.
             assert gw_b._m_tandem.value == 1
-            assert gw_c._m_adverts_in.value == 0
+            assert not gw_c.mesh_enabled
+            assert gw_c.table.entry_count() == 0
         finally:
             fleet.stop()
 

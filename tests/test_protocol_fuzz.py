@@ -300,7 +300,6 @@ from repro.trunk.wire import (  # noqa: E402
     FrameType,
     TrunkFrame,
     TrunkProtocolError,
-    encode_audio_batch,
 )
 
 
@@ -331,10 +330,9 @@ _batch_entries = st.lists(
 _trunk_frames = st.lists(
     st.one_of(
         st.builds(
-            lambda call_id, seq, payload: TrunkFrame(
-                FrameType.AUDIO, call_id, seq=seq, payload=payload),
-            st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-            st.binary(max_size=48)),
+            lambda frame_type, token: TrunkFrame(frame_type, token=token),
+            st.sampled_from((FrameType.PING, FrameType.PONG)),
+            st.integers(0, 2**32 - 1)),
         _batch_entries.map(
             lambda entries: TrunkFrame(FrameType.AUDIO_BATCH,
                                        entries=tuple(entries))),
@@ -358,8 +356,6 @@ class TestTrunkBatchFuzz:
         encoded = frame.encode()
         assert int.from_bytes(encoded[:4], "little") == len(encoded) - 4
         assert decode_frame(encoded[4:]) == frame
-        # The module-level encoder and the frame encoder agree.
-        assert bytes(encode_audio_batch(entries)) == encoded
 
     @given(_trunk_frames, st.lists(st.integers(1, 64), max_size=64))
     @settings(max_examples=150, deadline=None)

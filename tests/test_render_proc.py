@@ -1,15 +1,16 @@
 """Process-sharded rendering: byte-equivalence, crash recovery, hygiene.
 
-The process backend's contract is the same as the thread pool's, held
-to the same standard: whatever the worker count -- and whatever workers
-die along the way -- device output, recorded takes and the client-
-visible event order must be *identical* to the serial block cycle.
-These tests drive a randomized 16-LOUD graph through both backends and
-compare byte-for-byte, kill workers mid-soak, and audit every
-shared-memory segment's lifetime.
+The process backend's contract: whatever the worker count -- and
+whatever workers die along the way -- device output, recorded takes and
+the client-visible event order must be *identical* to the serial block
+cycle.  These tests drive a randomized 16-LOUD graph through both
+backends and compare byte-for-byte, kill workers mid-soak, audit every
+shared-memory segment's lifetime, and pin the event-deferral replay the
+backend's ordering rests on.
 """
 
 import itertools
+import multiprocessing
 import os
 
 import numpy as np
@@ -73,7 +74,7 @@ def _build_random_graphs(client, server, rng, loud_count):
 
 
 def _run_scenario(backend, seed, loud_count=16, kill_worker_at=None,
-                  kill_mid_tick=False):
+                  kill_mid_tick=False, min_rows=2):
     """One full run; returns (speaker bytes, events, takes, snapshot).
 
     ``kill_worker_at`` kills one worker process after that many blocks
@@ -84,7 +85,7 @@ def _run_scenario(backend, seed, loud_count=16, kill_worker_at=None,
     """
     qprogram._serials = itertools.count(1)
     server = AudioServer(HardwareConfig(), render_workers=WORKERS,
-                         render_min_rows=2, render_backend=backend)
+                         render_min_rows=min_rows, render_backend=backend)
     server.start(start_hub=False)   # manual stepping: deterministic time
     client = AudioClient(port=server.port, client_name="equiv")
     try:
@@ -162,6 +163,24 @@ class TestProcsSerialEquivalence:
     def test_stats_report_backend(self):
         serial = _run_scenario("serial", 7, loud_count=2)
         assert serial[3]["server"]["render_backend"] == "serial"
+
+
+class TestProcsFallback:
+    def test_small_plans_fall_back_to_serial(self):
+        """A plan below the row threshold never reaches the workers: the
+        tick goes through the serial loop, and the capture,
+        events and takes equal the serial backend's."""
+        seed, louds = 11, 3
+        serial = _run_scenario("serial", seed, loud_count=louds)
+        procs = _run_scenario("procs", seed, loud_count=louds,
+                              min_rows=louds + 1)
+        assert np.array_equal(serial[0], procs[0])
+        assert np.any(serial[0])
+        assert serial[1] == procs[1]
+        assert serial[2] == procs[2]
+        counters = procs[3]["counters"]
+        assert counters["renderproc.serial_ticks"] == BLOCKS
+        assert counters.get("renderproc.parallel_ticks", 0) == 0
 
 
 class TestWorkerCrashRecovery:
@@ -247,19 +266,16 @@ class TestSharedMemoryHygiene:
 
 
 class TestBackendSelection:
-    def test_explicit_backends(self):
+    def test_explicit_backends(self, monkeypatch):
         procs = AudioServer(HardwareConfig(), render_backend="procs",
                             render_workers=2)
         assert isinstance(procs.render_pool, ProcessRenderPool)
         assert procs.render_backend == "procs"
         procs.render_pool.shutdown()
-        threads = AudioServer(HardwareConfig(), render_backend="threads")
-        assert isinstance(threads.render_pool, RenderPool)
-        threads.render_pool.shutdown()
-        serial = AudioServer(HardwareConfig(), render_backend="serial")
-        assert isinstance(serial.render_pool, RenderPool)
-        assert not serial.render_pool.enabled
-        serial.render_pool.shutdown()
+        monkeypatch.delenv("REPRO_RENDER_BACKEND", raising=False)
+        serial = AudioServer(HardwareConfig())      # serial is the default
+        assert serial.render_backend == "serial"
+        assert type(serial.render_pool) is RenderPool
 
     def test_env_selection(self, monkeypatch):
         monkeypatch.setenv("REPRO_RENDER_BACKEND", "procs")
@@ -268,8 +284,9 @@ class TestBackendSelection:
         server.render_pool.shutdown()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="render backend"):
-            AudioServer(HardwareConfig(), render_backend="gpu")
+        for backend in ("gpu", "threads"):
+            with pytest.raises(ValueError, match="render backend"):
+                AudioServer(HardwareConfig(), render_backend=backend)
 
     def test_procs_disabled_below_two_workers_renders_serially(self):
         server = AudioServer(HardwareConfig(), render_backend="procs",
@@ -343,19 +360,17 @@ class TestRowCompilation:
             server.stop()
 
 
-class TestThreadPoolShutdownJoins:
-    def test_stop_during_ticks_leaves_no_render_threads(self):
-        """Regression for shutdown(wait=False): stopping the server
-        while the hub free-runs must join every render worker before
-        teardown returns, leaving no live render-worker threads."""
-        import threading
-
-        server = AudioServer(HardwareConfig(), render_workers=4,
-                             render_min_rows=2, render_backend="threads")
+class TestShutdownJoins:
+    def test_stop_during_ticks_leaves_no_render_workers(self):
+        """Stopping the server while the hub free-runs must join every
+        render worker process before teardown returns."""
+        server = AudioServer(HardwareConfig(), render_workers=2,
+                             render_min_rows=2, render_backend="procs")
         server.start(start_hub=True)    # free-running hub: ticks racing
         client = AudioClient(port=server.port, client_name="stopper")
         try:
-            for index in range(6):
+            assert server.render_pool.wait_ready(30.0) == 2
+            for _ in range(4):
                 loud = client.create_loud()
                 output = loud.create_device(DeviceClass.OUTPUT)
                 player = loud.create_device(DeviceClass.PLAYER)
@@ -369,7 +384,49 @@ class TestThreadPoolShutdownJoins:
         finally:
             client.close()
             server.stop()
-        alive = [thread.name for thread in threading.enumerate()
-                 if thread.name.startswith("render-worker")
-                 and thread.is_alive()]
+        alive = [child.name for child in multiprocessing.active_children()
+                 if child.name.startswith("render-proc")]
         assert alive == []
+
+
+class TestEventDeferral:
+    """The deferral buffers the procs backend replays in row order."""
+
+    def test_event_deferral_buffers_and_replays(self):
+        server = AudioServer(HardwareConfig())
+        router = server.events
+        delivered = server.metrics.counter("events.total")
+        buffer = router.start_deferred()
+        try:
+            router.emit_stream_hungry(_FakeSound(99))
+        finally:
+            router.stop_deferred()
+        assert len(buffer) == 1             # captured, not delivered
+        assert delivered.value == 0
+        fn, fn_args = buffer[0]
+        fn(*fn_args)                        # replay takes the normal path
+        assert delivered.value == 1
+
+    def test_replay_preserves_order_and_serial_error_semantics(self):
+        server = AudioServer(HardwareConfig())
+        pool = ProcessRenderPool(server, workers=2)
+        calls = []
+
+        def record(tag):
+            calls.append(tag)
+
+        boom = RuntimeError("row exploded")
+        results = {
+            0: ([(record, ("a",)), (record, ("b",))], None),
+            1: ([(record, ("c",))], boom),
+            2: ([(record, ("d",))], None),  # after the error: suppressed
+        }
+        with pytest.raises(RuntimeError, match="row exploded"):
+            pool._replay([None] * 3, results)
+        assert calls == ["a", "b", "c"]
+
+
+class _FakeSound:
+    def __init__(self, sound_id):
+        self.sound_id = sound_id
+        self.stream_space = 320

@@ -7,7 +7,6 @@ briefly so the link pump threads can move frames.
 """
 
 import socket
-import threading
 import time
 
 import numpy as np
@@ -15,8 +14,10 @@ import pytest
 
 from repro.dsp.dtmf import DtmfDetector
 from repro.dsp.encodings import mulaw_decode, mulaw_encode
+from repro.obs import MetricsRegistry
 from repro.telephony import CallState, TelephoneExchange
 from repro.trunk import (
+    TRUNK_MAJOR,
     FrameStream,
     FrameType,
     Handshake,
@@ -55,7 +56,7 @@ class TestWireFormat:
 
     def test_audio_roundtrip(self):
         payload = mulaw_encode(np.arange(BLOCK, dtype=np.int16))
-        frame = TrunkFrame(FrameType.AUDIO, 5, seq=17, payload=payload)
+        frame = TrunkFrame(FrameType.AUDIO_BATCH, entries=((5, 17, payload),))
         assert self.roundtrip(frame) == frame
 
     def test_ping_pong_roundtrip(self):
@@ -87,7 +88,7 @@ class TestWireFormat:
         try:
             frames = [
                 TrunkFrame(FrameType.ALERTING, 11),
-                TrunkFrame(FrameType.AUDIO, 5, seq=1, payload=b"abc"),
+                TrunkFrame(FrameType.AUDIO_BATCH, entries=((5, 1, b"abc"),)),
                 TrunkFrame(FrameType.AUDIO_BATCH,
                            entries=((1, 2, b"xy"), (3, 4, b"z"))),
                 TrunkFrame(FrameType.RELEASE, 5, reason="done"),
@@ -109,6 +110,15 @@ class TestWireFormat:
     def test_unknown_type_rejected(self):
         with pytest.raises(TrunkProtocolError):
             decode_frame(bytes([99]) + b"\x00" * 4)
+
+    def test_retired_per_frame_audio_type_rejected(self):
+        # Type 6 carried per-frame AUDIO in major version 1; it is
+        # unassigned now, so a well-formed old AUDIO body is refused.
+        body = (bytes([6]) + (5).to_bytes(4, "little")
+                + (17).to_bytes(4, "little") + (3).to_bytes(4, "little")
+                + b"abc")
+        with pytest.raises(TrunkProtocolError, match="unknown frame type 6"):
+            decode_frame(body)
 
     def test_trailing_garbage_rejected(self):
         body = TrunkFrame(FrameType.ANSWER, 1).encode()[4:] + b"x"
@@ -167,11 +177,6 @@ class TestHandshake:
         ours = Handshake("a", sample_rate=8000)
         theirs = Handshake("b", sample_rate=16000)
         assert "sample rate" in ours.compatible_with(theirs)
-
-    def test_minor_version_mismatch_tolerated(self):
-        # Minors negotiate features (AUDIO_BATCH); they never refuse.
-        ours = Handshake("a", minor=1)
-        assert ours.compatible_with(Handshake("b", minor=0)) is None
 
 
 class TestParseRoute:
@@ -263,25 +268,18 @@ class TestJitterBuffer:
 class TwoExchanges:
     """Two exchanges federated A->B over a real TCP trunk."""
 
-    def __init__(self, route_prefix="2", listen=True,
-                 batch_a=True, batch_b=True):
-        from repro.obs import MetricsRegistry
-
+    def __init__(self):
         self.ex_a = TelephoneExchange(RATE)
         self.ex_b = TelephoneExchange(RATE)
         self.gw_b = TrunkGateway(self.ex_b, name="B",
                                  metrics=MetricsRegistry(),
-                                 keepalive_interval=0.1,
-                                 batch_enabled=batch_b)
-        if listen:
-            self.gw_b.listen("127.0.0.1", 0)
+                                 keepalive_interval=0.1)
+        self.gw_b.listen("127.0.0.1", 0)
         self.gw_b.start()
         self.gw_a = TrunkGateway(self.ex_a, name="A",
                                  metrics=MetricsRegistry(),
-                                 keepalive_interval=0.1,
-                                 batch_enabled=batch_a)
-        if listen:
-            self.gw_a.add_route(route_prefix, "127.0.0.1", self.gw_b.port)
+                                 keepalive_interval=0.1)
+        self.gw_a.add_route("2", "127.0.0.1", self.gw_b.port)
         self.gw_a.start()
 
     def stop(self):
@@ -574,64 +572,8 @@ class TestTrunkSupervision:
             and pair.ex_b.call_for(b2) is not None
             and pair.ex_b.call_for(b2).state is CallState.CONNECTED)
 
-    def test_batch_fallback_interop_old_minor_peer(self):
-        """New-minor <-> old-minor peers fall back to per-frame AUDIO.
-
-        Run both orientations (old acceptor, then old initiator): the
-        call connects, audio flows both ways sample-identically, and no
-        AUDIO_BATCH frame ever crosses the wire.
-        """
-        for batch_a, batch_b in ((True, False), (False, True)):
-            pair = TwoExchanges(batch_a=batch_a, batch_b=batch_b)
-            try:
-                assert pair.gw_a.wait_connected(5.0)
-                assert pair.pump_until(lambda: pair.gw_b._accepted)
-                initiator = pair.gw_a.routes[0].link
-                acceptor = pair.gw_b._accepted[0]
-                # The old end announces minor 0, so neither side batches.
-                assert not initiator.batching
-                assert not acceptor.batching
-
-                alice = pair.ex_a.add_line("100")
-                bob = pair.ex_b.add_line("200")
-                a_events = _listener(alice)
-                alice.off_hook()
-                alice.dial("200")
-                assert pair.pump_until(lambda: bob.ringing)
-                bob.off_hook()
-                assert pair.pump_until(lambda: a_events["answered"])
-
-                sent_a = np.arange(1, BLOCK + 1, dtype=np.int16) * 41
-                sent_b = np.arange(1, BLOCK + 1, dtype=np.int16) * -59
-                heard_b, heard_a = [], []
-                for _ in range(12):
-                    alice.send_audio(sent_a)
-                    bob.send_audio(sent_b)
-                    pair.pump()
-                for _ in range(80):
-                    pair.pump()
-                    for line, sink in ((bob, heard_b), (alice, heard_a)):
-                        block = line.receive_audio(BLOCK)
-                        if np.any(block):
-                            sink.append(block)
-                    if len(heard_b) >= 3 and len(heard_a) >= 3:
-                        break
-                expect_b = mulaw_decode(mulaw_encode(sent_a))
-                expect_a = mulaw_decode(mulaw_encode(sent_b))
-                assert any(np.array_equal(h, expect_b) for h in heard_b)
-                assert any(np.array_equal(h, expect_a) for h in heard_a)
-
-                assert initiator.batch_frames_out == 0
-                assert acceptor.batch_frames_out == 0
-            finally:
-                pair.stop()
-
-    def test_new_minor_peers_negotiate_batching(self, pair):
-        assert pair.pump_until(lambda: pair.gw_b._accepted)
+    def test_concurrent_calls_ride_audio_batch(self, pair):
         initiator = pair.gw_a.routes[0].link
-        acceptor = pair.gw_b._accepted[0]
-        assert initiator.batching and acceptor.batching
-        assert initiator.peer.minor >= 1
         # Two concurrent calls guarantee multi-entry flush windows, so
         # bearer actually rides AUDIO_BATCH frames.
         a1, a2 = pair.ex_a.add_line("100"), pair.ex_a.add_line("101")
@@ -656,14 +598,36 @@ class TestTrunkSupervision:
         assert initiator.batch_frames_out > 0
         assert initiator.batch_entries_out >= 2 * initiator.batch_frames_out
 
+    def test_lone_block_rides_a_one_entry_batch(self, pair):
+        alice = pair.ex_a.add_line("100")
+        bob = pair.ex_b.add_line("200")
+        alice.off_hook()
+        alice.dial("200")
+        assert pair.pump_until(lambda: bob.ringing)
+        bob.off_hook()
+        assert pair.pump_until(
+            lambda: pair.ex_a.call_for(alice) is not None
+            and pair.ex_a.call_for(alice).state is CallState.CONNECTED)
+        # One staged block, long enough to prime the far jitter buffer.
+        sent = (np.arange(2 * BLOCK, dtype=np.int16) - BLOCK) * 97
+        alice.send_audio(sent)
+        assert pair.pump_until(lambda: bob._buffered >= len(sent))
+        pair.pump(5)
+        assert np.array_equal(bob.receive_audio(len(sent)),
+                              mulaw_decode(mulaw_encode(sent)))
+        initiator = pair.gw_a.routes[0].link
+        assert initiator.batch_frames_out == 1
+        assert initiator.batch_entries_out == 1
+        assert pair.gw_b._m_batch_entries_in.value == 1
+
     def test_version_mismatch_refused_at_accept(self, pair):
-        # Dial B's trunk listener with a bad major version; the
-        # connection must be refused (closed) and counted.
+        # A major-1 peer dials B's trunk listener; the connection must
+        # be refused (closed) and counted.
         refused_before = pair.gw_b._m_setup_refused.value
         sock = socket.create_connection(("127.0.0.1", pair.gw_b.port),
                                         timeout=2.0)
         try:
-            sock.sendall(Handshake("evil", major=99).encode())
+            sock.sendall(Handshake("old", major=TRUNK_MAJOR - 1).encode())
             sock.settimeout(2.0)
             # The acceptor replies with its handshake, then closes.
             Handshake.read_from(sock)
@@ -676,3 +640,58 @@ class TestTrunkSupervision:
                 break
             time.sleep(0.01)
         assert pair.gw_b._m_setup_refused.value == refused_before + 1
+
+    def test_version_mismatch_refused_when_dialing_an_old_peer(self):
+        # A routes to a listener that answers as a major-1 peer: the
+        # dial is refused at handshake, counted, and never goes live.
+        listener = socket.create_server(("127.0.0.1", 0))
+        gateway = TrunkGateway(TelephoneExchange(RATE), name="A",
+                               metrics=MetricsRegistry())
+        gateway.add_route("2", "127.0.0.1", listener.getsockname()[1])
+        gateway.start()
+        listener.settimeout(5.0)
+        sock, _addr = listener.accept()
+        try:
+            sock.sendall(Handshake("old", major=TRUNK_MAJOR - 1).encode())
+            deadline = time.monotonic() + 5.0
+            while (gateway._m_setup_refused.value == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert gateway._m_setup_refused.value == 1
+            assert not gateway.connected()
+        finally:
+            sock.close()
+            gateway.stop()
+            listener.close()
+
+
+class TestGatewayLifecycle:
+    def test_stop_is_prompt_and_joins_the_accept_thread(self, pair):
+        assert pair.pump_until(lambda: pair.gw_b._accepted)
+        accept_thread = pair.gw_b._accept_thread
+        assert accept_thread.name == "trunk-accept"
+        started = time.monotonic()
+        pair.gw_b.stop()
+        assert time.monotonic() - started < 0.5
+        assert not accept_thread.is_alive()
+
+    def test_silent_peer_does_not_delay_the_next_link(self):
+        exchange_b = TelephoneExchange(RATE)
+        gw_b = TrunkGateway(exchange_b, name="B", metrics=MetricsRegistry(),
+                            connect_timeout=2.0)
+        gw_b.listen("127.0.0.1", 0)
+        gw_b.start()
+        # Connects and never sends its handshake preamble.
+        silent = socket.create_connection(("127.0.0.1", gw_b.port))
+        gw_a = TrunkGateway(TelephoneExchange(RATE), name="A",
+                            metrics=MetricsRegistry())
+        gw_a.add_route("2", "127.0.0.1", gw_b.port)
+        try:
+            started = time.monotonic()
+            gw_a.start()
+            assert gw_a.wait_connected(gw_b.connect_timeout)
+            assert time.monotonic() - started < gw_b.connect_timeout / 2
+        finally:
+            silent.close()
+            gw_a.stop()
+            gw_b.stop()
