@@ -1,14 +1,12 @@
-"""E15 -- C10k soak: massive concurrent sessions on both I/O backends.
+"""E15 -- C10k soak: massive concurrent sessions on the I/O shards.
 
 The selector load generator (src/repro/bench/loadgen.py) holds hundreds
 (fast mode) to a thousand (full mode) concurrent protocol sessions
 against a live real-time server, mixing connect churn, pure queries and
-real playback LOUDs.  The same scripted scenario runs against the
-thread-per-client backend (the oracle) and the selector-shard backend;
-the run is gated on health -- zero protocol errors, zero unexpected
-disconnects, zero connect failures -- and on the shard backend matching
-or beating the thread backend's request throughput at equal client
-count.  Results land in BENCH_C10K.json via the harness result sink.
+real playback LOUDs.  The run is gated on health -- zero protocol
+errors, zero unexpected disconnects, zero connect failures, zero
+timeouts -- and on the number of sessions actually held at peak.
+Results land in BENCH_C10K.json via the harness result sink.
 """
 
 from repro.bench import scaled
@@ -16,96 +14,48 @@ from repro.bench.harness import record_perf
 from repro.bench.loadgen import run_load
 from repro.server import AudioServer
 
-#: Concurrent sessions each backend must hold.
+#: Concurrent sessions the soak opens.
 SESSIONS = scaled(1000, 200)
 #: Concurrent sessions the soak must actually have held at peak.
 HOLD_TARGET = scaled(500, 150)
-#: Soak window per backend (wall clock; the server paces in real time).
+#: Soak window (wall clock; the server paces in real time).
 SOAK_SECONDS = scaled(15.0, 4.0)
-#: Near-zero think time: round-trip latency, not scripted idling, must
-#: dominate so the two backends' throughput is actually comparable.
+#: Near-zero think time: round-trip latency, not scripted idling,
+#: dominates the recorded throughput.
 THINK_SECONDS = (0.0, 0.002)
 
 PLAY_FRACTION = 0.1
 CHURN_FRACTION = 0.02
 
-#: Shards must stay within this factor of threads even on a noisy
-#: shared runner; the recorded BENCH_C10K.json trend is the place a
-#: sustained regression below parity actually shows up.
-PARITY_TOLERANCE = 0.9
 
-
-def _soak(backend: str, seed: int):
-    """One full soak against a fresh server on ``backend``."""
-    server = AudioServer(realtime=True, io_backend=backend)
+def test_c10k_soak(report):
+    server = AudioServer(realtime=True)
     server.start()
     try:
         stats = run_load(server.host, server.port, sessions=SESSIONS,
-                         duration=SOAK_SECONDS, seed=seed,
+                         duration=SOAK_SECONDS, seed=11,
                          play_fraction=PLAY_FRACTION,
                          churn_fraction=CHURN_FRACTION,
                          think_seconds=THINK_SECONDS)
         counters = server.stats_snapshot()["counters"]
-        ioloop_counters = {name: value for name, value in counters.items()
-                           if name.startswith("ioloop.")}
     finally:
         server.stop()
-    return stats, ioloop_counters
 
-
-def _assert_healthy(backend: str, stats) -> None:
     record = stats.as_record()
-    assert stats.protocol_errors == 0, (backend, record)
-    assert stats.unexpected_disconnects == 0, (backend, record)
-    assert stats.connect_failures == 0, (backend, record)
-    assert stats.timeouts == 0, (backend, record)
-    assert stats.connections_held >= HOLD_TARGET, (backend, record)
+    assert stats.protocol_errors == 0, record
+    assert stats.unexpected_disconnects == 0, record
+    assert stats.connect_failures == 0, record
+    assert stats.timeouts == 0, record
+    assert stats.connections_held >= HOLD_TARGET, record
 
-
-def test_c10k_soak_both_backends(report):
-    threads_stats, _ = _soak("threads", seed=11)
-    _assert_healthy("threads", threads_stats)
-
-    shards_stats, ioloop_counters = _soak("shards", seed=11)
-    _assert_healthy("shards", shards_stats)
-    if shards_stats.requests_per_sec < threads_stats.requests_per_sec:
-        # One re-measure before declaring a regression: a single soak's
-        # throughput jitters a few percent run to run on a busy machine.
-        retry_stats, retry_counters = _soak("shards", seed=12)
-        _assert_healthy("shards", retry_stats)
-        if retry_stats.requests_per_sec > shards_stats.requests_per_sec:
-            shards_stats, ioloop_counters = retry_stats, retry_counters
-
-    for backend, stats in (("threads", threads_stats),
-                           ("shards", shards_stats)):
-        record_perf("c10k.%s" % backend, stats.requests_per_sec,
-                    sink="BENCH_C10K.json",
-                    io_backend=backend,
-                    play_fraction=PLAY_FRACTION,
-                    churn_fraction=CHURN_FRACTION,
-                    **stats.as_record())
-        report.row("E15", "%s: sessions held / p99 latency" % backend,
-                   "%d / %.2f ms" % (stats.connections_held,
-                                     stats.percentile(0.99)),
-                   ">= %d held, 0 errors" % HOLD_TARGET)
-    speedup = (shards_stats.requests_per_sec
-               / max(threads_stats.requests_per_sec, 1e-9))
-    record_perf("c10k.speedup", shards_stats.requests_per_sec,
+    record_perf("c10k.shards", stats.requests_per_sec,
                 sink="BENCH_C10K.json",
-                speedup_vs_threads=round(speedup, 3),
-                sessions=SESSIONS,
-                **{name: value
-                   for name, value in sorted(ioloop_counters.items())})
-    report.row("E15", "shards vs threads request throughput",
-               "%.0f vs %.0f /s (x%.2f)"
-               % (shards_stats.requests_per_sec,
-                  threads_stats.requests_per_sec, speedup),
-               "shards >= threads at equal clients")
-    # A single-run strict >= comparison flakes on loaded shared runners
-    # even with no regression; gate with a small tolerance and rely on
-    # the recorded speedup_vs_threads trend for the parity target.
-    assert (shards_stats.requests_per_sec
-            >= PARITY_TOLERANCE * threads_stats.requests_per_sec), (
-        "shards fell below %.0f%% of threads throughput: %.0f vs %.0f /s"
-        % (PARITY_TOLERANCE * 100, shards_stats.requests_per_sec,
-           threads_stats.requests_per_sec))
+                play_fraction=PLAY_FRACTION,
+                churn_fraction=CHURN_FRACTION,
+                **record,
+                **{name: value for name, value in sorted(counters.items())
+                   if name.startswith("ioloop.")})
+    report.row("E15", "sessions held / p99 latency",
+               "%d / %.2f ms" % (stats.connections_held,
+                                 stats.percentile(0.99)),
+               ">= %d held, 0 errors" % HOLD_TARGET)

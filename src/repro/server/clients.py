@@ -7,26 +7,17 @@ manager keeps a container object for each client connection.  The
 container objects hold everything that is related to a particular client
 connection."  (paper section 6.1)
 
-Two I/O backends drive a connection (docs/PERFORMANCE.md, "Connection
-scaling"):
-
-* **threads** -- a reader thread (parses requests, dispatches under the
-  server lock) and a writer thread (drains the outbound queue) per
-  client, so a slow client can never stall the audio hub;
-* **shards** -- no per-client threads at all: the connection is owned
-  by one of a small pool of selector-based I/O shards
-  (``server/ioloop.py``) that read, dispatch and write non-blockingly
-  for many clients at once.
-
-Whatever the backend, the dispatch path, outbound-queue semantics and
-wire format are identical; the thread backend stays the oracle the
-shard backend is equivalence-tested against (tests/test_ioloop.py).
+The container's socket is owned by one of a small pool of selector-based
+I/O shards (``server/ioloop.py``), which read, dispatch and write
+non-blockingly for many clients at once, so no client ever costs a
+thread of its own and a slow client can never stall the audio hub
+(docs/PERFORMANCE.md, "Connection scaling").
 
 The outbound queue is *bounded* (graceful degradation, see
 docs/RELIABILITY.md): when a client stops reading, the oldest queued
 **events** are shed first -- replies and errors are never dropped,
 because a client blocked in a round-trip must eventually hear back.  A
-consumer that stalls the writer thread past the server's stall deadline
+consumer whose socket stays unwritable past the server's stall deadline
 is evicted entirely so its socket buffers cannot pin server memory.
 """
 
@@ -35,29 +26,17 @@ from __future__ import annotations
 import collections
 import socket
 import threading
-import time
 
 from ..protocol.errors import ProtocolError
 from ..protocol.events import Event
 from ..protocol.requests import Reply
 from ..protocol.types import EventMask
-from ..protocol.wire import (
-    ConnectionClosed,
-    HEADER_SIZE,
-    Message,
-    MessageKind,
-    MessageStream,
-    WireFormatError,
-    write_message,
-)
+# write_message is unused here, but the benchmark tracer
+# (perfbench/tracing.py) looks it up and patches it on this module.
+from ..protocol.wire import Message, MessageKind, write_message  # noqa: F401
 
-_SHUTDOWN = object()
-
-#: Default bound on per-client outbound messages awaiting the writer.
+#: Default bound on per-client outbound messages awaiting their shard.
 DEFAULT_OUTBOUND_BOUND = 1024
-
-#: Most requests a reader drains into one dispatch batch.
-MAX_DISPATCH_BATCH = 64
 
 
 class _OutboundQueue:
@@ -71,19 +50,17 @@ class _OutboundQueue:
     client's own in-flight requests.
     """
 
-    __slots__ = ("bound", "_items", "_lock", "_ready", "dropped",
-                 "on_ready")
+    __slots__ = ("bound", "_items", "_lock", "dropped", "on_ready")
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
         self._items: collections.deque = collections.deque()
         self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
         #: Events shed so far (read by the owning connection's metrics).
         self.dropped = 0
-        #: Optional callback fired after every put -- the shard backend
-        #: hooks it to wake the owning I/O shard instead of a writer
-        #: thread.  Called outside the queue lock; must not block.
+        #: Optional callback fired after every put -- the owning I/O
+        #: shard hooks it to schedule a flush.  Called outside the queue
+        #: lock; must not block.
         self.on_ready = None
 
     def __len__(self) -> int:
@@ -102,37 +79,32 @@ class _OutboundQueue:
         self._items.append((droppable, message))
 
     def put(self, message, droppable: bool) -> None:
-        with self._ready:
+        with self._lock:
             self._put_locked(message, droppable)
-            self._ready.notify()
         if self.on_ready is not None:
             self.on_ready()
 
     def put_many(self, messages, droppable: bool) -> None:
         """Append a batch under one lock round-trip and one wakeup."""
-        with self._ready:
+        with self._lock:
             for message in messages:
                 self._put_locked(message, droppable)
-            self._ready.notify()
         if self.on_ready is not None:
             self.on_ready()
 
-    def get(self):
-        with self._ready:
-            while not self._items:
-                self._ready.wait()
-            return self._items.popleft()[1]
-
     def pop_nowait(self):
-        """The next message, or None if the queue is empty (shards)."""
+        """The next message, or None if the queue is empty."""
         with self._lock:
             if not self._items:
                 return None
             return self._items.popleft()[1]
 
+    # The benchmark tracer looks this name up on the class.
+    get = pop_nowait
+
 
 class ClientConnection:
-    """One connected client: its socket, threads, and selections."""
+    """One connected client: its socket, outbound queue and selections."""
 
     def __init__(self, server, sock: socket.socket, client_name: str,
                  id_base: int) -> None:
@@ -148,8 +120,8 @@ class ClientConnection:
         #: True when this client is the audio manager (SetRedirect).
         self.is_manager = False
         # Per-connection wire stats.  Each plain int below has exactly one
-        # writing thread (reader fills *_in, writer fills *_out), so no
-        # lock is needed; the shared aggregates go through the registry.
+        # writing thread (the owning shard), so no lock is needed; the
+        # shared aggregates go through the registry.
         self.bytes_in = 0
         self.bytes_out = 0
         self.requests_received = 0
@@ -166,32 +138,15 @@ class ClientConnection:
             "clients.outbound.dropped_events")
         self._outbound = _OutboundQueue(
             getattr(server, "outbound_bound", DEFAULT_OUTBOUND_BOUND))
-        #: Wall-clock instant the writer (thread or shard) entered or
-        #: got stuck in a socket write for this client, or None while
-        #: idle.  Written by one thread at a time; read by the server's
-        #: stall sweep.
+        #: Wall-clock instant the owning shard started a socket write it
+        #: could not finish for this client, or None while idle.  Written
+        #: by the shard thread; read by the server's stall sweep.
         self._writing_since: float | None = None
-        #: The owning I/O shard under the shards backend, else None.
-        #: Set by IOShard.add_client; close() defers socket teardown to
-        #: the shard so the selector never polls a dead descriptor.
+        #: The owning I/O shard, set by IOShardPool.register; None
+        #: before registration and after teardown.  close() defers socket
+        #: teardown to the shard so the selector never polls a dead
+        #: descriptor.
         self.io_shard = None
-        self._reader: threading.Thread | None = None
-        self._writer: threading.Thread | None = None
-
-    def start(self) -> None:
-        """Hand the connection to its I/O backend (post-handshake)."""
-        ioloop = getattr(self.server, "ioloop", None)
-        if ioloop is not None:
-            ioloop.register(self)
-            return
-        self._reader = threading.Thread(
-            target=self._read_loop, name="client-reader-%d" % self.id_base,
-            daemon=True)
-        self._writer = threading.Thread(
-            target=self._write_loop, name="client-writer-%d" % self.id_base,
-            daemon=True)
-        self._writer.start()
-        self._reader.start()
 
     # -- selections -----------------------------------------------------------
 
@@ -240,7 +195,7 @@ class ClientConnection:
 
     @property
     def queue_depth(self) -> int:
-        """Outbound messages waiting for the writer thread."""
+        """Outbound messages waiting for the owning shard."""
         return len(self._outbound)
 
     @property
@@ -249,64 +204,11 @@ class ClientConnection:
         return self._outbound.dropped
 
     def stalled_for(self, now: float) -> float:
-        """Seconds the writer has been stuck in one socket write."""
+        """Seconds the shard has been stuck in one socket write."""
         writing_since = self._writing_since
         if writing_since is None:
             return 0.0
         return now - writing_since
-
-    def _write_loop(self) -> None:
-        while True:
-            message = self._outbound.get()
-            if message is _SHUTDOWN:
-                break
-            self._writing_since = time.monotonic()
-            try:
-                write_message(self.sock, message)
-            except OSError:
-                break
-            finally:
-                self._writing_since = None
-            size = HEADER_SIZE + len(message.payload)
-            self.bytes_out += size
-            self.messages_sent += 1
-            self._m_bytes_out.inc(size)
-            self._m_messages_out.inc()
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-
-    # -- inbound --------------------------------------------------------------
-
-    def _read_loop(self) -> None:
-        stream = MessageStream(self.sock)
-        try:
-            while not self.closed:
-                try:
-                    messages = stream.read_batch(MAX_DISPATCH_BATCH)
-                except (ConnectionClosed, OSError):
-                    break
-                batch = []
-                for message in messages:
-                    if message.kind is not MessageKind.REQUEST:
-                        break   # clients only send requests
-                    size = HEADER_SIZE + len(message.payload)
-                    self.bytes_in += size
-                    self.requests_received += 1
-                    self._m_bytes_in.inc(size)
-                    self._m_messages_in.inc()
-                    batch.append(message)
-                if batch:
-                    # Sequence accounting happens per message inside the
-                    # batch dispatch, keeping replies in lockstep.
-                    self.server.dispatch_batch(self, batch)
-                if len(batch) != len(messages):
-                    break   # a non-request message ends the connection
-        except WireFormatError:
-            pass    # unframeable stream: drop the connection
-        finally:
-            self.server.client_disconnected(self)
 
     # -- observability --------------------------------------------------------
 
@@ -328,7 +230,6 @@ class ClientConnection:
         if self.closed:
             return
         self.closed = True
-        self._outbound.put(_SHUTDOWN, droppable=False)
         shard = self.io_shard
         if shard is not None:
             # The shard owns the descriptor: closing it here would
@@ -336,7 +237,7 @@ class ClientConnection:
             # it silently, so no event would ever fire to clean up).
             # The shard unregisters, closes and runs the disconnect
             # teardown on its own thread.
-            shard.defer_close(self)
+            shard.defer("close", self)
             return
         try:
             self.sock.shutdown(socket.SHUT_RDWR)

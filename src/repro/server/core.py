@@ -11,10 +11,8 @@ simultaneously."  (paper section 4.1)
 Threads (paper section 6.1 mapped onto our design; see DESIGN.md §4):
 
 * the **connection manager** accepts sockets and builds client containers;
-* **per-client reader/writer threads** parse requests and drain events
-  (the default ``threads`` I/O backend), or a small pool of
-  **selector-based I/O shards** does both non-blockingly for all
-  clients at once (``--io-backend shards``; ``ioloop.py``);
+* a small pool of **selector-based I/O shards** (``ioloop.py``) reads
+  requests and drains events non-blockingly for all clients at once;
 * the **audio hub thread** is the device layer; the server registers one
   tick callback that runs the command-queue conductors and the wire-graph
   rendering engine inside the hub's block cycle.  The render phase runs
@@ -24,10 +22,10 @@ Threads (paper section 6.1 mapped onto our design; see DESIGN.md §4):
 
 The re-entrant *topology* lock serializes mutating dispatch against the
 block cycle; pure and snapshot-served queries bypass it entirely
-(``dispatch.py``), and each reader thread drains its pending requests
-into one batched lock acquisition.  Event delivery is queue-based so no
-client can stall audio.  See docs/PERFORMANCE.md ("Concurrency model")
-for the full lock hierarchy and REPRO_LOCK_DEBUG.
+(``dispatch.py``), and each shard read drains a client's pending
+requests into one batched lock acquisition.  Event delivery is
+queue-based so no client can stall audio.  See docs/PERFORMANCE.md
+("Concurrency model") for the full lock hierarchy and REPRO_LOCK_DEBUG.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ from .clients import DEFAULT_OUTBOUND_BOUND, ClientConnection
 from .devices import build_wrappers
 from .dispatch import Dispatcher
 from .events import EventRouter
+from .ioloop import IOShardPool
 from .locks import RANK_CLIENTS, RANK_TOPOLOGY, InstrumentedRLock
 from .loud import Loud
 from .render_pool import RenderPool
@@ -82,8 +81,6 @@ class AudioServer:
                  render_workers: int | None = None,
                  render_min_rows: int | None = None,
                  render_backend: str | None = None,
-                 io_backend: str | None = None,
-                 io_shards: int | None = None,
                  trunk_listen: tuple[str, int] | None = None,
                  trunk_routes: list[tuple[str, str, int]] | None = None,
                  trunk_name: str = "",
@@ -93,8 +90,8 @@ class AudioServer:
                  mesh_neighbors: list[str] | None = None) -> None:
         self.hub = hub or AudioHub(config, realtime=realtime)
         #: Graceful-degradation knobs (docs/RELIABILITY.md): per-client
-        #: outbound queue bound, and how long one socket write may block
-        #: the writer thread before the consumer is evicted.
+        #: outbound queue bound, and how long one socket write may stay
+        #: unfinished before the consumer is evicted.
         self.outbound_bound = outbound_bound
         self.stall_deadline = stall_deadline
         self._last_stall_sweep = 0.0
@@ -163,26 +160,10 @@ class AudioServer:
                 self, workers=render_workers, min_rows=render_min_rows)
         else:
             self.render_pool = RenderPool()
-        #: Selectable connection I/O backend (docs/PERFORMANCE.md,
-        #: "Connection scaling"): "threads" keeps the per-client
-        #: reader/writer pumps (the oracle), "shards" hands every
-        #: post-handshake socket to a small pool of selector loops
-        #: (``ioloop.py``) so concurrency is no longer bounded by the
-        #: thread scheduler.
-        backend = (io_backend
-                   or os.environ.get("REPRO_IO_BACKEND", "")
-                   or "threads").strip().lower()
-        if backend not in ("threads", "shards"):
-            raise ValueError("unknown io backend %r (threads or shards)"
-                             % backend)
-        self.io_backend = backend
-        if backend == "shards":
-            from .ioloop import IOShardPool
-
-            self.ioloop: IOShardPool | None = IOShardPool(
-                self, shards=io_shards)
-        else:
-            self.ioloop = None
+        #: The connection layer (docs/PERFORMANCE.md, "Connection
+        #: scaling"): every post-handshake socket is owned by one of a
+        #: small pool of selector loops.
+        self.ioloop = IOShardPool(self)
         #: Shared LRU of decoded sounds; dispatch attaches every sound a
         #: client creates or loads, so repeat plays skip the codec.
         self.decode_cache = DecodeCache(metrics=metrics)
@@ -326,7 +307,7 @@ class AudioServer:
             self._m_frames.inc(frames)
             self._m_active_louds.set(len(plan))
             self._m_plan_ticks.inc()
-            # Same-tick events coalesce into one writer wakeup per
+            # Same-tick events coalesce into one shard wakeup per
             # client; the flush preserves emission order.
             self.events.begin_tick_batch()
             try:
@@ -345,11 +326,11 @@ class AudioServer:
         self._sweep_stalled_clients()
 
     def _sweep_stalled_clients(self) -> None:
-        """Evict consumers whose sockets have wedged the writer thread.
+        """Evict consumers whose sockets have stopped taking writes.
 
         Runs off the block cycle but rate-limited to a few times per
-        second; a stalled client is one whose writer thread has been
-        stuck inside a single socket write for longer than
+        second; a stalled client is one whose shard has been unable to
+        finish a single message write for longer than
         :attr:`stall_deadline` (its TCP buffers are full and it is not
         reading), at which point dropping events is no longer enough.
         """
@@ -364,7 +345,7 @@ class AudioServer:
                 client.evicted = True
                 self._m_evicted_slow.inc()
                 log.warning(
-                    "evicting stalled client %r: writer blocked %.1fs, "
+                    "evicting stalled client %r: write blocked %.1fs, "
                     "queue depth %d, %d events already shed", client.name,
                     client.stalled_for(now), client.queue_depth,
                     client.dropped_events)
@@ -389,8 +370,7 @@ class AudioServer:
         # A deep backlog: the C10k soak ramps hundreds of connects in
         # bursts, and a 32-entry queue would silently reset the overflow.
         self._listener.listen(1024)
-        if self.ioloop is not None:
-            self.ioloop.start()
+        self.ioloop.start()
         if self.trunk is not None:
             self.trunk.start()
         # Process workers spawn in the background; ticks render serially
@@ -417,10 +397,9 @@ class AudioServer:
                 pass
         for client in self.clients_snapshot():
             client.close()
-        if self.ioloop is not None:
-            # Drains the deferred closes above, then force-tears-down
-            # whatever is left before the shard threads exit.
-            self.ioloop.shutdown()
+        # Drains the deferred closes above, then force-tears-down
+        # whatever is left before the shard threads exit.
+        self.ioloop.shutdown()
         if self.trunk is not None:
             self.trunk.stop()
         self.hub.stop()
@@ -531,7 +510,7 @@ class AudioServer:
             return
         self._m_accepted.inc()
         self._m_clients.set(len(self.clients_snapshot()))
-        client.start()
+        self.ioloop.register(client)
 
     def clients_snapshot(self) -> list[ClientConnection]:
         with self._clients_lock:
@@ -549,13 +528,13 @@ class AudioServer:
 
     def dispatch_batch(self, client: ClientConnection,
                        messages: list[Message]) -> None:
-        """Dispatch a reader's drained requests, batching the lock.
+        """Dispatch one shard read's drained requests, batching the lock.
 
         Consecutive lock-needing requests run under *one* topology-lock
         acquisition; pure and snapshot requests in between run with no
-        lock at all.  Per-client order is preserved (one reader thread
-        per client), and the 16-bit sequence advances per message so
-        replies and errors stay in lockstep with the client's journal.
+        lock at all.  Per-client order is preserved (one shard thread
+        owns each client), and the 16-bit sequence advances per message
+        so replies and errors stay in lockstep with the client's journal.
         """
         self.dispatcher.observe_batch(len(messages))
         index, total = 0, len(messages)
@@ -618,11 +597,8 @@ class AudioServer:
             "block_frames": self.hub.block_frames,
             "clients_connected": len(clients),
             "render_backend": self.render_backend,
-            "io_backend": self.io_backend,
+            "io_shard_clients": self.ioloop.client_counts(),
         }
-        if self.ioloop is not None:
-            snapshot["server"]["io_shard_clients"] = (
-                self.ioloop.client_counts())
         snapshot["clients"] = [client.connection_stats()
                                for client in clients]
         if self.trunk is not None:

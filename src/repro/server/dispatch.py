@@ -1,7 +1,7 @@
 """Request dispatch: one handler per protocol request.
 
-Handlers run in the requesting client's reader thread; they mutate
-server state, enqueue replies, and raise
+Handlers run on the I/O shard thread that owns the requesting client
+(``ioloop.py``); they mutate server state, enqueue replies, and raise
 :class:`~repro.protocol.errors.ProtocolError` for anything invalid.  The
 dispatcher converts raised errors into asynchronous error messages
 carrying the request's sequence number (paper section 4.1).

@@ -1,25 +1,27 @@
-"""Selector-based I/O shards: the C10k connection backend.
+"""Selector-based I/O shards: the server's connection layer.
 
-The thread backend spends two OS threads per client (reader + writer
-pumps), which caps concurrency at thread-scheduler scale.  This module
-replaces them with a small pool of **I/O shards**: each shard is one
-thread running a ``selectors`` loop that owns N client sockets, does
-non-blocking reads into the connection's zero-copy
-:class:`~repro.protocol.wire.MessageStream` buffers
-(:meth:`~repro.protocol.wire.MessageStream.read_available`), feeds
-complete requests into the existing batched dispatch
+Every post-handshake client socket is owned by one of a small pool of
+**I/O shards**: each shard is one thread running a ``selectors`` loop
+that owns N client sockets, does non-blocking reads into the
+connection's zero-copy :class:`~repro.protocol.wire.MessageStream`
+buffers (:meth:`~repro.protocol.wire.MessageStream.read_available`),
+feeds complete requests into the batched dispatch
 (:meth:`~.core.AudioServer.dispatch_batch`), and drains each client's
-bounded ``_OutboundQueue`` through writability callbacks.
+bounded ``_OutboundQueue`` through writability callbacks.  Thread count
+is O(shards), not O(clients).
 
-Everything above the transport is untouched: the block-cycle hub
-thread, the ranked lock hierarchy, backpressure (oldest-event shedding)
-and stall-deadline eviction, and the wire format are byte-identical to
-the thread backend, which remains the oracle (tests/test_ioloop.py).
+The client-visible wire behaviour (replies, errors, event order,
+sequence numbers, payload bytes) is pinned by golden transcripts
+recorded from the thread-per-client pumps this layer replaced
+(tests/golden/, checked by tests/test_ioloop.py).
 
 Cross-thread signalling goes through a per-shard wakeup socketpair: the
 hub thread queueing events, the stall sweep evicting a client, and the
 connection manager registering a fresh socket all append an op and
-write one byte; the shard drains both on its next loop turn.  No
+write one byte; the shard drains both on its next loop turn.  Ops the
+shard queues on its own thread (every reply, since dispatch runs inside
+the read handler) skip the wakeup byte: the loop processes its op queue
+after each batch of ready events, before it selects again.  No
 ranked lock is ever held across a socket op or a selector wait
 (scripts/check_lock_discipline.py enforces this for the whole module).
 
@@ -48,19 +50,17 @@ from ..protocol.wire import (
     MessageStream,
     WireFormatError,
 )
-from .clients import _SHUTDOWN, MAX_DISPATCH_BATCH
 
 log = logging.getLogger(__name__)
 
+#: Most requests one read drains into a dispatch batch.
+MAX_DISPATCH_BATCH = 64
 #: Most messages one flush pass writes before yielding to other clients.
 MAX_FLUSH_BATCH = 64
 
 
 def default_shard_count() -> int:
-    """REPRO_IO_SHARDS, else a small pool scaled to the core count."""
-    configured = os.environ.get("REPRO_IO_SHARDS", "")
-    if configured:
-        return max(1, int(configured))
+    """A small pool scaled to the core count."""
     return max(2, min(8, os.cpu_count() or 1))
 
 
@@ -103,19 +103,17 @@ class IOShard:
         self._selector.register(self._wakeup_rx, selectors.EVENT_READ, None)
         self._running = False
         self._thread: threading.Thread | None = None
+        #: The loop thread's ident while it runs (see _signal).
+        self._loop_ident: int | None = None
 
     # -- cross-thread entry points -------------------------------------------
 
-    def defer_add(self, client) -> None:
-        """Queue a freshly-handshaken connection for this shard."""
+    def defer(self, op: str, client) -> None:
+        """Queue ``"add"`` (a freshly-handshaken connection) or
+        ``"close"`` (eviction, server stop, client.close()) for the
+        shard thread."""
         with self._ops_lock:
-            self._ops.append(("add", client))
-        self._signal()
-
-    def defer_close(self, client) -> None:
-        """Queue a teardown (eviction, server stop, client.close())."""
-        with self._ops_lock:
-            self._ops.append(("close", client))
+            self._ops.append((op, client))
         self._signal()
 
     def _make_ready_hook(self, state: _ShardClient):
@@ -130,12 +128,12 @@ class IOShard:
         return on_ready
 
     def _signal(self) -> None:
+        if threading.get_ident() == self._loop_ident:
+            return  # _process_ops runs before the loop selects again
         try:
             self._wakeup_tx.send(b"\0")
-        except (BlockingIOError, InterruptedError):
-            pass    # pipe already full: a wakeup is pending anyway
         except OSError:
-            pass    # shard shut down under us
+            pass    # pipe full (a wakeup is pending) or shard shut down
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -167,6 +165,7 @@ class IOShard:
 
     def _run(self) -> None:
         pool = self.pool
+        self._loop_ident = threading.get_ident()
         while self._running:
             try:
                 events = self._selector.select()
@@ -199,9 +198,7 @@ class IOShard:
         while True:
             try:
                 chunk = self._wakeup_rx.recv(4096)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
+            except OSError:     # drained (EAGAIN) or shut down
                 break
             if not chunk:
                 break
@@ -280,7 +277,7 @@ class IOShard:
         if batch:
             self.pool._m_reads.inc(len(batch))
             # Sequence accounting happens per message inside the batch
-            # dispatch, exactly as on the reader-thread path.
+            # dispatch, keeping replies in lockstep.
             self.server.dispatch_batch(client, batch)
         if not clean:
             self._teardown(state)
@@ -295,9 +292,6 @@ class IOShard:
                 message = client._outbound.pop_nowait()
                 if message is None:
                     break
-                if message is _SHUTDOWN:
-                    self._teardown(state)
-                    return
                 try:
                     encoded = message.encode()
                 except WireFormatError:
@@ -347,8 +341,7 @@ class IOShard:
             pass
 
     def _teardown(self, state: _ShardClient) -> None:
-        """Unregister, close, and run the disconnect teardown -- the
-        shard-side equivalent of the reader thread's finally clause."""
+        """Unregister, close, and run the disconnect teardown."""
         # Atomic check-and-set: stop()'s direct teardown loop can race a
         # wedged shard thread, and both must not run the teardown.
         with self._ops_lock:
@@ -385,11 +378,9 @@ class IOShard:
 class IOShardPool:
     """The shard set plus balancing and observability."""
 
-    def __init__(self, server, shards: int | None = None) -> None:
+    def __init__(self, server) -> None:
         self.server = server
-        count = shards if shards is not None else default_shard_count()
-        if count < 1:
-            raise ValueError("io shard count must be >= 1")
+        count = default_shard_count()
         metrics = server.metrics
         self._m_shards = metrics.gauge("ioloop.shards")
         self._m_clients = metrics.gauge("ioloop.clients")
@@ -420,7 +411,7 @@ class IOShardPool:
             client.io_shard = shard
             self._update_gauges_locked()
         self._m_accepts.inc()
-        shard.defer_add(client)
+        shard.defer("add", client)
 
     def client_removed(self, shard: IOShard) -> None:
         with self._lock:

@@ -9,7 +9,6 @@ Usage::
                        [--stall-deadline SECONDS]
                        [--render-backend {serial,procs}]
                        [--render-workers N] [--render-min-rows ROWS]
-                       [--io-backend {threads,shards}] [--io-shards N]
                        [--trunk-listen [HOST:]PORT]
                        [--trunk-route PREFIX=HOST:PORT]...
                        [--trunk-name NAME]
@@ -76,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "events are shed past it (default 1024)")
     parser.add_argument("--stall-deadline", type=float, default=5.0,
                         metavar="SECONDS",
-                        help="evict a client whose socket blocks its "
-                             "writer thread this long (default 5.0)")
+                        help="evict a client whose socket leaves a write "
+                             "unfinished this long (default 5.0)")
     parser.add_argument("--render-backend", default=None,
                         choices=("serial", "procs"),
                         help="render backend: 'serial' (default; the hub "
@@ -93,16 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="ROWS",
                         help="procs backend: render plans below this many "
                              "rows stay on the serial path (default 4)")
-    parser.add_argument("--io-backend", default=None,
-                        choices=("threads", "shards"),
-                        help="connection I/O backend: 'threads' (default; "
-                             "reader+writer pumps per client) or 'shards' "
-                             "(selector-loop pool, C10k scale; env "
-                             "REPRO_IO_BACKEND)")
-    parser.add_argument("--io-shards", type=int, default=None, metavar="N",
-                        help="selector loops in the shards backend "
-                             "(default: scaled to the core count; env "
-                             "REPRO_IO_SHARDS)")
     parser.add_argument("--trunk-listen", default=None,
                         metavar="[HOST:]PORT",
                         help="accept inter-server telephony trunks on "
@@ -158,8 +147,6 @@ def main(argv: list[str] | None = None) -> int:
                          render_workers=args.render_workers,
                          render_min_rows=args.render_min_rows,
                          render_backend=args.render_backend,
-                         io_backend=args.io_backend,
-                         io_shards=args.io_shards,
                          trunk_listen=trunk_listen,
                          trunk_routes=trunk_routes,
                          trunk_name=args.trunk_name,

@@ -3,7 +3,7 @@
 QUERY_LOUD / QUERY_VIRTUAL_DEVICE / QUERY_WIRE only *read* topology,
 yet they used to take the server lock -- so a slow block cycle stalled
 every query and a chatty monitor stalled the block cycle.  Instead,
-reader threads now serve them from a :class:`QuerySnapshot`: a frozen
+I/O shard threads now serve them from a :class:`QuerySnapshot`: a frozen
 dict of fully-built reply objects for every LOUD, virtual device and
 wire, tagged with the topology version it was built from.
 

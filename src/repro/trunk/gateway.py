@@ -859,15 +859,22 @@ class TrunkGateway:
             sock.close()
             self._connect_failed(route, str(exc))
             return
-        link = TrunkLink(sock, peer, initiated=True,
-                         keepalive_interval=self.keepalive_interval,
-                         outbound_bound=self.outbound_bound).start()
         with self._state_lock:
-            route.link = link
             route.connecting = False
-            route.attempt = 0
-            reconnect = route.ever_connected
-            route.ever_connected = True
+            # stop() may have swept the links while this dial was
+            # handshaking; a link started now would outlive it.
+            running = self._running
+            if running:
+                route.link = TrunkLink(
+                    sock, peer, initiated=True,
+                    keepalive_interval=self.keepalive_interval,
+                    outbound_bound=self.outbound_bound).start()
+                route.attempt = 0
+                reconnect = route.ever_connected
+                route.ever_connected = True
+        if not running:
+            sock.close()
+            return
         self._m_connects.inc()
         if reconnect:
             self._m_reconnects.inc()

@@ -2,7 +2,7 @@
 
 The server's per-client outbound queue is bounded; when a client stops
 reading its socket, the oldest queued *events* are shed (replies and
-errors never are) and a consumer that blocks the writer thread past the
+errors never are) and a consumer whose socket stays unwritable past the
 stall deadline is evicted outright.  This is the server half of the
 chaos harness's graceful-degradation contract (docs/RELIABILITY.md).
 """
@@ -46,7 +46,7 @@ class TestOutboundQueue:
         queue.put("event-3", droppable=True)
         assert queue.dropped == 1
         assert len(queue) == 3
-        assert queue.get() == "event-1"     # event-0 was shed
+        assert queue.pop_nowait() == "event-1"  # event-0 was shed
 
     def test_replies_never_shed(self):
         queue = _OutboundQueue(bound=2)
@@ -62,7 +62,9 @@ class TestOutboundQueue:
         queue.put("event-old", droppable=True)
         queue.put("event-new", droppable=True)
         assert queue.dropped == 1
-        assert [queue.get(), queue.get()] == ["reply", "event-new"]
+        assert [queue.pop_nowait(), queue.pop_nowait()] == [
+            "reply", "event-new"]
+        assert queue.pop_nowait() is None
 
     def test_all_replies_at_bound_sheds_new_event(self):
         queue = _OutboundQueue(bound=2)
@@ -88,7 +90,7 @@ def start_stalled_flood(server, seconds=30.0):
 
     Returns the open socket (the caller closes it).  A tiny receive
     buffer set *before* connecting keeps the TCP window small, so the
-    server's writer thread blocks quickly once we stop reading.
+    server's socket writes stall quickly once we stop reading.
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
@@ -150,7 +152,7 @@ class TestSlowConsumer:
             assert wait_for(lambda: staller_connection(server) is not None)
             victim = staller_connection(server)
             # Shrink the server-side send buffer too, so kernel
-            # buffering cannot hide the stall from the writer thread.
+            # buffering cannot hide the stall from the server.
             victim.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
                                    4096)
 

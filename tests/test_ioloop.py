@@ -1,27 +1,26 @@
-"""Backend equivalence: selector I/O shards vs thread-per-client.
+"""The selector I/O shards against golden wire transcripts.
 
-The shard backend (src/repro/server/ioloop.py) replaces the per-client
-reader/writer threads with a pool of selector loops.  Everything a
-client can observe must be identical: these tests run the same seeded
-workload against both backends and compare the complete per-client wire
-transcripts (replies, errors, event order, sequence numbers, payload
-bytes), then check the graceful-degradation behaviors -- oldest-event
-shedding and stall-deadline eviction -- still fire under shards, and
-that the chaos-tier story (jittery links, resets, session resume) holds
-with the shard backend underneath.
+The server's connection layer (src/repro/server/ioloop.py) is a pool of
+selector loops.  It replaced per-client reader/writer thread pumps, and
+everything a client can observe must be what those pumps produced:
+tests/golden/ holds the complete per-client wire transcripts (replies,
+errors, event order, sequence numbers, payload bytes, hex-encoded) the
+thread pumps recorded for two seeded workloads, and the shards must
+reproduce them byte for byte.  The remaining tests cover shard
+bookkeeping, server-initiated closes, thread counts and the chaos-tier
+story (jittery links, resets, session resume).
 
 Determinism recipe: the hub is stepped manually (``start_hub=False``),
 every asynchronous request is followed by a sync round-trip before the
-next hub step, and all randomness comes from one seeded RNG -- so two
-runs differ only in the backend under test.
+next hub step, and all randomness comes from one seeded RNG.
 """
 
+import json
+import pathlib
+import random
 import socket
 import threading
 import time
-import random
-
-import pytest
 
 from repro.alib import AudioClient
 from repro.bench.loadgen import run_load
@@ -47,9 +46,8 @@ from repro.protocol.wire import (
 from repro.server import AudioServer
 
 from conftest import wait_for
-from test_backpressure import start_stalled_flood, staller_connection
 
-BACKENDS = ("threads", "shards")
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class WireClient:
@@ -122,17 +120,17 @@ def _build_session(client: WireClient) -> dict:
     return ids
 
 
-def run_workload(backend: str, seed: int = 1234, clients: int = 3,
+def run_workload(seed: int = 1234, clients: int = 3,
                  rounds: int = 60) -> list[list[tuple]]:
     """The seeded workload's complete per-client transcripts."""
     # Command serials are allocated from a process-global counter
-    # (qprogram._serials); pin it so the two runs' COMMAND_DONE events
-    # carry identical serials and transcripts compare byte-for-byte.
+    # (qprogram._serials); pin it so COMMAND_DONE events carry the
+    # golden serials and transcripts compare byte-for-byte.
     import itertools
 
     from repro.server import qprogram
     qprogram._serials = itertools.count(1)
-    server = AudioServer(HardwareConfig(), io_backend=backend, io_shards=2)
+    server = AudioServer(HardwareConfig())
     server.start(start_hub=False)
     wire_clients = []
     try:
@@ -173,23 +171,31 @@ def run_workload(backend: str, seed: int = 1234, clients: int = 3,
         server.stop()
 
 
+def golden_workload(seed: int) -> tuple[dict, list[list[tuple]]]:
+    """A golden file's workload parameters and its transcripts."""
+    with open(GOLDEN / ("ioloop_seed%d.json" % seed)) as handle:
+        golden = json.load(handle)
+    transcripts = [[(kind, code, sequence, bytes.fromhex(payload))
+                    for kind, code, sequence, payload in transcript]
+                   for transcript in golden.pop("transcripts")]
+    return golden, transcripts
+
+
 class TestBackendEquivalence:
     def test_identical_transcripts(self):
         """Same replies, errors, event order and payload bytes."""
-        threads = run_workload("threads")
-        shards = run_workload("shards")
-        assert threads == shards
+        workload, golden = golden_workload(1234)
+        assert sum(map(len, golden)) == 72
+        assert run_workload(**workload) == golden
 
     def test_identical_transcripts_second_seed(self):
-        threads = run_workload("threads", seed=99, clients=4, rounds=40)
-        shards = run_workload("shards", seed=99, clients=4, rounds=40)
-        assert threads == shards
+        workload, golden = golden_workload(99)
+        assert sum(map(len, golden)) == 57
+        assert run_workload(**workload) == golden
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_errors_reach_the_client(self, backend):
-        """Bad requests produce the same visible error on each backend."""
-        server = AudioServer(HardwareConfig(), io_backend=backend,
-                             io_shards=2)
+    def test_errors_reach_the_client(self):
+        """A bad request produces a visible error."""
+        server = AudioServer(HardwareConfig())
         server.start(start_hub=False)
         try:
             client = WireClient(server.port, "errs")
@@ -202,8 +208,7 @@ class TestBackendEquivalence:
 
 class TestShardBookkeeping:
     def test_clients_balance_across_shards(self):
-        server = AudioServer(HardwareConfig(), io_backend="shards",
-                             io_shards=3)
+        server = AudioServer(HardwareConfig())
         server.start(start_hub=False)
         clients = []
         try:
@@ -215,7 +220,7 @@ class TestShardBookkeeping:
             assert sum(counts) == 9
             assert max(counts) - min(counts) <= 1
             gauges = server.metrics.snapshot()["gauges"]
-            assert gauges["ioloop.shards"] == 3
+            assert gauges["ioloop.shards"] == len(server.ioloop.shards)
             assert gauges["ioloop.clients"] == 9
         finally:
             for client in clients:
@@ -223,8 +228,7 @@ class TestShardBookkeeping:
             server.stop()
 
     def test_disconnects_release_shard_slots(self):
-        server = AudioServer(HardwareConfig(), io_backend="shards",
-                             io_shards=2)
+        server = AudioServer(HardwareConfig())
         server.start(start_hub=False)
         try:
             clients = [WireClient(server.port, "rel-%d" % index)
@@ -241,14 +245,12 @@ class TestShardBookkeeping:
 
 
 class TestExternallyInitiatedClose:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_server_side_close_reaches_the_peer(self, backend):
+    def test_server_side_close_reaches_the_peer(self):
         """A close the server initiates (stall eviction, admin stop)
         must actually shut the socket: the peer observes FIN/RST
         instead of a connection it believes is still live, and no fd
         is left open server-side."""
-        server = AudioServer(HardwareConfig(), io_backend=backend,
-                             io_shards=2)
+        server = AudioServer(HardwareConfig())
         server.start(start_hub=False)
         client = None
         try:
@@ -268,8 +270,7 @@ class TestExternallyInitiatedClose:
             except TimeoutError:
                 pass                            # the leak: still "live"
             assert observed_close, (
-                "peer never saw FIN/RST after server-side close "
-                "(backend=%s)" % backend)
+                "peer never saw FIN/RST after server-side close")
             assert wait_for(lambda: not server.clients_snapshot())
             assert victim.sock.fileno() == -1   # fd actually released
         finally:
@@ -278,52 +279,41 @@ class TestExternallyInitiatedClose:
             server.stop()
 
 
-@pytest.fixture(params=BACKENDS)
-def tight_server_both(request):
-    """A small-bound, short-deadline server on each backend."""
-    server = AudioServer(HardwareConfig(), outbound_bound=64,
-                         stall_deadline=1.0, io_backend=request.param,
-                         io_shards=2)
-    server.start()
-    yield server
-    server.stop()
+class TestThreadCount:
+    def test_no_per_client_threads_and_shards_joined_on_stop(self):
+        """Twenty clients cost no thread of their own, and stop()
+        leaves no shard thread behind."""
+        def shard_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name.startswith("io-shard-")}
 
-
-class TestEvictionEquivalence:
-    def test_stalled_consumer_shed_and_evicted(self, tight_server_both):
-        """Oldest-event shedding and stall eviction fire on both
-        backends, and a concurrent clean client is untouched."""
-        server = tight_server_both
-        clean = AudioClient(port=server.port, client_name="clean")
-        sock = None
+        before = shard_threads()
+        server = AudioServer(HardwareConfig())
+        server.start(start_hub=False)
+        clients = []
         try:
-            sock = start_stalled_flood(server)
-            assert wait_for(lambda: staller_connection(server) is not None)
-            victim = staller_connection(server)
-            victim.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
-                                   4096)
-            assert wait_for(lambda: victim.dropped_events > 0, timeout=30)
-            for _sample in range(50):
-                assert victim.queue_depth <= 64
-            assert wait_for(lambda: victim.evicted, timeout=30)
-            assert wait_for(lambda: staller_connection(server) is None,
-                            timeout=10)
-            assert server.metrics.counter("clients.evicted_slow").value >= 1
-            # The clean client's session still works end to end.
-            clean.sync()
-            assert clean.server_info().protocol_major >= 1
+            clients = [WireClient(server.port, "count-%d" % index)
+                       for index in range(20)]
+            for client in clients:
+                client.round_trip(rq.GetTime())
+            assert sum(server.ioloop.client_counts()) == 20
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [name for name in names
+                        if name.startswith(("client-reader-",
+                                            "client-writer-"))]
+            assert len(shard_threads() - before) == len(server.ioloop.shards)
         finally:
-            clean.close()
-            if sock is not None:
-                sock.close()
+            for client in clients:
+                client.close()
+            server.stop()
+        assert not shard_threads() - before
 
 
 class TestChaosUnderShards:
     """The chaos-tier soak: jittery, resetting links under shards."""
 
     def _shard_server(self) -> AudioServer:
-        server = AudioServer(HardwareConfig(), realtime=True,
-                             io_backend="shards", io_shards=2)
+        server = AudioServer(HardwareConfig(), realtime=True)
         server.start()
         return server
 

@@ -7,6 +7,7 @@ briefly so the link pump threads can move frames.
 """
 
 import socket
+import threading
 import time
 
 import numpy as np
@@ -695,3 +696,36 @@ class TestGatewayLifecycle:
             silent.close()
             gw_a.stop()
             gw_b.stop()
+
+    def test_dial_finishing_after_stop_attaches_no_link(self):
+        """A dial whose handshake completes after stop() returns must
+        not start a link: no pump threads outlive the gateway, and the
+        dialed socket is closed."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        gateway = TrunkGateway(TelephoneExchange(RATE), name="A",
+                               metrics=MetricsRegistry())
+        gateway.add_route("2", "127.0.0.1", listener.getsockname()[1])
+        route = gateway.routes[0]
+        listener.settimeout(5.0)
+        sock = None
+        try:
+            gateway.start()
+            sock, _addr = listener.accept()
+            sock.settimeout(5.0)
+            Handshake.read_from(sock)   # the dialer now awaits our reply
+            gateway.stop()
+            sock.sendall(Handshake("late-peer").encode())
+            deadline = time.monotonic() + 5.0
+            while route.connecting and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not route.connecting
+            assert route.link is None
+            pumps = {"trunk-read-late-peer", "trunk-write-late-peer"}
+            assert not [thread.name for thread in threading.enumerate()
+                        if thread.name in pumps]
+            assert sock.recv(1) == b""  # the dialer closed its end
+        finally:
+            if sock is not None:
+                sock.close()
+            gateway.stop()
+            listener.close()
