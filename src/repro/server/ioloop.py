@@ -26,7 +26,8 @@ ranked lock is ever held across a socket op or a selector wait
 (scripts/check_lock_discipline.py enforces this for the whole module).
 
 Metrics: ``ioloop.shards``, ``ioloop.clients``, ``ioloop.accepts``,
-``ioloop.reads``, ``ioloop.writes``, ``ioloop.wakeups``,
+``ioloop.reads``, ``ioloop.writes`` (messages), ``ioloop.sends`` (send
+calls; a flush coalesces a batch of messages into one), ``ioloop.wakeups``,
 ``ioloop.loop_lag_us`` (time a shard spends handling one batch of ready
 events -- the latency other clients on the shard see), and
 ``ioloop.imbalance`` (max minus min clients across shards).
@@ -55,7 +56,8 @@ log = logging.getLogger(__name__)
 
 #: Most requests one read drains into a dispatch batch.
 MAX_DISPATCH_BATCH = 64
-#: Most messages one flush pass writes before yielding to other clients.
+#: Most messages one flush pass encodes into one buffer and one send
+#: before yielding to other clients.
 MAX_FLUSH_BATCH = 64
 
 
@@ -67,15 +69,17 @@ def default_shard_count() -> int:
 class _ShardClient:
     """Per-connection shard state: framing stream and write-out cursor."""
 
-    __slots__ = ("client", "stream", "out_view", "out_size", "sent",
-                 "want_write", "flush_queued", "gone")
+    __slots__ = ("client", "stream", "out_view", "out_size", "out_count",
+                 "sent", "want_write", "flush_queued", "gone")
 
     def __init__(self, client) -> None:
         self.client = client
         self.stream = MessageStream(client.sock)
-        #: The partially-written encoded message, or None when idle.
+        #: The partially-written batch of encoded messages, or None when
+        #: idle; ``out_count`` messages, ``out_size`` bytes in all.
         self.out_view: memoryview | None = None
         self.out_size = 0
+        self.out_count = 0
         self.sent = 0
         self.want_write = False
         #: Guarded by the shard's op lock: a flush op is already queued.
@@ -283,50 +287,64 @@ class IOShard:
             self._teardown(state)
 
     def _flush(self, state: _ShardClient) -> None:
-        """Write queued outbound messages until the socket pushes back."""
+        """Write one batch of queued outbound messages.
+
+        Up to MAX_FLUSH_BATCH messages are encoded into one buffer and
+        written with one ``send``: a send per message would release the
+        GIL to the CPU-bound hub thread once per message, and a shard
+        that falls behind sheds events from the bounded queue.  A
+        partial send resumes from the batch's cursor, on this call or,
+        after ``EWOULDBLOCK``, once the socket is writable again.
+        """
         client = state.client
-        sock = client.sock
-        written = 0
-        while written < MAX_FLUSH_BATCH:
-            if state.out_view is None:
-                message = client._outbound.pop_nowait()
-                if message is None:
-                    break
-                try:
-                    encoded = message.encode()
-                except WireFormatError:
-                    self._teardown(state)
-                    return
-                state.out_view = memoryview(encoded)
-                state.out_size = len(encoded)
-                state.sent = 0
-                if client._writing_since is None:
-                    client._writing_since = time.monotonic()
+        if state.out_view is None and not self._fill(state):
+            return
+        while state.out_view is not None:
             try:
-                sent = sock.send(state.out_view[state.sent:])
+                sent = client.sock.send(state.out_view[state.sent:])
             except (BlockingIOError, InterruptedError):
                 self._want_write(state, True)
                 return
             except OSError:
                 self._teardown(state)
                 return
+            self.pool._m_sends.inc()
             state.sent += sent
             if state.sent < state.out_size:
                 continue
             client._writing_since = None
             client.bytes_out += state.out_size
-            client.messages_sent += 1
+            client.messages_sent += state.out_count
             client._m_bytes_out.inc(state.out_size)
-            client._m_messages_out.inc()
-            self.pool._m_writes.inc()
+            client._m_messages_out.inc(state.out_count)
+            self.pool._m_writes.inc(state.out_count)
             state.out_view = None
-            written += 1
-        if state.out_view is None and len(client._outbound) == 0:
-            self._want_write(state, False)
-        else:
-            # More queued than one fairness slice allows: stay armed for
-            # writability so the drain resumes next loop turn.
-            self._want_write(state, True)
+        # More queued than one batch holds: stay armed for writability
+        # so the drain resumes next loop turn, after the other clients.
+        self._want_write(state, len(client._outbound) > 0)
+
+    def _fill(self, state: _ShardClient) -> bool:
+        """Encode the next batch into ``state.out_view`` (None when
+        nothing is queued); False if the client was torn down."""
+        client = state.client
+        encoded = []
+        while len(encoded) < MAX_FLUSH_BATCH:
+            message = client._outbound.pop_nowait()
+            if message is None:
+                break
+            try:
+                encoded.append(message.encode())
+            except WireFormatError:
+                self._teardown(state)
+                return False
+        if encoded:
+            buffer = b"".join(encoded)
+            state.out_view = memoryview(buffer)
+            state.out_size = len(buffer)
+            state.out_count = len(encoded)
+            state.sent = 0
+            client._writing_since = time.monotonic()
+        return True
 
     def _want_write(self, state: _ShardClient, flag: bool) -> None:
         if state.want_write == flag:
@@ -388,6 +406,7 @@ class IOShardPool:
         self._m_accepts = metrics.counter("ioloop.accepts")
         self._m_reads = metrics.counter("ioloop.reads")
         self._m_writes = metrics.counter("ioloop.writes")
+        self._m_sends = metrics.counter("ioloop.sends")
         self._m_wakeups = metrics.counter("ioloop.wakeups")
         self._m_loop_lag = metrics.histogram("ioloop.loop_lag_us",
                                              edges=MICROSECOND_BUCKETS)

@@ -62,7 +62,13 @@ class Node:
 
 
 class Leaf(Node):
-    """One device command awaiting execution."""
+    """One device command awaiting execution.
+
+    ``state`` changes only in :meth:`set_eligible` (WAITING to READY),
+    :meth:`mark_running`, :meth:`complete` and
+    :meth:`QueueProgram.flush_pending`; the last three go through
+    :meth:`_move`, which keeps the owning program's counts current.
+    """
 
     def __init__(self, device_id: int, command: Command,
                  args: AttributeList) -> None:
@@ -75,6 +81,8 @@ class Leaf(Node):
         self.not_before: int = 0
         #: False for immediate-mode commands (no queue bookkeeping).
         self.queued = True
+        #: The owning program; None for immediate-mode commands.
+        self.program: "QueueProgram | None" = None
         #: The device CommandHandle once started.
         self.handle = None
         #: The client that issued this command (for error delivery).
@@ -88,15 +96,20 @@ class Leaf(Node):
         if self.state is LeafState.WAITING:
             self.state = LeafState.READY
 
+    def _move(self, state: LeafState) -> None:
+        if self.program is not None:
+            self.program._leaf_moved(self, state)
+        self.state = state
+
     def mark_running(self) -> None:
-        self.state = LeafState.RUNNING
+        self._move(LeafState.RUNNING)
 
     def complete(self, time: int) -> None:
         """Advance the program past this leaf at sample time ``time``."""
         if self.advanced:
             return
         self.advanced = True
-        self.state = LeafState.DONE
+        self._move(LeafState.DONE)
         self._complete(time)
 
     def __repr__(self) -> str:
@@ -204,19 +217,28 @@ class DelayBlock(Container):
             self._complete(time)
 
 
+_PENDING = (LeafState.WAITING, LeafState.READY)
+
+
 class QueueProgram:
     """The dynamic program of one root LOUD's command queue.
 
     Commands stream in through :meth:`add_command`; the conductor pulls
     ready leaves from :meth:`ready_leaves` and advances the tree by
     calling ``leaf.complete(time)``.
+
+    Bookkeeping is O(1): the program counts its pending (WAITING or
+    READY) leaves and maps its RUNNING leaves by serial, and every
+    leaf state change past READY reports here through ``Leaf._move``.
+    The conductor queries the counts several times per block, so they
+    must not depend on how many commands the queue has ever held.
     """
 
     def __init__(self) -> None:
         self.root = Seq()
         self._open: list[Container] = [self.root]
-        self._all_leaves: list[Leaf] = []
-        self.completed_count = 0
+        self._pending = 0
+        self._running: dict[int, Leaf] = {}
 
     @property
     def _top(self) -> Container:
@@ -250,9 +272,19 @@ class QueueProgram:
             self._open.pop()
             return None
         leaf = Leaf(device_id, command, args)
+        leaf.program = self
+        self._pending += 1
         self._top.append(leaf)
-        self._all_leaves.append(leaf)
         return leaf
+
+    def _leaf_moved(self, leaf: Leaf, state: LeafState) -> None:
+        """Account one leaf leaving ``leaf.state`` for ``state``."""
+        if leaf.state in _PENDING:
+            self._pending -= 1
+        elif leaf.state is LeafState.RUNNING:
+            del self._running[leaf.serial]
+        if state is LeafState.RUNNING:
+            self._running[leaf.serial] = leaf
 
     #: Filled in by the owning queue so Delay can convert ms to frames.
     sample_rate = 8000
@@ -290,36 +322,46 @@ class QueueProgram:
 
     def pending_count(self) -> int:
         """Leaves not yet started."""
-        return sum(1 for leaf in self._all_leaves
-                   if leaf.state in (LeafState.WAITING, LeafState.READY))
+        return self._pending
 
     def running_count(self) -> int:
-        return sum(1 for leaf in self._all_leaves
-                   if leaf.state is LeafState.RUNNING)
+        return len(self._running)
 
     def running_leaves(self) -> list[Leaf]:
-        return [leaf for leaf in self._all_leaves
-                if leaf.state is LeafState.RUNNING]
+        """Started leaves the program has not advanced past, in serial
+        (program) order."""
+        running = self._running
+        return [running[serial] for serial in sorted(running)]
 
     @property
     def is_empty(self) -> bool:
-        return (self.pending_count() == 0 and self.running_count() == 0)
+        return self._pending == 0 and not self._running
 
     def flush_pending(self) -> list[Leaf]:
         """Discard not-yet-started leaves (ControlQueue FLUSH).
 
         Implemented by completing them immediately with no device action;
-        returns the flushed leaves so the caller can report them.
+        returns the flushed leaves, in program order, so the caller can
+        report them.
         """
-        flushed = []
-        for leaf in self._all_leaves:
-            if leaf.state in (LeafState.WAITING, LeafState.READY):
-                leaf.state = LeafState.DONE
-                flushed.append(leaf)
+        flushed: list[Leaf] = []
+        self._collect_pending(self.root, flushed)
+        for leaf in flushed:
+            leaf._move(LeafState.DONE)
         # Rebuild the tree as an empty program: simplest faithful
-        # semantics for a full flush of pending work.
-        running = self.running_leaves()
+        # semantics for a full flush of pending work.  Running leaves
+        # stay counted and finish in the detached old tree.
         self.root = Seq()
         self._open = [self.root]
-        self._all_leaves = list(running)
         return flushed
+
+    def _collect_pending(self, node: Node, pending: list[Leaf]) -> None:
+        # The whole tree: a command appended inside a bracket that
+        # already completed (an empty CoBegin armed before its first
+        # command arrived) sits behind its Seq's cursor, still pending.
+        if isinstance(node, Leaf):
+            if node.state in _PENDING:
+                pending.append(node)
+            return
+        for child in node.children:
+            self._collect_pending(child, pending)

@@ -67,6 +67,21 @@ def wait_for(predicate, timeout=10.0):
     return predicate()
 
 
+def wait_blocks(server, blocks: int) -> None:
+    """Wait until the running hub has completed ``blocks`` more blocks."""
+    hub = server.hub
+    target = hub.sample_time + blocks * hub.block_frames
+    assert hub.clock.wait_until(target, timeout=10.0), "hub stalled"
+
+
 def speaker_audio(server, settle_blocks: int = 3) -> np.ndarray:
-    """The first speaker's captured output so far."""
+    """The first speaker's captured output, once the hub has run
+    ``settle_blocks`` more blocks.
+
+    The hub runs tick callbacks, which emit and flush events, before
+    ``device.end_block()`` appends the block's speaker capture; audio
+    read straight after an event (QUEUE_EMPTY, COMMAND_DONE) can
+    therefore miss the block that produced it.
+    """
+    wait_blocks(server, settle_blocks)
     return server.hub.speakers[0].capture.samples()

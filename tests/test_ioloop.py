@@ -7,8 +7,9 @@ tests/golden/ holds the complete per-client wire transcripts (replies,
 errors, event order, sequence numbers, payload bytes, hex-encoded) the
 thread pumps recorded for two seeded workloads, and the shards must
 reproduce them byte for byte.  The remaining tests cover shard
-bookkeeping, server-initiated closes, thread counts and the chaos-tier
-story (jittery links, resets, session resume).
+bookkeeping, coalesced writes under short sends, server-initiated
+closes, thread counts and the chaos-tier story (jittery links, resets,
+session resume).
 
 Determinism recipe: the hub is stepped manually (``start_hub=False``),
 every asynchronous request is followed by a sync round-trip before the
@@ -21,11 +22,13 @@ import random
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 from repro.alib import AudioClient
 from repro.bench.loadgen import run_load
 from repro.chaos import ChaosProxy, FaultSchedule
 from repro.hardware import HardwareConfig
+from repro.obs import MetricsRegistry
 from repro.protocol import requests as rq
 from repro.protocol.attributes import AttributeList
 from repro.protocol.setup import SetupReply, SetupRequest
@@ -43,7 +46,8 @@ from repro.protocol.wire import (
     MessageStream,
     set_nodelay,
 )
-from repro.server import AudioServer
+from repro.server import AudioServer, ioloop
+from repro.server.clients import ClientConnection
 
 from conftest import wait_for
 
@@ -242,6 +246,104 @@ class TestShardBookkeeping:
             assert wait_for(lambda: not server.clients_snapshot())
         finally:
             server.stop()
+
+
+class ShortSendSocket:
+    """A non-blocking socket stand-in that takes 1-7 bytes per send and
+    refuses every third call outright (EAGAIN), recording the stream."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+        self.received = bytearray()
+        self.sends = 0
+        self.calls = 0
+
+    def send(self, data) -> int:
+        self.calls += 1
+        if self.calls % 3 == 0:
+            raise BlockingIOError
+        taken = min(len(data), self.rng.randint(1, 7))
+        self.received += bytes(data[:taken])
+        self.sends += 1
+        return taken
+
+
+class AcceptAllSocket:
+    """A socket stand-in whose every send takes the whole buffer."""
+
+    def __init__(self) -> None:
+        self.received = bytearray()
+        self.sends = 0
+
+    def send(self, data) -> int:
+        self.received += bytes(data)
+        self.sends += 1
+        return len(data)
+
+
+def _detached_shard_client(sock):
+    """An I/O shard and one connection on ``sock``, no loop thread."""
+    server = SimpleNamespace(metrics=MetricsRegistry(), outbound_bound=1024)
+    pool = ioloop.IOShardPool(server)
+    client = ClientConnection(server, sock, "short", 0x100000)
+    return pool, pool.shards[0], client, ioloop._ShardClient(client)
+
+
+def _queue_messages(client, count: int) -> bytes:
+    """Queue ``count`` mixed replies and events; the expected stream."""
+    rng = random.Random(count)
+    expected = bytearray()
+    for index in range(count):
+        payload = bytes(rng.randrange(256)
+                        for _ in range(rng.randrange(0, 40)))
+        kind = MessageKind.REPLY if index % 4 == 0 else MessageKind.EVENT
+        message = Message(kind, index % 200, index & 0xFFFF, payload)
+        client._outbound.put(message, droppable=kind is MessageKind.EVENT)
+        expected += message.encode()
+    return bytes(expected)
+
+
+class TestCoalescedWrites:
+    def test_short_sends_deliver_the_concatenated_encodings(self):
+        sock = ShortSendSocket(seed=7)
+        pool, shard, client, state = _detached_shard_client(sock)
+        try:
+            expected = _queue_messages(client, 150)
+            flushes = 0
+            while len(client._outbound) or state.out_view is not None:
+                shard._flush(state)
+                flushes += 1
+                assert flushes < 100_000, "flush made no progress"
+            assert bytes(sock.received) == expected
+            assert client.messages_sent == 150
+            assert client.bytes_out == len(expected)
+            counters = pool.server.metrics.snapshot()["counters"]
+            assert counters["net.messages_out"] == 150
+            assert counters["net.bytes_out"] == len(expected)
+            assert counters["ioloop.writes"] == 150
+            assert counters["ioloop.sends"] == sock.sends
+            assert client._writing_since is None
+        finally:
+            pool.shutdown()
+
+    def test_one_send_per_flushed_batch(self):
+        sock = AcceptAllSocket()
+        pool, shard, client, state = _detached_shard_client(sock)
+        try:
+            batch = ioloop.MAX_FLUSH_BATCH
+            expected = _queue_messages(client, batch + 10)
+            shard._flush(state)
+            assert sock.sends == 1
+            assert client.messages_sent == batch
+            shard._flush(state)
+            assert sock.sends == 2
+            assert client.messages_sent == batch + 10
+            assert bytes(sock.received) == expected
+            counters = pool.server.metrics.snapshot()["counters"]
+            assert counters["ioloop.sends"] == 2
+            assert counters["net.messages_out"] == batch + 10
+        finally:
+            pool.shutdown()
 
 
 class TestExternallyInitiatedClose:

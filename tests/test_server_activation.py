@@ -16,7 +16,7 @@ from repro.protocol.types import (
 )
 from repro.server import AudioServer
 
-from conftest import wait_for
+from conftest import speaker_audio, wait_for
 
 RATE = 8000
 
@@ -236,12 +236,11 @@ class TestActiveStack:
         loud_b.map()
         second_client.sync()
         assert not loud_a.query().active
-        marker = len(server.hub.speakers[0].capture.samples())
         loud_b.unmap()
         assert wait_for(lambda: loud_a.query().active)
         assert client.wait_for_event(
             lambda e: e.code is EventCode.QUEUE_EMPTY, timeout=15)
-        played = server.hub.speakers[0].capture.samples()
+        played = speaker_audio(server)
         nonzero = played[played != 0]
         # No sample lost or replayed across the preemption.
         assert np.array_equal(nonzero, ramp)

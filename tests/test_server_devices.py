@@ -25,7 +25,7 @@ from repro.protocol.types import (
     PCM16_8K,
 )
 
-from conftest import wait_for
+from conftest import wait_blocks, wait_for
 
 RATE = 8000
 
@@ -121,7 +121,10 @@ class TestRecognizerDevice:
         loud, recognizer = self._build(client)
         recognizer.issue(Command.LISTEN)
         loud.start_queue()
-        client.sync()   # the queue has started LISTEN by now
+        client.sync()
+        # The queue starts LISTEN in the hub's next block; a stop that
+        # lands before it finds nothing to stop.
+        wait_blocks(server, 1)
         recognizer.issue(Command.STOP_LISTENING, CommandMode.IMMEDIATE)
         # LISTEN completes once STOP_LISTENING lands.
         done = client.wait_for_event(

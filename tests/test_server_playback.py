@@ -22,7 +22,7 @@ from repro.protocol.types import (
     QueueState,
 )
 
-from conftest import wait_for
+from conftest import speaker_audio, wait_for
 
 RATE = 8000
 
@@ -45,7 +45,7 @@ def build_player(client, sound_type=PCM16_8K):
 
 
 def captured(server):
-    return server.hub.speakers[0].capture.samples()
+    return speaker_audio(server)
 
 
 def wait_queue_empty(client, loud, timeout=15.0):

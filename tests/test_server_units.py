@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.protocol.attributes import AttributeList
 from repro.protocol.errors import ProtocolError
 from repro.protocol.types import Command, MULAW_8K, PCM16_8K
-from repro.server.qprogram import QueueProgram
+from repro.server.qprogram import Leaf, LeafState, QueueProgram
 from repro.server.resources import FIRST_CLIENT_ID, ResourceTable
 from repro.server.sounds import Catalogue, Sound
 
@@ -27,6 +27,34 @@ def make_program():
     program = QueueProgram()
     program.sample_rate = 8000
     return program
+
+
+def add_shape(program, depth, shape):
+    """Append a command ("cmd") or toggle a CoBegin ("co") or Delay
+    ("delay") bracket; ``depth`` tracks the open brackets."""
+    if shape == "cmd":
+        program.add_command(1, Command.PLAY, _args())
+    elif shape == "co":
+        if depth and depth[-1] == "co":
+            program.add_command(0, Command.CO_END, _args())
+            depth.pop()
+        else:
+            program.add_command(0, Command.CO_BEGIN, _args())
+            depth.append("co")
+    else:
+        if depth and depth[-1] == "delay":
+            program.add_command(0, Command.DELAY_END, _args())
+            depth.pop()
+        else:
+            program.add_command(0, Command.DELAY, _args(ms=100))
+            depth.append("delay")
+
+
+def tree_leaves(node):
+    """Every leaf under ``node``, depth first: program order."""
+    if isinstance(node, Leaf):
+        return [node]
+    return [leaf for child in node.children for leaf in tree_leaves(child)]
 
 
 class TestQueueProgramSequencing:
@@ -128,6 +156,17 @@ class TestQueueProgramSequencing:
         assert program.running_leaves() == [running]
         assert program.pending_count() == 0
 
+    def test_running_leaves_in_program_order(self):
+        program = make_program()
+        program.add_command(0, Command.CO_BEGIN, _args())
+        a = program.add_command(1, Command.PLAY, _args())
+        b = program.add_command(2, Command.PLAY, _args())
+        program.add_command(0, Command.CO_END, _args())
+        program.arm(0)
+        b.mark_running()
+        a.mark_running()
+        assert program.running_leaves() == [a, b]
+
     def test_counts(self):
         program = make_program()
         a = program.add_command(1, Command.PLAY, _args())
@@ -148,26 +187,8 @@ class TestQueueProgramSequencing:
         along a sequence."""
         program = make_program()
         depth = []
-        leaves = []
         for shape in shapes:
-            if shape == "cmd":
-                leaves.append(
-                    program.add_command(1, Command.PLAY, _args()))
-            elif shape == "co":
-                if depth and depth[-1] == "co":
-                    program.add_command(0, Command.CO_END, _args())
-                    depth.pop()
-                else:
-                    program.add_command(0, Command.CO_BEGIN, _args())
-                    depth.append("co")
-            else:
-                if depth and depth[-1] == "delay":
-                    program.add_command(0, Command.DELAY_END, _args())
-                    depth.pop()
-                else:
-                    program.add_command(0, Command.DELAY,
-                                        _args(ms=100))
-                    depth.append("delay")
+            add_shape(program, depth, shape)
         while depth:
             closer = (Command.CO_END if depth.pop() == "co"
                       else Command.DELAY_END)
@@ -187,6 +208,81 @@ class TestQueueProgramSequencing:
                 clock = max(clock, leaf.not_before) + 10
                 leaf.complete(clock)
         assert program.pending_count() == 0
+
+
+class TestQueueProgramCounters:
+    """The program's O(1) counts against a brute-force scan of every
+    tree it has held (a flush detaches the old tree; its running leaves
+    still count until they complete)."""
+
+    ACTIONS = ("start", "fail", "complete", "complete_again", "flush",
+               "cmd", "co", "delay", "arm", "shift", "immediate")
+
+    @given(st.lists(st.sampled_from(["cmd", "co", "delay"]),
+                    min_size=1, max_size=20), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_tree_scan(self, shapes, data):
+        program = make_program()
+        roots = [program.root]
+        depth = []
+        for shape in shapes:
+            add_shape(program, depth, shape)
+        program.arm(0)
+        clock = 0
+
+        def check():
+            leaves = [leaf for root in roots for leaf in tree_leaves(root)]
+            pending = [leaf for leaf in leaves if leaf.state
+                       in (LeafState.WAITING, LeafState.READY)]
+            running = [leaf for leaf in leaves
+                       if leaf.state is LeafState.RUNNING]
+            assert program.pending_count() == len(pending)
+            assert program.running_count() == len(running)
+            assert program.running_leaves() == running
+            assert program.is_empty == (not pending and not running)
+
+        check()
+        for _step in range(data.draw(st.integers(1, 60))):
+            action = data.draw(st.sampled_from(self.ACTIONS))
+            ready = program.ready_leaves()
+            running = program.running_leaves()
+            if action == "start" and ready:
+                data.draw(st.sampled_from(ready)).mark_running()
+            elif action == "fail" and ready:
+                # The conductor's failed start: running, then done at once.
+                leaf = data.draw(st.sampled_from(ready))
+                leaf.mark_running()
+                leaf.complete(max(clock, leaf.not_before))
+            elif action == "complete" and running:
+                # A pre-issue or an actual device end: same transition.
+                clock += data.draw(st.integers(0, 500))
+                data.draw(st.sampled_from(running)).complete(clock)
+            elif action == "complete_again":
+                done = [leaf for root in roots for leaf in tree_leaves(root)
+                        if leaf.advanced]
+                if done:
+                    data.draw(st.sampled_from(done)).complete(clock)
+            elif action == "flush":
+                flushed = program.flush_pending()
+                assert all(leaf.state is LeafState.DONE for leaf in flushed)
+                assert program.pending_count() == 0
+                roots.append(program.root)
+                depth.clear()
+            elif action in ("cmd", "co", "delay"):
+                add_shape(program, depth, action)
+            elif action == "arm":
+                program.arm(clock)
+            elif action == "shift":
+                # A pause/resume shift: moves times, never states.
+                shift = data.draw(st.integers(0, 1000))
+                for leaf in ready:
+                    leaf.not_before += shift
+            elif action == "immediate":
+                leaf = Leaf(1, Command.STOP, _args())
+                leaf.queued = False
+                leaf.mark_running()
+                leaf.complete(clock)
+            check()
 
 
 class TestResourceTable:
