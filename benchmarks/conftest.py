@@ -65,9 +65,8 @@ def pytest_sessionfinish(session, exitstatus):
             continue
         path = os.path.join(str(session.config.rootdir), filename)
         # Merge into whatever an earlier (possibly fuller) run wrote: a
-        # partial re-run -- CI's procs-forced E14 pass, or one module
-        # run locally -- must not clobber the other experiments' records
-        # that the perf gate reads.
+        # partial re-run -- one module run locally, say -- must not
+        # clobber the other experiments' records that the perf gate reads.
         merged = dict(results)
         try:
             with open(path) as handle:

@@ -1,15 +1,10 @@
-"""E8/E14 -- dispatch rate and multicore block cycle.
+"""E8/E14 -- dispatch rate and the 16-LOUD block cycle.
 
-E8 measures the dispatch layer's pipelined request rate.  E14 measures
-multicore rendering with the process-sharded backend
-(``render_proc.py``): serial vs procs block-cycle throughput at 16 LOUDs
-with byte-identity asserted on every host.  The >= 2x speedup gate arms
-only where there are cores to scale onto (``os.cpu_count() >= 4``) --
-on a single-core runner the procs path still runs and the equivalence
-assertions always hold.
+E8 measures the dispatch layer's pipelined request rate.  E14 records
+the serial block cycle's throughput at 16 playing LOUDs, the render
+path's headline number.
 """
 
-import os
 import time
 
 import numpy as np
@@ -53,66 +48,28 @@ def _build_louds(client, loud_count):
         loud.start_queue()
 
 
-def _tick_run(render_workers, loud_count, blocks, backend):
-    """Step ``blocks`` ticks; return (blocks/sec, capture, snapshot)."""
-    server = AudioServer(HardwareConfig(), render_workers=render_workers,
-                         render_min_rows=2, render_backend=backend)
+def test_block_cycle_16_louds(report):
+    """E14: serial block-cycle throughput with 16 LOUDs playing."""
+    blocks = scaled(400, 40)
+    server = AudioServer(HardwareConfig())
     server.start(start_hub=False)   # manual stepping: measured time only
     client = AudioClient(port=server.port, client_name="scaling")
     try:
-        if backend == "procs":
-            # The first measured tick must already be parallel.
-            server.render_pool.wait_ready(30.0)
-        _build_louds(client, loud_count)
+        _build_louds(client, 16)
         client.sync()
         server.hub.step(10)         # warm caches and the render plan
         started = time.perf_counter()
         server.hub.step(blocks)
         elapsed = time.perf_counter() - started
-        capture = server.hub.speakers[0].capture.samples().copy()
-        return blocks / elapsed, capture, server.stats_snapshot()
+        capture = server.hub.speakers[0].capture.samples()
     finally:
         client.close()
         server.stop()
-
-
-def test_process_backend_scaling(report):
-    """E14: serial oracle vs process-sharded backend at 16 LOUDs.
-
-    Byte-identity is asserted on every host, including single-core CI
-    (workers forced >= 2 so the procs path genuinely renders in worker
-    processes); the >= 2x throughput gate arms on >= 4 cores.
-    """
-    blocks = scaled(400, 40)
-    cpus = os.cpu_count() or 1
-    fast = bool(os.environ.get("REPRO_BENCH_FAST"))
-    workers = max(2, min(cpus, 8))
-    serial_rate, serial_capture, _ = _tick_run(
-        0, 16, blocks, backend="serial")
-    procs_rate, procs_capture, snapshot = _tick_run(
-        workers, 16, blocks, backend="procs")
-    assert np.array_equal(serial_capture, procs_capture), (
-        "process render backend diverged from the serial oracle")
-    counters = snapshot["counters"]
-    assert counters["renderproc.parallel_ticks"] > 0
-    assert counters["renderproc.rows"] > 0
-    speedup = procs_rate / serial_rate
-    record_perf("block_cycle.serial.16louds.oracle", serial_rate, louds=16)
-    record_perf("block_cycle.procs.16louds", procs_rate, louds=16,
-                speedup=round(speedup, 2), cpus=cpus, fast=fast,
-                workers=workers,
-                ipc_us_count=snapshot["histograms"]
-                .get("renderproc.ipc_us", {}).get("count", 0))
-    report.row("E14", "block cycle 16 LOUDs, %d proc workers" % workers,
-               "%.0f blk/s (%.2fx serial)" % (procs_rate, speedup),
-               ">= 2x vs serial on >= 4 cores")
-    if cpus >= 4 and not fast:
-        assert speedup >= 2.0, (
-            "16-LOUD procs speedup %.2fx below 2x on a %d-core machine"
-            % (speedup, cpus))
-    else:
-        report.note("E14  | speedup gate skipped (cpus=%d, fast=%s)"
-                    % (cpus, fast))
+    assert np.any(capture), "16 playing LOUDs rendered silence"
+    rate = blocks / elapsed
+    record_perf("block_cycle.serial.16louds", rate, louds=16)
+    report.row("E14", "block cycle 16 LOUDs, serial",
+               "%.0f blk/s (%.0f us/block)" % (rate, 1e6 / rate))
 
 
 def test_pipelined_dispatch_throughput(server_rig, report):

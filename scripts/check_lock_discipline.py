@@ -10,17 +10,15 @@ The topology lock gates the 20 ms block cycle; one stalled peer socket
 under it would stall every client's audio (docs/PERFORMANCE.md,
 "Concurrency model").
 
-The process render backend adds a second hazard class: **IPC waits** --
-pipe/queue/shared-memory receives (``poll``, ``recv_bytes``, a
-``.get``/``.join``/``.wait`` on anything named like a queue, pipe,
-connection, worker or process).  Waiting on a worker process while
-holding the topology lock deadlocks the block cycle if the worker ever
-needs the lock's owner to make progress, so those are flagged too.
-
-The selector I/O shards (``server/ioloop.py``) add a third: a
-``.select()`` on a selector held under a lock parks the whole shard --
-every client on it -- behind whichever thread wants that lock, so
-selector waits join the flagged set.  The shard loop blocks in
+A second hazard class is **IPC waits**: receives on queues, pipes,
+sockets and selectors (``poll``, ``recv_bytes``, or a
+``.get``/``.join``/``.wait``/``.select`` on anything named like a queue,
+pipe, connection, socket, worker, process or selector).  Waiting on
+another thread or process while holding the topology lock deadlocks the
+block cycle if that party ever needs the lock's owner to make progress.
+A ``.select()`` on a selector held under a lock likewise parks a whole
+selector I/O shard (``server/ioloop.py``) -- every client on it --
+behind whichever thread wants that lock.  The shard loop blocks in
 ``select`` only lock-free; its ops queue is drained with the lock held
 for pointer swaps alone.
 
@@ -34,8 +32,8 @@ gateway's tick path fails the lint even though no ``with`` is in sight.
 
 A line may opt out with an explicit ``# lock-ok: <reason>`` pragma --
 used for waits that are *bounded* and by design part of the cycle
-itself (the render barrier), or calls that merely look blocking (a
-queue-handoff method named ``send``), never for open-ended peers.
+itself, or calls that merely look blocking (a queue-handoff method
+named ``send``), never for open-ended peers.
 
 Exit status is nonzero if any violation is found, so CI can gate on it.
 Queue handoffs (``put``, ``notify``) are deliberately fine -- the writer

@@ -73,13 +73,9 @@ def mix(blocks: list[np.ndarray], gains: list[float] | None = None,
         length = max((len(block) for block in blocks), default=0)
     if ((gains is None or all(gain == 1.0 for gain in gains))
             and all(isinstance(block, np.ndarray)
-                    and block.dtype in (np.int16, np.int32)
-                    for block in blocks)):
+                    and block.dtype == np.int16 for block in blocks)):
         # Unweighted sums of int16 are exact in int32 (no rounding, no
         # overflow below ~64k inputs), so skip the float64 round trip.
-        # int32 inputs are the process render backend's partial sums --
-        # themselves bounded sums of int16 blocks -- so the accumulator
-        # still cannot overflow.
         accumulator = _accumulator(length, np.int32)
         for block in blocks:
             usable = min(len(block), length)

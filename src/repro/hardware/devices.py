@@ -22,19 +22,6 @@ from ..telephony.line import HookState, Line
 from .room import Room
 
 
-def _as_play_block(samples: np.ndarray) -> np.ndarray:
-    """Pending-block dtype policy: int16, except int32 stays int32.
-
-    int32 blocks are *exact partial sums* from the process render
-    backend; casting them here would wrap, and ``mix`` at end_block sums
-    them exactly and saturates once, same as the serial path.
-    """
-    block = np.asarray(samples)
-    if block.dtype == np.int32:
-        return block
-    return np.asarray(block, dtype=np.int16)
-
-
 class CaptureBuffer:
     """Sample-exact recording of everything an output device emitted."""
 
@@ -99,7 +86,7 @@ class SpeakerDevice(PhysicalAudioDevice):
         output requests from a number of applications to a single
         speaker" (paper section 2).
         """
-        self._pending.append(_as_play_block(samples))
+        self._pending.append(np.asarray(samples, dtype=np.int16))
 
     def end_block(self) -> None:
         block = mix(self._pending, length=self._frames)
@@ -157,7 +144,7 @@ class LineDevice(PhysicalAudioDevice):
 
     def play(self, samples: np.ndarray) -> None:
         """Queue outbound audio (toward the far party) for this tick."""
-        self._pending.append(_as_play_block(samples))
+        self._pending.append(np.asarray(samples, dtype=np.int16))
 
     def read(self, frames: int) -> np.ndarray:
         """Inbound audio (from the far party) for this tick."""

@@ -16,9 +16,7 @@ Threads (paper section 6.1 mapped onto our design; see DESIGN.md §4):
 * the **audio hub thread** is the device layer; the server registers one
   tick callback that runs the command-queue conductors and the wire-graph
   rendering engine inside the hub's block cycle.  The render phase runs
-  serially on the hub thread (``render_pool.py``) unless
-  ``--render-backend procs`` shards it across worker processes
-  (``render_proc.py``), merging deterministically.
+  serially on the hub thread (``render_pool.py``).
 
 The re-entrant *topology* lock serializes mutating dispatch against the
 block cycle; pure and snapshot-served queries bypass it entirely
@@ -78,9 +76,6 @@ class AudioServer:
                  metrics: MetricsRegistry | None = None,
                  outbound_bound: int = DEFAULT_OUTBOUND_BOUND,
                  stall_deadline: float = 5.0,
-                 render_workers: int | None = None,
-                 render_min_rows: int | None = None,
-                 render_backend: str | None = None,
                  trunk_listen: tuple[str, int] | None = None,
                  trunk_routes: list[tuple[str, str, int]] | None = None,
                  trunk_name: str = "",
@@ -123,8 +118,8 @@ class AudioServer:
         self._m_tick_duration = metrics.histogram(
             "tick.duration_us", edges=MICROSECOND_BUCKETS)
         # duration_us ~= render_us + flush_us: the render component is
-        # everything under the lock up to the event flush, so backend
-        # comparisons attribute time to rendering, not client fan-out.
+        # everything under the lock up to the event flush, so time is
+        # attributed to rendering, not client fan-out.
         self._m_tick_render = metrics.histogram(
             "tick.render_us", edges=MICROSECOND_BUCKETS)
         self._m_tick_flush = metrics.histogram(
@@ -141,25 +136,8 @@ class AudioServer:
         #: lock-free query snapshot.
         self._topology_version = 0
         self._query_snapshot: QuerySnapshot | None = None
-        #: Selectable render backend (docs/PERFORMANCE.md): "serial"
-        #: renders on the hub thread and is the byte-identical oracle;
-        #: "procs" shards rows across worker processes over shared
-        #: memory and falls back to the serial loop for plans below the
-        #: row threshold (or a <2-worker pool).
-        backend = (render_backend
-                   or os.environ.get("REPRO_RENDER_BACKEND", "")
-                   or "serial").strip().lower()
-        if backend not in ("serial", "procs"):
-            raise ValueError("unknown render backend %r (serial or procs)"
-                             % backend)
-        self.render_backend = backend
-        if backend == "procs":
-            from .render_proc import ProcessRenderPool
-
-            self.render_pool = ProcessRenderPool(
-                self, workers=render_workers, min_rows=render_min_rows)
-        else:
-            self.render_pool = RenderPool()
+        #: Renders every plan row on the hub thread (docs/PERFORMANCE.md).
+        self.render_pool = RenderPool()
         #: The connection layer (docs/PERFORMANCE.md, "Connection
         #: scaling"): every post-handshake socket is owned by one of a
         #: small pool of selector loops.
@@ -373,9 +351,6 @@ class AudioServer:
         self.ioloop.start()
         if self.trunk is not None:
             self.trunk.start()
-        # Process workers spawn in the background; ticks render serially
-        # until they report ready (a no-op for the serial backend).
-        self.render_pool.start()
         if start_hub:
             self.hub.start()
         self._accept_thread = threading.Thread(
@@ -403,7 +378,6 @@ class AudioServer:
         if self.trunk is not None:
             self.trunk.stop()
         self.hub.stop()
-        self.render_pool.shutdown()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
@@ -596,7 +570,6 @@ class AudioServer:
             "sample_rate": self.hub.sample_rate,
             "block_frames": self.hub.block_frames,
             "clients_connected": len(clients),
-            "render_backend": self.render_backend,
             "io_shard_clients": self.ioloop.client_counts(),
         }
         snapshot["clients"] = [client.connection_stats()

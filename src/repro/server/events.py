@@ -10,21 +10,13 @@ covers it.  Device events are matched against both the device's own id
 and its root LOUD's id, so an application can select once on the LOUD it
 built rather than on every constituent device.
 
-Two concurrency layers sit on top of the fan-out (docs/PERFORMANCE.md,
-"Concurrency model"):
-
-* **row deferral** -- the process render backend (``render_proc.py``)
-  renders some rows hub-side while workers run others, then applies
-  the workers' results, so while it handles one plan row the router's
-  thread-local deferral buffer captures that row's ``emit*`` calls; the
-  backend replays the buffers in plan-row order, reproducing the serial
-  interleaving.  The edge-trigger sets (``_hungry_streams``,
-  ``_announced_streams``) are only ever mutated with the stream lock
-  held, and deferred calls re-enter the normal path on replay.
-* **tick batching** -- ``begin_tick_batch``/``flush_tick_batch`` bracket
-  the block cycle; events emitted inside accumulate per client and are
-  flushed as one outbound-queue append and one writer wakeup per
-  client, instead of one lock round-trip per event.
+**Tick batching** (docs/PERFORMANCE.md, "Concurrency model"):
+``begin_tick_batch``/``flush_tick_batch`` bracket the block cycle;
+events emitted inside accumulate per client and are flushed as one
+outbound-queue append and one writer wakeup per client, instead of one
+lock round-trip per event.  The stream edge-trigger sets
+(``_hungry_streams``, ``_announced_streams``) are only ever mutated with
+the stream lock held.
 """
 
 from __future__ import annotations
@@ -35,9 +27,6 @@ from ..protocol import events as ev
 from ..protocol.attributes import AttributeList
 from ..protocol.events import Event
 from ..protocol.types import EVENT_MASK_FOR_CODE, EventCode
-
-#: Per-thread deferral buffer armed by the process render backend.
-_deferral = threading.local()
 
 
 class EventRouter:
@@ -57,29 +46,8 @@ class EventRouter:
         }
         self._m_emitted_total = metrics.counter("events.total")
         self._m_delivered = metrics.counter("events.delivered")
-        self._m_deferred = metrics.counter("events.deferred")
         self._m_coalesced = metrics.counter("events.coalesced")
         self._m_batch_flushes = metrics.counter("events.batch_flushes")
-
-    # -- worker deferral ------------------------------------------------------
-
-    def start_deferred(self) -> list:
-        """Arm deferral on the calling thread; returns the buffer."""
-        buffer: list = []
-        _deferral.buffer = buffer
-        return buffer
-
-    def stop_deferred(self) -> None:
-        _deferral.buffer = None
-
-    def _defer(self, fn, fn_args: tuple) -> bool:
-        """Record the call for ordered replay if this thread defers."""
-        buffer = getattr(_deferral, "buffer", None)
-        if buffer is None:
-            return False
-        buffer.append((fn, fn_args))
-        self._m_deferred.inc()
-        return True
 
     # -- tick batching --------------------------------------------------------
 
@@ -119,9 +87,6 @@ class EventRouter:
         the event is solicited out-of-band (the audio manager's
         SetRedirect), so it is delivered without a selection check.
         """
-        if self._defer(self.emit, (code, resource, detail, sample_time,
-                                   args, also_match, only_client)):
-            return
         self._m_emitted[code].inc()
         self._m_emitted_total.inc()
         needed = EVENT_MASK_FOR_CODE[code]
@@ -149,8 +114,6 @@ class EventRouter:
 
     def emit_stream_hungry(self, sound) -> None:
         """DATA_REQUEST flow control, edge-triggered per low-water dip."""
-        if self._defer(self.emit_stream_hungry, (sound,)):
-            return
         with self._stream_lock:
             if sound.sound_id in self._hungry_streams:
                 return
@@ -169,8 +132,6 @@ class EventRouter:
 
     def emit_stream_available(self, sound) -> None:
         """DATA_AVAILABLE: recorded data ready, edge-triggered per drain."""
-        if self._defer(self.emit_stream_available, (sound,)):
-            return
         with self._stream_lock:
             if sound.sound_id in self._announced_streams:
                 return

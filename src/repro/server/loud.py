@@ -69,8 +69,8 @@ class Loud(PropertyStore):
     def render_row(self) -> tuple:
         """This root's render-plan row: (command queue, flat devices).
 
-        The device tuple is frozen at plan-build time so a row can be
-        handed to a render worker without touching the mutable tree.
+        The device tuple is frozen at plan-build time so every block
+        reuses it without walking the mutable tree.
         """
         return (self.queue, tuple(self.all_devices()))
 

@@ -7,8 +7,6 @@ Usage::
                        [--stats-interval SECONDS]
                        [--outbound-bound MESSAGES]
                        [--stall-deadline SECONDS]
-                       [--render-backend {serial,procs}]
-                       [--render-workers N] [--render-min-rows ROWS]
                        [--trunk-listen [HOST:]PORT]
                        [--trunk-route PREFIX=HOST:PORT]...
                        [--trunk-name NAME]
@@ -47,6 +45,15 @@ from ..trunk import parse_route
 from .core import AudioServer
 
 
+def parse_trunk_listen(text: str) -> tuple[str, int]:
+    """Parse a ``[HOST:]PORT`` trunk listen address."""
+    host, _, port = text.rpartition(":")
+    if not port.isdigit():
+        raise ValueError(
+            "trunk listen address must be [HOST:]PORT: %r" % text)
+    return (host or "127.0.0.1", int(port))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-audio-server",
@@ -77,27 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="evict a client whose socket leaves a write "
                              "unfinished this long (default 5.0)")
-    parser.add_argument("--render-backend", default=None,
-                        choices=("serial", "procs"),
-                        help="render backend: 'serial' (default; the hub "
-                             "thread renders every LOUD) or 'procs' "
-                             "(process sharding over shared memory; env "
-                             "REPRO_RENDER_BACKEND)")
-    parser.add_argument("--render-workers", type=int, default=None,
-                        metavar="N",
-                        help="procs backend: worker processes (default: "
-                             "the core count, capped; <2 renders "
-                             "serially; env REPRO_RENDERPROC_WORKERS)")
-    parser.add_argument("--render-min-rows", type=int, default=None,
-                        metavar="ROWS",
-                        help="procs backend: render plans below this many "
-                             "rows stay on the serial path (default 4)")
     parser.add_argument("--trunk-listen", default=None,
+                        type=parse_trunk_listen,
                         metavar="[HOST:]PORT",
                         help="accept inter-server telephony trunks on "
                              "this address (default host 127.0.0.1)")
     parser.add_argument("--trunk-route", action="append", default=[],
-                        metavar="PREFIX=HOST:PORT", dest="trunk_routes",
+                        type=parse_route, metavar="PREFIX=HOST:PORT",
+                        dest="trunk_routes",
                         help="home numbers starting with PREFIX at the "
                              "peer server's trunk listener (repeatable)")
     parser.add_argument("--trunk-name", default="",
@@ -105,10 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default host:port; must be fleet-unique "
                              "when joining a mesh)")
     parser.add_argument("--mesh-registry", default=None,
+                        type=parse_trunk_listen,
                         metavar="[HOST:]PORT",
                         help="serve the mesh discovery registry on this "
                              "address (and join the mesh through it)")
-    parser.add_argument("--mesh-join", default=None, metavar="HOST:PORT",
+    parser.add_argument("--mesh-join", default=None,
+                        type=parse_trunk_listen, metavar="HOST:PORT",
                         help="join the mesh via a registry served by "
                              "another node")
     parser.add_argument("--mesh-prefix", action="append", default=[],
@@ -123,39 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_trunk_listen(text: str) -> tuple[str, int]:
-    """Parse a ``[HOST:]PORT`` trunk listen address."""
-    host, _, port = text.rpartition(":")
-    if not port.isdigit():
-        raise ValueError(
-            "trunk listen address must be [HOST:]PORT: %r" % text)
-    return (host or "127.0.0.1", int(port))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = HardwareConfig(sample_rate=args.rate, block_frames=args.block,
                             speakerphone=args.speakerphone)
-    trunk_listen = (parse_trunk_listen(args.trunk_listen)
-                    if args.trunk_listen is not None else None)
-    trunk_routes = [parse_route(route) for route in args.trunk_routes]
     server = AudioServer(config, host=args.host, port=args.port,
                          realtime=args.realtime,
                          catalogue_dir=args.catalogue,
                          outbound_bound=args.outbound_bound,
                          stall_deadline=args.stall_deadline,
-                         render_workers=args.render_workers,
-                         render_min_rows=args.render_min_rows,
-                         render_backend=args.render_backend,
-                         trunk_listen=trunk_listen,
-                         trunk_routes=trunk_routes,
+                         trunk_listen=args.trunk_listen,
+                         trunk_routes=args.trunk_routes,
                          trunk_name=args.trunk_name,
-                         mesh_registry=(
-                             parse_trunk_listen(args.mesh_registry)
-                             if args.mesh_registry is not None else None),
-                         mesh_join=(
-                             parse_trunk_listen(args.mesh_join)
-                             if args.mesh_join is not None else None),
+                         mesh_registry=args.mesh_registry,
+                         mesh_join=args.mesh_join,
                          mesh_prefixes=args.mesh_prefixes,
                          mesh_neighbors=args.mesh_neighbors)
     server.start()

@@ -41,9 +41,8 @@ class ActiveStack:
     def render_rows(self) -> list[tuple]:
         """The precompiled render plan: one row per active root LOUD.
 
-        Rows are mutually independent (wires never cross LOUD trees),
-        which is what lets the render pool shard them across workers;
-        stack order fixes the deterministic merge order.
+        Rows are mutually independent (wires never cross LOUD trees);
+        stack order fixes the deterministic render order.
         """
         return [loud.render_row() for loud in self.active_louds()]
 

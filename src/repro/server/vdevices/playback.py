@@ -36,14 +36,6 @@ class PlaybackHandle(CommandHandle):
         self.sync_interval = sync_interval_frames
         self.next_sync = sync_interval_frames
         self.frames_played = 0
-        #: Provenance for the process render backend: the decode-cache
-        #: key ``(token, version)`` and the Sound whose stored bytes a
-        #: worker can re-decode into exactly ``samples``.  None when the
-        #: material is not reproducible from stored bytes (streams,
-        #: server-recorded ADPCM takes) -- such items pin their row to
-        #: the hub.
-        self.source_key: tuple[int, int] | None = None
-        self.source_sound = None
 
     @property
     def total_frames(self) -> int | None:

@@ -85,11 +85,6 @@ class PlayerDevice(VirtualDevice, PlaybackProgram):
             handle = PlaybackHandle(self, leaf, at_time,
                                     np.asarray(samples, dtype=np.int16),
                                     sync_interval_frames=sync_frames)
-            from ..render_proc import _shippable_source
-
-            if _shippable_source(sound):
-                handle.source_key = (sound._cache_token, sound.version)
-                handle.source_sound = sound
         handle.not_before = at_time
         self.enqueue_playback(handle)
         self.server.events.emit_device(

@@ -9,12 +9,14 @@ import signal
 import subprocess
 import sys
 
+import pytest
 
 from repro.alib.cli import main as control_main
 from repro.dsp import tones
 from repro.dsp.aufile import write_au
 from repro.dsp.encodings import mulaw_encode
 from repro.protocol.types import MULAW_8K
+from repro.server.main import build_parser
 from repro.telephony import SimulatedParty
 
 from conftest import wait_for
@@ -148,6 +150,30 @@ class TestServerDaemon:
         finally:
             process.send_signal(signal.SIGTERM)
             process.wait(timeout=10)
+
+
+class TestServerAddressFlags:
+    def test_addresses_parse_to_tuples(self):
+        args = build_parser().parse_args(
+            ["--trunk-listen", "7431", "--trunk-route", "555=east:7431",
+             "--mesh-registry", "0.0.0.0:7440",
+             "--mesh-join", "hub:7440"])
+        assert args.trunk_listen == ("127.0.0.1", 7431)
+        assert args.trunk_routes == [("555", "east", 7431)]
+        assert args.mesh_registry == ("0.0.0.0", 7440)
+        assert args.mesh_join == ("hub", 7440)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trunk-listen", "bogus"),
+        ("--trunk-route", "nonsense"),
+        ("--mesh-registry", "host:port"),
+        ("--mesh-join", "nowhere"),
+    ])
+    def test_malformed_address_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([flag, value])
+        assert exited.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestServerCatalogueFlag:

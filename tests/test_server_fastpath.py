@@ -21,7 +21,7 @@ from repro.protocol.types import (
 )
 from repro.server.sounds import DecodeCache, Sound
 
-from conftest import wait_for
+from conftest import speaker_audio, wait_for
 
 RATE = 8000
 
@@ -162,7 +162,7 @@ class TestDecodeCacheEndToEnd:
         sound.write(encodings.encode(second, PCM16_8K), offset=0)
         player.play(sound)
         wait_queue_empty(client, loud)
-        played = server.hub.speakers[0].capture.samples()
+        played = speaker_audio(server)
         # The second play must carry the rewritten samples, not a stale
         # cached decode of the first version.
         assert find_signal(played, second) is not None
@@ -224,8 +224,7 @@ class TestRenderPlan:
         loud.start_queue()
         wait_queue_empty(client, loud)
         expected = np.concatenate(pieces)
-        assert find_signal(server.hub.speakers[0].capture.samples(),
-                           expected) is not None
+        assert find_signal(speaker_audio(server), expected) is not None
 
 
 class TestSetupRefusal:
