@@ -133,7 +133,10 @@ def test_play_record_boundary(benchmark, report):
         loud.unmap()
         return abs(bleed - 160)
 
-    misalignment = benchmark.pedantic(run, rounds=3, iterations=1)
+    try:
+        misalignment = benchmark.pedantic(run, rounds=3, iterations=1)
+    finally:
+        rig.close()
     report.row("E2", "play->record boundary misalignment",
                "%d samples" % misalignment, "0 samples")
     assert misalignment == 0

@@ -2,7 +2,8 @@
 """Lock-discipline lint: no blocking I/O or IPC waits under a server lock.
 
 Walks every module under ``src/repro/server/`` and
-``src/repro/trunk/`` and flags calls that can
+``src/repro/trunk/``, plus the shared accept loop in
+``src/repro/listener.py``, and flags calls that can
 block indefinitely -- socket operations (``sendall``, ``send``,
 ``recv``, ``accept``, ``connect``) and ``time.sleep`` -- made lexically
 inside a ``with self.lock:`` (or any ``*.lock`` / ``*_lock``) block.
@@ -27,8 +28,9 @@ driven from inside the hub's block cycle with the topology lock already
 held, so there is no lexical ``with lock:`` to anchor on.  Files listed
 in ``IMPLICIT_LOCK_FILES`` are checked as if every function body held a
 lock, except the named functions that run on their own threads (route
-connectors, the accept loop, test helpers).  A ``sendall`` added to the
-gateway's tick path fails the lint even though no ``with`` is in sight.
+connectors, the per-connection handshake, test helpers).  A
+``sendall`` added to the gateway's tick path fails the lint even though
+no ``with`` is in sight.
 
 A line may opt out with an explicit ``# lock-ok: <reason>`` pragma --
 used for waits that are *bounded* and by design part of the cycle
@@ -66,10 +68,11 @@ IPC_RECEIVER_HINTS = ("queue", "conn", "pipe", "sock", "proc", "worker",
                       "shm", "process", "selector")
 
 _SRC = Path(__file__).resolve().parent.parent / "src/repro"
-#: Directories whose code runs under (or takes) the server's locks: the
-#: server proper, and the trunk gateway whose tick runs inside the hub's
-#: block cycle under the topology lock.
-SCAN_DIRS = (_SRC / "server", _SRC / "trunk")
+#: Directories and files whose code runs under (or takes) the server's
+#: locks: the server proper, the trunk gateway whose tick runs inside the
+#: hub's block cycle under the topology lock, and the accept loop both
+#: of them (and every other TCP service) hand their sockets from.
+SCAN_PATHS = (_SRC / "server", _SRC / "trunk", _SRC / "listener.py")
 
 #: src/repro-relative files whose functions run under a lock implicitly
 #: (no lexical ``with``), mapped to the functions that do NOT -- they
@@ -77,8 +80,7 @@ SCAN_DIRS = (_SRC / "server", _SRC / "trunk")
 IMPLICIT_LOCK_FILES = {
     "trunk/gateway.py": frozenset({
         "_connect_route",   # short-lived connector thread
-        "_accept_loop",     # the listener's own thread
-        "_accept_handshake",  # short-lived per-connection thread
+        "_handshake",       # connector or per-connection thread
         "wait_connected",   # wall-clock helper for tests/tools
     }),
     # The mesh route table mutates only on the gateway's tick, so every
@@ -88,8 +90,8 @@ IMPLICIT_LOCK_FILES = {
     # Discovery does real socket I/O, but only on its own threads; the
     # gateway's tick merely reads snapshots.
     "trunk/discovery.py": frozenset({
-        "_serve_loop",      # the registry's accept/serve thread
-        "_handle",          # one request, handled on that same thread
+        "_serve",           # one request, on its connection thread
+        "_handle",          # that request's I/O, same thread
         "_poll_loop",       # the discovery client's timer thread
         "poll_once",        # one round trip, poll thread (and tests)
     }),
@@ -200,16 +202,24 @@ def check_file(path: Path,
     return visitor.violations
 
 
+def scanned_files():
+    """Every module the lint checks, in a stable order."""
+    for scan_path in SCAN_PATHS:
+        if scan_path.is_dir():
+            yield from sorted(scan_path.rglob("*.py"))
+        else:
+            yield scan_path
+
+
 def main() -> int:
     violations = []
     checked = 0
     root = _SRC.parent.parent
-    for scan_dir in SCAN_DIRS:
-        for path in sorted(scan_dir.rglob("*.py")):
-            key = path.relative_to(_SRC).as_posix()
-            violations.extend(check_file(
-                path, implicit_exempt=IMPLICIT_LOCK_FILES.get(key)))
-            checked += 1
+    for path in scanned_files():
+        key = path.relative_to(_SRC).as_posix()
+        violations.extend(check_file(
+            path, implicit_exempt=IMPLICIT_LOCK_FILES.get(key)))
+        checked += 1
     for path, line, reason in violations:
         print("%s:%d: %s" % (path.relative_to(root), line, reason))
     if violations:

@@ -26,6 +26,7 @@ import socket
 import threading
 import time
 
+from ..listener import Listener
 from ..obs import MetricsRegistry, NULL_REGISTRY
 from .schedule import Decision, DOWN, FaultSchedule, UP
 
@@ -127,8 +128,7 @@ class ChaosProxy:
         self._m_severed = self.metrics.counter("chaos.severed")
         self._m_bytes_up = self.metrics.counter("chaos.bytes_up")
         self._m_bytes_down = self.metrics.counter("chaos.bytes_down")
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
+        self._listener: Listener | None = None
         self._links: list[_Link] = []
         self._links_lock = threading.Lock()
         self._schedule_lock = threading.Lock()
@@ -140,28 +140,19 @@ class ChaosProxy:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ChaosProxy":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, 0))
-        listener.listen(16)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="chaos-accept", daemon=True)
-        self._accept_thread.start()
+        self._listener = Listener(self.host, 0, self._bridge,
+                                  "chaos-accept").start()
+        self.port = self._listener.port
         return self
 
     def stop(self) -> None:
-        self._stopping = True
+        with self._links_lock:
+            self._stopping = True
         self._flowing.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._listener.stop()
+            self._listener = None
         self.sever_all(count_metric=False)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
 
     def __enter__(self) -> "ChaosProxy":
         return self.start()
@@ -204,26 +195,30 @@ class ChaosProxy:
 
     # -- internals ------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                client_sock, _addr = self._listener.accept()
-            except OSError:
-                break
-            try:
-                server_sock = socket.create_connection(self.upstream,
-                                                       timeout=5.0)
-                server_sock.settimeout(None)
-            except OSError:
-                client_sock.close()
-                continue
-            for sock in (client_sock, server_sock):
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._m_connections.inc()
-            link = _Link(self, client_sock, server_sock)
-            with self._links_lock:
+    def _bridge(self, client_sock: socket.socket) -> None:
+        """Connect one accepted client upstream and start its pumps."""
+        try:
+            server_sock = socket.create_connection(self.upstream,
+                                                   timeout=5.0)
+            server_sock.settimeout(None)
+        except OSError:
+            client_sock.close()
+            return
+        for sock in (client_sock, server_sock):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        link = _Link(self, client_sock, server_sock)
+        with self._links_lock:
+            # stop() flips _stopping under this lock before it severs
+            # the links, so a link added here is always severed.
+            stopping = self._stopping
+            if not stopping:
                 self._links.append(link)
-            link.start()
+        if stopping:
+            client_sock.close()
+            server_sock.close()
+            return
+        self._m_connections.inc()
+        link.start()
 
     def _decide(self, direction: str, nbytes: int) -> Decision:
         with self._schedule_lock:

@@ -3,7 +3,7 @@
 A :class:`TrunkGateway` attached to a server's
 :class:`~repro.telephony.exchange.TelephoneExchange` makes numbers homed
 on *other* servers dialable here: a static prefix route table maps
-numbers to peer gateways, signaling (SETUP/ALERTING/ANSWER/RELEASE/DTMF)
+numbers to peer gateways, signaling (SETUP2/ALERTING/ANSWER/RELEASE/DTMF)
 and sequence-numbered mu-law bearer audio travel a compact
 length-prefixed wire format, and remote calls surface locally as
 Line-compatible endpoints so every exchange semantic works unchanged.
@@ -22,11 +22,10 @@ from .discovery import (
     RegistryProtocolError,
 )
 from .gateway import (
+    DialTarget,
     InboundLeg,
-    MeshPeer,
     RemoteLine,
     TrunkGateway,
-    TrunkRoute,
     parse_route,
 )
 from .jitter import JitterBuffer
@@ -45,10 +44,10 @@ from .wire import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_HOPS", "FrameStream", "FrameType", "Handshake",
-    "InboundLeg", "JitterBuffer", "MeshDiscovery", "MeshPeer",
+    "DEFAULT_MAX_HOPS", "DialTarget", "FrameStream", "FrameType",
+    "Handshake", "InboundLeg", "JitterBuffer", "MeshDiscovery",
     "MeshRegistry", "PeerRecord", "RegistryProtocolError", "RemoteLine",
     "RouteTable", "TRUNK_MAJOR", "TrunkFrame", "TrunkGateway",
-    "TrunkLink", "TrunkProtocolError", "TrunkRoute", "UNREACHABLE_HOPS",
+    "TrunkLink", "TrunkProtocolError", "UNREACHABLE_HOPS",
     "decode_frame", "parse_route", "read_frame",
 ]

@@ -26,10 +26,11 @@ a crashed node disappears from the next poll's answer.  Malformed input
 raises :class:`RegistryProtocolError` and costs the offender only its
 own connection.
 
-Threading: :class:`MeshRegistry` serves from its own accept thread and
-:class:`MeshDiscovery` polls from its own timer thread; the gateway's
-tick only ever reads their latest snapshots.  Those two loops are the
-lock-discipline exemptions for this file.
+Threading: :class:`MeshRegistry` serves each request on its own
+connection thread (``repro.listener``) and :class:`MeshDiscovery` polls
+from its own timer thread; the gateway's tick only ever reads their
+latest snapshots.  Those threads are the lock-discipline exemptions for
+this file.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..protocol.wire import Reader, WireFormatError, Writer, recv_exact
+from ..listener import Listener
+from ..protocol.wire import ConnectionClosed, Reader, WireFormatError, \
+    Writer, recv_exact
 from .wire import TrunkProtocolError
 
 log = logging.getLogger(__name__)
@@ -178,9 +181,9 @@ def encode_preamble() -> bytes:
 class MeshRegistry:
     """The registry server: any node can host it.
 
-    One accept thread handles each connection to completion -- a poll is
-    a few hundred bytes, so serialized handling keeps the whole thing a
-    page of code with no per-connection threads to leak.
+    Each request runs on its own short-lived thread, bounded by
+    ``io_timeout``, so a client that connects and never speaks delays
+    only itself.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -193,8 +196,7 @@ class MeshRegistry:
         self._lock = threading.Lock()
         #: name -> (record, last_seen monotonic).
         self._peers: dict[str, tuple[PeerRecord, float]] = {}
-        self._listener: socket.socket | None = None
-        self._thread: threading.Thread | None = None
+        self._listener: Listener | None = None
         self._running = False
         # Plain tallies; a hosting gateway folds them into mesh.registry.*.
         self.registrations = 0
@@ -202,31 +204,20 @@ class MeshRegistry:
         self.bad_requests = 0
 
     def start(self) -> "MeshRegistry":
-        if self._running:
+        if self._listener is not None:
             return self
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port or 0))
-        listener.listen(32)
-        self.port = listener.getsockname()[1]
-        self._listener = listener
         self._running = True
-        self._thread = threading.Thread(target=self._serve_loop,
-                                        name="mesh-registry", daemon=True)
-        self._thread.start()
+        self._listener = Listener(self.host, self.port, self._serve,
+                                  "mesh-registry").start()
+        self.port = self._listener.port
         return self
 
     def stop(self) -> None:
-        self._running = False
+        with self._lock:
+            self._running = False
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._listener.stop()
             self._listener = None
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
 
     def snapshot(self) -> list[PeerRecord]:
         """The live roster (pruned of expired entries)."""
@@ -243,25 +234,18 @@ class MeshRegistry:
             del self._peers[name]
         self.expired += len(dead)
 
-    # -- the accept/serve thread ----------------------------------------------
+    # -- one request, on its own connection thread ---------------------------
 
-    def _serve_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                break
-            try:
-                sock.settimeout(self.io_timeout)
-                self._handle(sock)
-            except (OSError, RegistryProtocolError) as exc:
+    def _serve(self, sock: socket.socket) -> None:
+        try:
+            sock.settimeout(self.io_timeout)
+            self._handle(sock)
+        except (OSError, ConnectionClosed, RegistryProtocolError) as exc:
+            with self._lock:
                 self.bad_requests += 1
-                log.debug("mesh registry: dropped request: %s", exc)
-            finally:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            log.debug("mesh registry: dropped request: %s", exc)
+        finally:
+            sock.close()
 
     def _handle(self, sock: socket.socket) -> None:
         read_preamble(sock)
@@ -274,6 +258,8 @@ class MeshRegistry:
             raise RegistryProtocolError("peer registered without a name")
         now = time.monotonic()
         with self._lock:
+            if not self._running:
+                return
             self._prune(now)
             self._peers[record.name] = (record, now)
             self.registrations += 1
@@ -340,7 +326,7 @@ class MeshDiscovery:
                 sock.settimeout(self.io_timeout)
                 sock.sendall(encode_preamble() + encode_register(record))
                 op, records = read_registry_frame(sock)
-        except (OSError, RegistryProtocolError) as exc:
+        except (OSError, ConnectionClosed, RegistryProtocolError) as exc:
             self.poll_failures += 1
             log.debug("mesh discovery: poll failed: %s", exc)
             return False

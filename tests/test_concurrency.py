@@ -260,9 +260,8 @@ class TestLockDisciplineLint:
     def test_server_tree_is_currently_clean(self):
         lint = self._lint()
         violations = []
-        for scan_dir in lint.SCAN_DIRS:
-            for path in sorted(scan_dir.rglob("*.py")):
-                violations.extend(lint.check_file(path))
+        for path in lint.scanned_files():
+            violations.extend(lint.check_file(path))
         assert violations == []
 
 

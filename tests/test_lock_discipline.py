@@ -165,7 +165,14 @@ def test_implicit_lock_rule_honours_pragma(tmp_path):
 def test_gateway_is_registered_for_the_implicit_rule():
     assert "trunk/gateway.py" in lint.IMPLICIT_LOCK_FILES
     exempt = lint.IMPLICIT_LOCK_FILES["trunk/gateway.py"]
-    assert {"_connect_route", "_accept_loop"} <= set(exempt)
+    assert {"_connect_route", "_handshake"} <= set(exempt)
+    assert not {"_accept_loop", "_accept_handshake"} & set(exempt)
+
+
+def test_shared_listener_is_scanned():
+    # The accept loop lives outside server/ and trunk/; it must not
+    # leave the lint's reach.
+    assert lint._SRC / "listener.py" in lint.SCAN_PATHS
 
 
 def test_routing_table_is_registered_with_no_exemptions():
@@ -176,8 +183,9 @@ def test_routing_table_is_registered_with_no_exemptions():
 
 def test_discovery_is_registered_with_its_thread_loops_exempt():
     exempt = lint.IMPLICIT_LOCK_FILES["trunk/discovery.py"]
-    assert {"_serve_loop", "_handle", "_poll_loop", "poll_once"} \
+    assert {"_serve", "_handle", "_poll_loop", "poll_once"} \
         <= set(exempt)
+    assert "_serve_loop" not in exempt
 
 
 def test_implicit_rule_would_catch_socket_io_in_a_route_table(tmp_path):

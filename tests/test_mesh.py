@@ -38,6 +38,8 @@ from repro.trunk.discovery import (
     encode_register,
 )
 
+from conftest import wait_for
+
 RATE = 8000
 BLOCK = 160
 
@@ -231,6 +233,9 @@ class TestRegistry:
     def test_garbage_connection_does_not_kill_registry(self):
         registry = MeshRegistry("127.0.0.1", 0).start()
         try:
+            # One client hangs up without a byte, one sends garbage.
+            socket.create_connection(("127.0.0.1", registry.port),
+                                     timeout=2.0).close()
             with socket.create_connection(("127.0.0.1", registry.port),
                                           timeout=2.0) as sock:
                 sock.sendall(b"GET / HTTP/1.0\r\n\r\n")
@@ -238,8 +243,27 @@ class TestRegistry:
                 ("127.0.0.1", registry.port),
                 lambda: PeerRecord("A", "127.0.0.1", 4000, ()))
             assert discovery.poll_once()     # still serving
-            assert registry.bad_requests >= 1
+            # Each request runs on its own thread; the two bad ones
+            # may still be finishing.
+            assert wait_for(lambda: registry.bad_requests == 2, timeout=2.0)
         finally:
+            registry.stop()
+
+    def test_silent_client_does_not_stall_registrations(self):
+        # A client that connects and never speaks holds only its own
+        # request thread (bounded by io_timeout); a concurrent poll is
+        # served at once instead of queueing behind it.
+        registry = MeshRegistry("127.0.0.1", 0).start()
+        silent = socket.create_connection(("127.0.0.1", registry.port))
+        try:
+            discovery = MeshDiscovery(
+                ("127.0.0.1", registry.port),
+                lambda: PeerRecord("A", "127.0.0.1", 4000, ()))
+            started = time.monotonic()
+            assert discovery.poll_once()
+            assert time.monotonic() - started < 0.5 < registry.io_timeout
+        finally:
+            silent.close()
             registry.stop()
 
 
