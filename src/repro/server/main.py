@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="home numbers starting with PREFIX at the "
                              "peer server's trunk listener (repeatable)")
     parser.add_argument("--trunk-name", default="",
-                        help="name announced in the trunk handshake "
-                             "(default host:port; must be fleet-unique "
-                             "when joining a mesh)")
+                        help="name announced in the trunk handshake; "
+                             "must differ from every peer's, static or "
+                             "mesh (default HOSTNAME:PID:N)")
     parser.add_argument("--mesh-registry", default=None,
                         type=parse_trunk_listen,
                         metavar="[HOST:]PORT",
