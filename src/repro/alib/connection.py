@@ -344,8 +344,7 @@ class AudioConnection:
             stream = MessageStream(self.sock)
             try:
                 while not self.closed:
-                    message = stream.read_message()
-                    self._handle_message(message)
+                    self._handle_burst(stream.read_burst())
             except (ConnectionClosed, OSError):
                 pass
             except WireFormatError:
@@ -427,6 +426,28 @@ class AudioConnection:
             self._wakeup.notify_all()
         self._usable.set()      # wake parked senders; they see closed
 
+    def _handle_burst(self, messages: list[Message]) -> None:
+        """Handle one read's messages in order, queueing each run of
+        events under one lock acquisition.  A run is queued before the
+        reply that follows it, so a round trip (``sync``) still returns
+        only after every event sent ahead of its reply is pending."""
+        events: list[Event] = []
+        for message in messages:
+            if message.kind is MessageKind.EVENT:
+                events.append(Event.decode(message))
+                continue
+            if events:
+                self._queue_events(events)
+                events = []
+            self._handle_message(message)
+        if events:
+            self._queue_events(events)
+
+    def _queue_events(self, events: list[Event]) -> None:
+        with self._wakeup:
+            self._events.extend(events)
+            self._wakeup.notify_all()
+
     def _handle_message(self, message: Message) -> None:
         if message.kind is MessageKind.REPLY:
             with self._state_lock:
@@ -447,12 +468,6 @@ class AudioConnection:
                 self.on_error(error)
             else:
                 self.errors.append(error)
-            return
-        if message.kind is MessageKind.EVENT:
-            event = Event.decode(message)
-            with self._wakeup:
-                self._events.append(event)
-                self._wakeup.notify_all()
 
     # -- teardown -------------------------------------------------------------
 

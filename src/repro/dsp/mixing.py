@@ -44,9 +44,34 @@ def _accumulator(length: int, dtype) -> np.ndarray:
     return view
 
 
+def clamp_to_int16(wide: np.ndarray) -> np.ndarray:
+    """Clamp an array we own into int16 range in place; cast once.
+
+    ``np.maximum``/``np.minimum`` with ``out=`` skip ``np.clip``'s
+    Python wrapper, which the block cycle would otherwise pay on every
+    gain stage and every mix.
+    """
+    np.maximum(wide, INT16_MIN, out=wide)
+    np.minimum(wide, INT16_MAX, out=wide)
+    return wide.astype(np.int16)
+
+
 def saturate(samples: np.ndarray) -> np.ndarray:
     """Clamp a wider-than-int16 array into int16 range."""
-    return np.clip(samples, INT16_MIN, INT16_MAX).astype(np.int16)
+    wide = np.maximum(samples, INT16_MIN)
+    np.minimum(wide, INT16_MAX, out=wide)
+    return wide.astype(np.int16)
+
+
+def scale_rounded(samples: np.ndarray, gain) -> np.ndarray:
+    """``samples * gain`` in float64, rounded half to even, unclamped.
+
+    ``gain`` may be a scalar or an array that broadcasts against
+    ``samples`` (one gain per row of a block matrix): each element's
+    product and rounding are the same either way.
+    """
+    scaled = np.asarray(samples, dtype=np.float64) * gain
+    return np.round(scaled, out=scaled)
 
 
 def apply_gain(samples: np.ndarray, gain: float) -> np.ndarray:
@@ -57,8 +82,7 @@ def apply_gain(samples: np.ndarray, gain: float) -> np.ndarray:
     """
     if gain == 1.0:
         return np.asarray(samples, dtype=np.int16)
-    scaled = np.asarray(samples, dtype=np.float64) * gain
-    return saturate(np.round(scaled).astype(np.int64))
+    return clamp_to_int16(scale_rounded(samples, gain))
 
 
 def mix(blocks: list[np.ndarray], gains: list[float] | None = None,
@@ -81,7 +105,7 @@ def mix(blocks: list[np.ndarray], gains: list[float] | None = None,
             usable = min(len(block), length)
             if usable:
                 accumulator[:usable] += block[:usable]
-        return saturate(accumulator)
+        return clamp_to_int16(accumulator)
     accumulator = _accumulator(length, np.float64)
     for position, block in enumerate(blocks):
         gain = 1.0 if gains is None else gains[position]
@@ -90,7 +114,7 @@ def mix(blocks: list[np.ndarray], gains: list[float] | None = None,
         usable = min(len(block), length)
         accumulator[:usable] += (
             np.asarray(block[:usable], dtype=np.float64) * gain)
-    return saturate(np.round(accumulator).astype(np.int64))
+    return clamp_to_int16(np.round(accumulator, out=accumulator))
 
 
 def mix_reference(blocks: list[np.ndarray],

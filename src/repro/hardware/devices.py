@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-from ..dsp.mixing import mix
+from ..dsp.mixing import clamp_to_int16, mix
 from ..telephony.line import HookState, Line
 from .room import Room
 
@@ -72,27 +72,30 @@ class SpeakerDevice(PhysicalAudioDevice):
         super().__init__(name, room.name)
         self.room = room
         self.capture = CaptureBuffer(capture)
-        self._pending: list[np.ndarray] = []
-        self._frames = 0
+        self._accumulator = np.zeros(0, dtype=np.int32)
 
     def begin_block(self, frames: int) -> None:
-        self._pending = []
-        self._frames = frames
+        self._accumulator = np.zeros(frames, dtype=np.int32)
 
     def play(self, samples: np.ndarray) -> None:
-        """Queue a block (or partial block) of output for this tick.
+        """Add a block (or partial block) of output to this tick's mix.
 
         Multiple writers per tick are mixed -- "the multiplexing of
         output requests from a number of applications to a single
-        speaker" (paper section 2).
+        speaker" (paper section 2).  The mix is an exact int32 sum,
+        saturated once at :meth:`end_block`, so ``samples`` may also be
+        an int32 partial sum of several int16 blocks.
         """
-        self._pending.append(np.asarray(samples, dtype=np.int16))
+        samples = np.asarray(samples)
+        if samples.dtype != np.int32:
+            samples = samples.astype(np.int16, copy=False)
+        usable = min(len(samples), len(self._accumulator))
+        self._accumulator[:usable] += samples[:usable]
 
     def end_block(self) -> None:
-        block = mix(self._pending, length=self._frames)
+        block = clamp_to_int16(self._accumulator)
         self.room.speaker_output(block)
         self.capture.append(block)
-        self._pending = []
 
 
 class MicrophoneDevice(PhysicalAudioDevice):

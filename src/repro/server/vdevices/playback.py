@@ -48,8 +48,8 @@ class PlaybackHandle(CommandHandle):
             return len(self.samples) - self.cursor
         return None
 
-    def predict_end(self, block_start: int, frames: int) -> int | None:
-        return self.device.program_predict_end(self, block_start, frames)
+    def expected_end(self, block_start: int) -> int | None:
+        return self.device.program_predict_end(self, block_start)
 
 
 class PlaybackProgram:
@@ -102,8 +102,8 @@ class PlaybackProgram:
         self.program.append(handle)
         return handle
 
-    def program_predict_end(self, handle: PlaybackHandle, block_start: int,
-                            frames: int) -> int | None:
+    def program_predict_end(self, handle: PlaybackHandle,
+                            block_start: int) -> int | None:
         """When will ``handle`` finish, assuming uninterrupted rendering?
 
         Walks the program chain accumulating each predecessor's remaining

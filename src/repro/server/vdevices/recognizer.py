@@ -39,10 +39,7 @@ from .base import CommandHandle, InstantHandle, VirtualDevice, \
 
 
 class ListenHandle(CommandHandle):
-    """Open-ended listening; runs until stopped."""
-
-    def predict_end(self, block_start: int, frames: int) -> int | None:
-        return None
+    """Open-ended listening; runs until stopped (no expected end)."""
 
 
 @register_device_class

@@ -70,14 +70,11 @@ class RecordHandle(CommandHandle):
         if not self.finished:
             self.device.finalize_record(self, at_time, status=1)
 
-    def predict_end(self, block_start: int, frames: int) -> int | None:
+    def expected_end(self, block_start: int) -> int | None:
         if self.max_frames is None:
             return None
         start = max(block_start, self.not_before)
-        end = start + (self.max_frames - self.recorded_frames)
-        if end <= block_start + frames:
-            return end
-        return None
+        return start + (self.max_frames - self.recorded_frames)
 
 
 @register_device_class

@@ -45,10 +45,7 @@ class DialHandle(CommandHandle):
     queue is stopped."  (paper section 5.5)
     """
 
-    can_pause = False
-
-    def predict_end(self, block_start: int, frames: int) -> int | None:
-        return None     # the far end decides
+    can_pause = False     # and no expected end: the far end decides
 
 
 class SendDtmfHandle(CommandHandle):
@@ -61,12 +58,9 @@ class SendDtmfHandle(CommandHandle):
         self.cursor = 0
         self.not_before = start_time
 
-    def predict_end(self, block_start: int, frames: int) -> int | None:
+    def expected_end(self, block_start: int) -> int | None:
         start = max(block_start, self.not_before)
-        end = start + (len(self.samples) - self.cursor)
-        if end <= block_start + frames:
-            return end
-        return None
+        return start + (len(self.samples) - self.cursor)
 
 
 @register_device_class

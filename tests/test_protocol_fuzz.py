@@ -16,6 +16,7 @@ from repro.protocol.events import Event
 from repro.protocol.requests import REQUEST_CLASSES, decode_request
 from repro.protocol.types import ErrorCode, EventCode, OpCode
 from repro.protocol.wire import (
+    ConnectionClosed,
     Message,
     MessageKind,
     MessageStream,
@@ -238,6 +239,56 @@ class TestNonBlockingReassembly:
             if not progress_needed:
                 break
         assert results == expected
+
+
+class TestBurstFraming:
+    """MessageStream.read_burst (the client reader's path) must decode
+    exactly what the blocking reader does however TCP splits the bytes,
+    across bursts of any size and payloads larger than its buffer."""
+
+    MESSAGES = TestAdversarialFraming.MESSAGES
+
+    @staticmethod
+    def _bursts(data, chunk_sizes, count, limit=256):
+        stream = MessageStream(_ChunkedFakeSocket(data, chunk_sizes))
+        out = []
+        while len(out) < count:
+            burst = stream.read_burst(limit)
+            assert 1 <= len(burst) <= limit
+            out.extend(burst)
+        return out
+
+    @given(MESSAGES, st.lists(st.integers(1, 64), max_size=200),
+           st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_chunking_matches_blocking_reader(self, messages,
+                                                  chunk_sizes, limit):
+        data = b"".join(message.encode() for message in messages)
+        whole = TestAdversarialFraming._decode_all(data, [], len(messages))
+        assert self._bursts(data, chunk_sizes, len(messages),
+                            limit) == whole
+
+    @given(MESSAGES)
+    @settings(max_examples=50, deadline=None)
+    def test_byte_at_a_time(self, messages):
+        data = b"".join(message.encode() for message in messages)
+        whole = TestAdversarialFraming._decode_all(data, [], len(messages))
+        assert self._bursts(data, [1] * len(data), len(messages)) == whole
+
+    def test_payload_larger_than_buffer_then_small(self):
+        big = Message(MessageKind.REPLY, 7, 1, bytes(range(256)) * 600)
+        small = Message(MessageKind.EVENT, 3, 2, b"tail")
+        data = big.encode() + small.encode()
+        assert self._bursts(data, [5000] * 100, 2) == [big, small]
+
+    def test_eof_and_bad_kind_raise_like_blocking_reader(self):
+        stream = MessageStream(_ChunkedFakeSocket(b"", []))
+        with pytest.raises(ConnectionClosed):
+            stream.read_burst()
+        bad_kind = bytes([99]) + bytes(7)
+        stream = MessageStream(_ChunkedFakeSocket(bad_kind, []))
+        with pytest.raises(WireFormatError):
+            stream.read_burst()
 
 
 class TestRoundTripCompleteness:
