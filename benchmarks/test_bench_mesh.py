@@ -99,12 +99,27 @@ def _pump_until(exchanges, predicate, blocks=WAIT_BLOCKS):
     return predicate()
 
 
+def _ring_distance(a: str, b: str) -> int:
+    apart = abs(NODES.index(a) - NODES.index(b))
+    return min(apart, len(NODES) - apart)
+
+
 def _converged(gateways):
-    """Every node holds a live route to every other node's prefix."""
+    """Every node's best live route to every other node's prefix is the
+    short way round the ring.
+
+    Adverts race each other, so a node can first learn a prefix only the
+    long way round; a live route alone is not convergence.
+    """
     for name, gateway in gateways.items():
+        best = {}
+        for row in gateway.table.snapshot():
+            if row["live"]:
+                best[row["prefix"]] = min(row["hops"],
+                                          best.get(row["prefix"], row["hops"]))
         for other, prefix in PREFIXES.items():
             if other != name and \
-                    not gateway.table.candidates(prefix + "00")[0]:
+                    best.get(prefix) != _ring_distance(name, other):
                 return False
     return True
 

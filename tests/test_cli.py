@@ -91,10 +91,14 @@ class TestControlClient:
         from repro.telephony import Dial
 
         line = server.hub.exchange.add_line("5550261")
+        ringing = next(wrapper.device_id for wrapper in server.physicals
+                       if getattr(wrapper.hardware, "number", None)
+                       == "5550100")
 
         def ring_in():
-            # Ring only once the monitor's event subscription is live.
-            wait_for(lambda: any(c._selections
+            # Ring only once the monitor's subscription on the ringing
+            # line is live (it selects the device LOUD one id at a time).
+            wait_for(lambda: any(c.selection_for(ringing)
                                  for c in server.clients_snapshot()))
             server.hub.exchange.add_party(SimulatedParty(
                 line, answer_after_rings=None,

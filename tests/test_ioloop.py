@@ -20,6 +20,8 @@ import json
 import pathlib
 import random
 import socket
+import struct
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -344,6 +346,83 @@ class TestCoalescedWrites:
             assert counters["net.messages_out"] == batch + 10
         finally:
             pool.shutdown()
+
+
+class TestWriteThrough:
+    """A queue half full of messages from another thread is sent by that
+    thread; whatever would block is left for the shard."""
+
+    def test_half_full_queue_is_written_through(self):
+        sock = AcceptAllSocket()
+        pool, shard, client, state = _detached_shard_client(sock)
+        try:
+            client._outbound.on_ready = shard._make_ready_hook(state)
+            half = client._outbound.bound // 2
+            expected = _queue_messages(client, half - 1)
+            assert sock.sends == 0      # below half full: the shard's job
+            expected += _queue_messages(client, 1)
+            assert bytes(sock.received) == expected
+            assert len(client._outbound) == 0
+            assert client.messages_sent == half
+        finally:
+            pool.shutdown()
+
+    def test_blocked_write_through_leaves_the_rest_to_the_shard(self):
+        sock = ShortSendSocket(seed=3)
+        pool, shard, client, state = _detached_shard_client(sock)
+        try:
+            client._outbound.on_ready = shard._make_ready_hook(state)
+            expected = _queue_messages(client, client._outbound.bound // 2)
+            assert 0 < len(sock.received) < len(expected)
+            while len(client._outbound) or state.out_view is not None:
+                shard._flush(state)
+            assert bytes(sock.received) == expected
+        finally:
+            pool.shutdown()
+
+
+    def test_concurrent_producers_and_shard_keep_the_stream_whole(self):
+        """Producer threads writing through while the shard flushes, with
+        a tiny switch interval: every message arrives intact, in each
+        producer's order -- interleaved or lost bytes would break it."""
+        producers, count = 4, 3000
+        server = AudioServer(HardwareConfig())
+        server.start(start_hub=False)
+        client = WireClient(server.port, "stress")
+        interval = sys.getswitchinterval()
+        threads = []
+        try:
+            client.round_trip(rq.GetTime())
+            conn = server.clients_snapshot()[0]
+            client.sock.settimeout(20)
+
+            def produce(producer: int) -> None:
+                for index in range(count):
+                    conn._outbound.put(Message(
+                        MessageKind.REPLY, producer, index & 0xFFFF,
+                        struct.pack("<II", producer, index)),
+                        droppable=False)
+
+            sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=produce, args=(producer,))
+                       for producer in range(producers)]
+            for thread in threads:
+                thread.start()
+            seen = [0] * producers
+            for _ in range(producers * count):
+                message = client.stream.read_message()
+                producer, index = struct.unpack("<II", message.payload)
+                assert message.code == producer
+                assert index == seen[producer]
+                seen[producer] += 1
+            assert seen == [count] * producers
+        finally:
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=10)
+            client.close()
+            server.stop()
+        assert not any(thread.is_alive() for thread in threads)
 
 
 class TestExternallyInitiatedClose:
