@@ -33,6 +33,7 @@ import socket
 import threading
 import time
 
+from ..protocol.codec import decode
 from ..protocol.errors import ProtocolError
 from ..protocol.events import Event
 from ..protocol.requests import Reply, Request
@@ -259,9 +260,8 @@ class AudioConnection:
             raise AlibDisconnected("connection dropped awaiting reply",
                                    request_name=name, opcode=opcode,
                                    elapsed=time.monotonic() - started)
-        from ..protocol.wire import Reader
-
-        return request.REPLY.read_payload(Reader(slot.message.payload))
+        return decode(request.REPLY.read_payload, slot.message.payload,
+                      request.REPLY.__name__)
 
     def _await_usable(self, request: Request | None = None) -> None:
         """Block while a reconnect is in progress (reconnect mode only)."""

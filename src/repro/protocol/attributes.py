@@ -17,8 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .types import SoundType, Encoding
-from .wire import Reader, Writer, WireFormatError
+from .types import SoundType
+from .wire import WireFormatError
 
 # ---------------------------------------------------------------------------
 # Well-known attribute names
@@ -73,7 +73,8 @@ class ValueType(enum.IntEnum):
 AttrValue = int | str | bool | float | SoundType | list | bytes
 
 
-def _type_of(value: AttrValue) -> ValueType:
+def value_type(value: AttrValue) -> ValueType:
+    """The wire tag ``value`` travels under."""
     # bool before int: bool is an int subclass.
     if isinstance(value, bool):
         return ValueType.BOOLEAN
@@ -96,64 +97,10 @@ def _type_of(value: AttrValue) -> ValueType:
     raise WireFormatError("unsupported attribute value %r" % (value,))
 
 
-def write_value(writer: Writer, value: AttrValue) -> None:
-    """Marshal one tagged value."""
-    vtype = _type_of(value)
-    writer.u8(int(vtype))
-    if vtype is ValueType.INTEGER:
-        writer.i64(value)
-    elif vtype is ValueType.STRING:
-        writer.string(value)
-    elif vtype is ValueType.BOOLEAN:
-        writer.boolean(value)
-    elif vtype is ValueType.FLOAT:
-        writer.f64(value)
-    elif vtype is ValueType.SOUND_TYPE:
-        writer.u8(int(value.encoding))
-        writer.u8(value.samplesize)
-        writer.u32(value.samplerate)
-    elif vtype is ValueType.BYTES:
-        writer.blob(value)
-    elif vtype is ValueType.INT_LIST:
-        writer.u32(len(value))
-        for item in value:
-            writer.i64(item)
-    elif vtype is ValueType.STRING_LIST:
-        writer.u32(len(value))
-        for item in value:
-            writer.string(item)
-
-
-def read_value(reader: Reader) -> AttrValue:
-    """Unmarshal one tagged value."""
-    vtype = ValueType(reader.u8())
-    if vtype is ValueType.INTEGER:
-        return reader.i64()
-    if vtype is ValueType.STRING:
-        return reader.string()
-    if vtype is ValueType.BOOLEAN:
-        return reader.boolean()
-    if vtype is ValueType.FLOAT:
-        return reader.f64()
-    if vtype is ValueType.SOUND_TYPE:
-        encoding = Encoding(reader.u8())
-        samplesize = reader.u8()
-        samplerate = reader.u32()
-        return SoundType(encoding, samplesize, samplerate)
-    if vtype is ValueType.BYTES:
-        return reader.blob()
-    if vtype is ValueType.INT_LIST:
-        count = reader.u32()
-        return [reader.i64() for _ in range(count)]
-    if vtype is ValueType.STRING_LIST:
-        count = reader.u32()
-        return [reader.string() for _ in range(count)]
-    raise WireFormatError("unknown attribute value type %d" % vtype)
-
-
 @dataclass
 class AttributeList:
-    """An ordered name -> typed value mapping with wire marshalling."""
+    """An ordered name -> typed value mapping (marshalled by
+    :mod:`repro.protocol.codec`)."""
 
     items: dict[str, AttrValue] = field(default_factory=dict)
 
@@ -180,21 +127,6 @@ class AttributeList:
         merged = dict(self.items)
         merged.update(other.items)
         return AttributeList(merged)
-
-    def write(self, writer: Writer) -> None:
-        writer.u32(len(self.items))
-        for name, value in self.items.items():
-            writer.string(name)
-            write_value(writer, value)
-
-    @classmethod
-    def read(cls, reader: Reader) -> "AttributeList":
-        count = reader.u32()
-        items: dict[str, AttrValue] = {}
-        for _ in range(count):
-            name = reader.string()
-            items[name] = read_value(reader)
-        return cls(items)
 
     @classmethod
     def of(cls, **kwargs: AttrValue) -> "AttributeList":

@@ -13,19 +13,21 @@ the code).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
+from .codec import HEADER, decode, read_fields, write_fields
 from .types import ErrorCode
-from .wire import Message, MessageKind, Reader, Writer
+from .wire import U16, U32, Message, MessageKind, Writer
 
 
 @dataclass
 class ProtocolError(Exception):
     """An error as it travels on the wire and as Alib raises it."""
 
-    code: ErrorCode
-    sequence: int = 0
-    opcode: int = 0
-    resource: int = 0
+    code: Annotated[ErrorCode, HEADER]
+    sequence: Annotated[int, HEADER] = 0
+    opcode: U16 = 0
+    resource: U32 = 0
     message: str = ""
 
     def __str__(self) -> str:
@@ -37,28 +39,15 @@ class ProtocolError(Exception):
 
     def encode(self) -> Message:
         writer = Writer()
-        writer.u16(self.opcode)
-        writer.u32(self.resource)
-        writer.string(self.message)
+        write_fields(self, writer)
         return Message(MessageKind.ERROR, int(self.code), self.sequence,
                        writer.getvalue())
 
     @classmethod
     def decode(cls, message: Message) -> "ProtocolError":
-        from .wire import WireFormatError
-
-        reader = Reader(message.payload)
-        try:
-            opcode = reader.u16()
-            resource = reader.u32()
-            text = reader.string()
-            code = ErrorCode(message.code)
-        except WireFormatError:
-            raise
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise WireFormatError("malformed error message: %s"
-                                  % exc) from exc
-        return cls(code, message.sequence, opcode, resource, text)
+        return decode(lambda reader: cls(
+            ErrorCode(message.code), message.sequence,
+            *read_fields(cls, reader)), message.payload, "error")
 
 
 def bad(code: ErrorCode, message: str = "",

@@ -15,49 +15,37 @@ protocol changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from .attributes import AttributeList
+from .codec import HEADER, decode, read_fields, write_fields
 from .types import EventCode
-from .wire import Message, MessageKind, Reader, Writer
+from .wire import I32, U32, U64, Message, MessageKind, Writer
 
 
 @dataclass
 class Event:
     """One protocol event."""
 
-    code: EventCode
-    resource: int = 0
-    detail: int = 0
-    sample_time: int = 0
+    code: Annotated[EventCode, HEADER]
+    resource: U32 = 0
+    detail: I32 = 0
+    sample_time: U64 = 0
     args: AttributeList = field(default_factory=AttributeList)
-    sequence: int = 0   # sequence number of the last request processed
+    #: Sequence number of the last request processed.
+    sequence: Annotated[int, HEADER] = 0
 
     def encode(self) -> Message:
         writer = Writer()
-        writer.u32(self.resource)
-        writer.i32(self.detail)
-        writer.u64(self.sample_time)
-        self.args.write(writer)
+        write_fields(self, writer)
         return Message(MessageKind.EVENT, int(self.code),
                        self.sequence, writer.getvalue())
 
     @classmethod
     def decode(cls, message: Message) -> "Event":
-        from .wire import WireFormatError
-
-        reader = Reader(message.payload)
-        try:
-            resource = reader.u32()
-            detail = reader.i32()
-            sample_time = reader.u64()
-            args = AttributeList.read(reader)
-            code = EventCode(message.code)
-        except WireFormatError:
-            raise
-        except (ValueError, OverflowError, UnicodeDecodeError) as exc:
-            raise WireFormatError("malformed event: %s" % exc) from exc
-        return cls(code, resource, detail, sample_time, args,
-                   message.sequence)
+        return decode(lambda reader: cls(
+            EventCode(message.code), *read_fields(cls, reader),
+            message.sequence), message.payload, "event")
 
 
 # Well-known argument keys used inside event attribute lists.

@@ -1,10 +1,12 @@
 """Request and reply message bodies.
 
-One dataclass per protocol request, each knowing how to marshal itself to
-and from a payload.  Requests are asynchronous (paper section 4.1): the
-client sends them without waiting; only "state queries, for instance" have
-replies, which the server sends back tagged with the request's sequence
-number.
+One dataclass per protocol request and reply.  Each field's annotation
+declares its wire kind (``U32``, ``Annotated[StackPosition, U8]``,
+``AttributeList``, ...) and :mod:`repro.protocol.codec` marshals every
+body from those declarations, so a body's layout is written down once:
+here.  Requests are asynchronous (paper section 4.1): the client sends
+them without waiting; only "state queries, for instance" have replies,
+which the server sends back tagged with the request's sequence number.
 
 Conventions:
 
@@ -18,10 +20,11 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import Annotated
 
-from .attributes import AttributeList
+from .attributes import AttributeList, AttrValue
+from .codec import ATTRIBUTE_VALUE, JSON, Body, decode
 from .types import (
     Command,
     CommandMode,
@@ -33,26 +36,11 @@ from .types import (
     SoundType,
     StackPosition,
 )
-from .wire import Reader, WireFormatError, Writer
+from .wire import I32, I64, U8, U16, U32, U64, Reader, WireFormatError, Writer
 
 
-def _write_sound_type(writer: Writer, sound_type: SoundType) -> None:
-    writer.u8(int(sound_type.encoding))
-    writer.u8(sound_type.samplesize)
-    writer.u32(sound_type.samplerate)
-
-
-def _read_sound_type(reader: Reader) -> SoundType:
-    from .types import Encoding
-
-    encoding = Encoding(reader.u8())
-    samplesize = reader.u8()
-    samplerate = reader.u32()
-    return SoundType(encoding, samplesize, samplerate)
-
-
-class Request:
-    """Base class; concrete requests override the marshalling hooks."""
+class Request(Body):
+    """Base class of request bodies."""
 
     OPCODE: OpCode
     REPLY: type | None = None
@@ -60,33 +48,9 @@ class Request:
     #: queries).  Alib's retry policy only ever retries these.
     IDEMPOTENT: bool = False
 
-    def write_payload(self, writer: Writer) -> None:
-        raise NotImplementedError
 
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "Request":
-        raise NotImplementedError
-
-    def encode(self) -> bytes:
-        writer = Writer()
-        self.write_payload(writer)
-        return writer.getvalue()
-
-
-class Reply:
-    """Base class for reply bodies."""
-
-    def write_payload(self, writer: Writer) -> None:
-        raise NotImplementedError
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "Reply":
-        raise NotImplementedError
-
-    def encode(self) -> bytes:
-        writer = Writer()
-        self.write_payload(writer)
-        return writer.getvalue()
+class Reply(Body):
+    """Base class of reply bodies."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,32 +63,16 @@ class CreateLoud(Request):
 
     OPCODE = OpCode.CREATE_LOUD
 
-    loud: int
-    parent: int = 0
+    loud: U32
+    parent: U32 = 0
     attributes: AttributeList = field(default_factory=AttributeList)
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-        writer.u32(self.parent)
-        self.attributes.write(writer)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "CreateLoud":
-        return cls(reader.u32(), reader.u32(), AttributeList.read(reader))
 
 
 @dataclass
 class DestroyLoud(Request):
     OPCODE = OpCode.DESTROY_LOUD
 
-    loud: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "DestroyLoud":
-        return cls(reader.u32())
+    loud: U32
 
 
 @dataclass
@@ -137,43 +85,19 @@ class CreateVirtualDevice(Request):
 
     OPCODE = OpCode.CREATE_VIRTUAL_DEVICE
 
-    device: int
-    loud: int
-    device_class: DeviceClass
+    device: U32
+    loud: U32
+    #: Extension class codes (the server's device subclassing mechanism)
+    #: travel as raw integers beyond the base enum.
+    device_class: Annotated[DeviceClass | int, U16]
     attributes: AttributeList = field(default_factory=AttributeList)
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.device)
-        writer.u32(self.loud)
-        writer.u16(int(self.device_class))
-        self.attributes.write(writer)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "CreateVirtualDevice":
-        device = reader.u32()
-        loud = reader.u32()
-        class_code = reader.u16()
-        try:
-            # Extension class codes (the server's device subclassing
-            # mechanism) travel as raw integers beyond the base enum.
-            class_code = DeviceClass(class_code)
-        except ValueError:
-            pass
-        return cls(device, loud, class_code, AttributeList.read(reader))
 
 
 @dataclass
 class DestroyVirtualDevice(Request):
     OPCODE = OpCode.DESTROY_VIRTUAL_DEVICE
 
-    device: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.device)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "DestroyVirtualDevice":
-        return cls(reader.u32())
+    device: U32
 
 
 @dataclass
@@ -186,47 +110,19 @@ class CreateWire(Request):
 
     OPCODE = OpCode.CREATE_WIRE
 
-    wire: int
-    source_device: int
-    source_port: int
-    sink_device: int
-    sink_port: int
+    wire: U32
+    source_device: U32
+    source_port: U16
+    sink_device: U32
+    sink_port: U16
     wire_type: SoundType | None = None
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.wire)
-        writer.u32(self.source_device)
-        writer.u16(self.source_port)
-        writer.u32(self.sink_device)
-        writer.u16(self.sink_port)
-        writer.boolean(self.wire_type is not None)
-        if self.wire_type is not None:
-            _write_sound_type(writer, self.wire_type)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "CreateWire":
-        wire = reader.u32()
-        source_device = reader.u32()
-        source_port = reader.u16()
-        sink_device = reader.u32()
-        sink_port = reader.u16()
-        wire_type = _read_sound_type(reader) if reader.boolean() else None
-        return cls(wire, source_device, source_port, sink_device, sink_port,
-                   wire_type)
 
 
 @dataclass
 class DestroyWire(Request):
     OPCODE = OpCode.DESTROY_WIRE
 
-    wire: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.wire)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "DestroyWire":
-        return cls(reader.u32())
+    wire: U32
 
 
 @dataclass
@@ -235,28 +131,14 @@ class MapLoud(Request):
 
     OPCODE = OpCode.MAP_LOUD
 
-    loud: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "MapLoud":
-        return cls(reader.u32())
+    loud: U32
 
 
 @dataclass
 class UnmapLoud(Request):
     OPCODE = OpCode.UNMAP_LOUD
 
-    loud: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "UnmapLoud":
-        return cls(reader.u32())
+    loud: U32
 
 
 @dataclass
@@ -265,54 +147,21 @@ class RestackLoud(Request):
 
     OPCODE = OpCode.RESTACK_LOUD
 
-    loud: int
-    position: StackPosition = StackPosition.TOP
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-        writer.u8(int(self.position))
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "RestackLoud":
-        return cls(reader.u32(), StackPosition(reader.u8()))
+    loud: U32
+    position: Annotated[StackPosition, U8] = StackPosition.TOP
 
 
 @dataclass
 class QueryLoudReply(Reply):
     """Tree and status information for one LOUD."""
 
-    parent: int
-    children: list[int]
-    devices: list[int]
+    parent: U32
+    children: list[U32]
+    devices: list[U32]
     mapped: bool
     active: bool
-    stack_index: int        # position on the active stack, -1 if unmapped
+    stack_index: I32        # position on the active stack, -1 if unmapped
     attributes: AttributeList
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.parent)
-        writer.u32(len(self.children))
-        for child in self.children:
-            writer.u32(child)
-        writer.u32(len(self.devices))
-        for device in self.devices:
-            writer.u32(device)
-        writer.boolean(self.mapped)
-        writer.boolean(self.active)
-        writer.i32(self.stack_index)
-        self.attributes.write(writer)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryLoudReply":
-        parent = reader.u32()
-        children = [reader.u32() for _ in range(reader.u32())]
-        devices = [reader.u32() for _ in range(reader.u32())]
-        mapped = reader.boolean()
-        active = reader.boolean()
-        stack_index = reader.i32()
-        attributes = AttributeList.read(reader)
-        return cls(parent, children, devices, mapped, active, stack_index,
-                   attributes)
 
 
 @dataclass
@@ -321,14 +170,7 @@ class QueryLoud(Request):
     IDEMPOTENT = True
     REPLY = QueryLoudReply
 
-    loud: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryLoud":
-        return cls(reader.u32())
+    loud: U32
 
 
 @dataclass
@@ -340,38 +182,10 @@ class QueryVirtualDeviceReply(Reply):
     ``device-id`` key.
     """
 
-    device_class: DeviceClass
+    device_class: Annotated[DeviceClass | int, U16]
     attributes: AttributeList
-    ports: list[tuple[int, int, SoundType]]  # (index, direction, type)
-    wires: list[int]
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u16(int(self.device_class))
-        self.attributes.write(writer)
-        writer.u32(len(self.ports))
-        for index, direction, sound_type in self.ports:
-            writer.u16(index)
-            writer.u8(direction)
-            _write_sound_type(writer, sound_type)
-        writer.u32(len(self.wires))
-        for wire in self.wires:
-            writer.u32(wire)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryVirtualDeviceReply":
-        device_class = reader.u16()
-        try:
-            device_class = DeviceClass(device_class)
-        except ValueError:
-            pass    # extension class code
-        attributes = AttributeList.read(reader)
-        ports = []
-        for _ in range(reader.u32()):
-            index = reader.u16()
-            direction = reader.u8()
-            ports.append((index, direction, _read_sound_type(reader)))
-        wires = [reader.u32() for _ in range(reader.u32())]
-        return cls(device_class, attributes, ports, wires)
+    ports: list[tuple[U16, U8, SoundType]]  # (index, direction, type)
+    wires: list[U32]
 
 
 @dataclass
@@ -380,14 +194,7 @@ class QueryVirtualDevice(Request):
     IDEMPOTENT = True
     REPLY = QueryVirtualDeviceReply
 
-    device: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.device)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryVirtualDevice":
-        return cls(reader.u32())
+    device: U32
 
 
 @dataclass
@@ -400,37 +207,17 @@ class AugmentVirtualDevice(Request):
 
     OPCODE = OpCode.AUGMENT_VIRTUAL_DEVICE
 
-    device: int
+    device: U32
     attributes: AttributeList
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.device)
-        self.attributes.write(writer)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "AugmentVirtualDevice":
-        return cls(reader.u32(), AttributeList.read(reader))
 
 
 @dataclass
 class QueryWireReply(Reply):
-    source_device: int
-    source_port: int
-    sink_device: int
-    sink_port: int
+    source_device: U32
+    source_port: U16
+    sink_device: U32
+    sink_port: U16
     wire_type: SoundType
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.source_device)
-        writer.u16(self.source_port)
-        writer.u32(self.sink_device)
-        writer.u16(self.sink_port)
-        _write_sound_type(writer, self.wire_type)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryWireReply":
-        return cls(reader.u32(), reader.u16(), reader.u32(), reader.u16(),
-                   _read_sound_type(reader))
 
 
 @dataclass
@@ -439,14 +226,7 @@ class QueryWire(Request):
     IDEMPOTENT = True
     REPLY = QueryWireReply
 
-    wire: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.wire)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryWire":
-        return cls(reader.u32())
+    wire: U32
 
 
 # ---------------------------------------------------------------------------
@@ -459,30 +239,15 @@ class CreateSound(Request):
 
     OPCODE = OpCode.CREATE_SOUND
 
-    sound: int
+    sound: U32
     sound_type: SoundType
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.sound)
-        _write_sound_type(writer, self.sound_type)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "CreateSound":
-        return cls(reader.u32(), _read_sound_type(reader))
 
 
 @dataclass
 class DestroySound(Request):
     OPCODE = OpCode.DESTROY_SOUND
 
-    sound: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.sound)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "DestroySound":
-        return cls(reader.u32())
+    sound: U32
 
 
 @dataclass
@@ -491,30 +256,14 @@ class WriteSoundData(Request):
 
     OPCODE = OpCode.WRITE_SOUND_DATA
 
-    sound: int
-    offset: int
+    sound: U32
+    offset: I64
     data: bytes
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.sound)
-        writer.i64(self.offset)
-        writer.blob(self.data)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "WriteSoundData":
-        return cls(reader.u32(), reader.i64(), reader.blob())
 
 
 @dataclass
 class ReadSoundDataReply(Reply):
     data: bytes
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.blob(self.data)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "ReadSoundDataReply":
-        return cls(reader.blob())
 
 
 @dataclass
@@ -523,39 +272,18 @@ class ReadSoundData(Request):
     IDEMPOTENT = True
     REPLY = ReadSoundDataReply
 
-    sound: int
-    offset: int
-    length: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.sound)
-        writer.u64(self.offset)
-        writer.u64(self.length)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "ReadSoundData":
-        return cls(reader.u32(), reader.u64(), reader.u64())
+    sound: U32
+    offset: U64
+    length: U64
 
 
 @dataclass
 class QuerySoundReply(Reply):
     sound_type: SoundType
-    byte_length: int
-    frame_length: int
+    byte_length: U64
+    frame_length: U64
     is_stream: bool
     name: str
-
-    def write_payload(self, writer: Writer) -> None:
-        _write_sound_type(writer, self.sound_type)
-        writer.u64(self.byte_length)
-        writer.u64(self.frame_length)
-        writer.boolean(self.is_stream)
-        writer.string(self.name)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QuerySoundReply":
-        return cls(_read_sound_type(reader), reader.u64(), reader.u64(),
-                   reader.boolean(), reader.string())
 
 
 @dataclass
@@ -564,28 +292,12 @@ class QuerySound(Request):
     IDEMPOTENT = True
     REPLY = QuerySoundReply
 
-    sound: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.sound)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QuerySound":
-        return cls(reader.u32())
+    sound: U32
 
 
 @dataclass
 class ListCatalogueReply(Reply):
     names: list[str]
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(len(self.names))
-        for name in self.names:
-            writer.string(name)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "ListCatalogueReply":
-        return cls([reader.string() for _ in range(reader.u32())])
 
 
 @dataclass
@@ -598,13 +310,6 @@ class ListCatalogue(Request):
 
     catalogue: str = ""
 
-    def write_payload(self, writer: Writer) -> None:
-        writer.string(self.catalogue)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "ListCatalogue":
-        return cls(reader.string())
-
 
 @dataclass
 class LoadSound(Request):
@@ -612,18 +317,9 @@ class LoadSound(Request):
 
     OPCODE = OpCode.LOAD_SOUND
 
-    sound: int
+    sound: U32
     name: str
     catalogue: str = ""
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.sound)
-        writer.string(self.name)
-        writer.string(self.catalogue)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "LoadSound":
-        return cls(reader.u32(), reader.string(), reader.string())
 
 
 @dataclass
@@ -636,18 +332,9 @@ class SetSoundStream(Request):
 
     OPCODE = OpCode.SET_SOUND_STREAM
 
-    sound: int
-    buffer_frames: int
-    low_water_frames: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.sound)
-        writer.u64(self.buffer_frames)
-        writer.u64(self.low_water_frames)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "SetSoundStream":
-        return cls(reader.u32(), reader.u64(), reader.u64())
+    sound: U32
+    buffer_frames: U64
+    low_water_frames: U64
 
 
 # ---------------------------------------------------------------------------
@@ -665,23 +352,11 @@ class IssueCommand(Request):
 
     OPCODE = OpCode.ISSUE_COMMAND
 
-    loud: int
-    device: int
-    command: Command
-    mode: CommandMode = CommandMode.QUEUED
+    loud: U32
+    device: U32
+    command: Annotated[Command, U16]
+    mode: Annotated[CommandMode, U8] = CommandMode.QUEUED
     args: AttributeList = field(default_factory=AttributeList)
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-        writer.u32(self.device)
-        writer.u16(int(self.command))
-        writer.u8(int(self.mode))
-        self.args.write(writer)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "IssueCommand":
-        return cls(reader.u32(), reader.u32(), Command(reader.u16()),
-                   CommandMode(reader.u8()), AttributeList.read(reader))
 
 
 @dataclass
@@ -690,35 +365,16 @@ class ControlQueue(Request):
 
     OPCODE = OpCode.CONTROL_QUEUE
 
-    loud: int
-    op: QueueOp
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-        writer.u8(int(self.op))
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "ControlQueue":
-        return cls(reader.u32(), QueueOp(reader.u8()))
+    loud: U32
+    op: Annotated[QueueOp, U8]
 
 
 @dataclass
 class QueryQueueReply(Reply):
-    state: QueueState
-    pending: int            # commands not yet started
-    running: int            # commands currently executing
-    completed: int          # commands completed since queue creation
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u8(int(self.state))
-        writer.u32(self.pending)
-        writer.u32(self.running)
-        writer.u64(self.completed)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryQueueReply":
-        return cls(QueueState(reader.u8()), reader.u32(), reader.u32(),
-                   reader.u64())
+    state: Annotated[QueueState, U8]
+    pending: U32            # commands not yet started
+    running: U32            # commands currently executing
+    completed: U64          # commands completed since queue creation
 
 
 @dataclass
@@ -727,14 +383,7 @@ class QueryQueue(Request):
     IDEMPOTENT = True
     REPLY = QueryQueueReply
 
-    loud: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryQueue":
-        return cls(reader.u32())
+    loud: U32
 
 
 # ---------------------------------------------------------------------------
@@ -747,16 +396,8 @@ class SelectEvents(Request):
 
     OPCODE = OpCode.SELECT_EVENTS
 
-    resource: int
-    mask: EventMask
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.resource)
-        writer.u32(int(self.mask))
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "SelectEvents":
-        return cls(reader.u32(), EventMask(reader.u32()))
+    resource: U32
+    mask: Annotated[EventMask, U32]
 
 
 @dataclass
@@ -765,43 +406,27 @@ class ChangeProperty(Request):
 
     OPCODE = OpCode.CHANGE_PROPERTY
 
-    resource: int
+    resource: U32
     name: str
-    value: object   # any AttrValue
-
-    def write_payload(self, writer: Writer) -> None:
-        from .attributes import write_value
-
-        writer.u32(self.resource)
-        writer.string(self.name)
-        write_value(writer, self.value)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "ChangeProperty":
-        from .attributes import read_value
-
-        return cls(reader.u32(), reader.string(), read_value(reader))
+    value: AttrValue
 
 
 @dataclass
 class GetPropertyReply(Reply):
+    """A property's value; ``value`` travels only when ``exists``."""
+
     exists: bool
-    value: object
+    value: AttrValue | None
 
     def write_payload(self, writer: Writer) -> None:
-        from .attributes import write_value
-
         writer.boolean(self.exists)
         if self.exists:
-            write_value(writer, self.value)
+            ATTRIBUTE_VALUE.put(writer, self.value)
 
     @classmethod
     def read_payload(cls, reader: Reader) -> "GetPropertyReply":
-        from .attributes import read_value
-
         exists = reader.boolean()
-        value = read_value(reader) if exists else None
-        return cls(exists, value)
+        return cls(exists, ATTRIBUTE_VALUE.take(reader) if exists else None)
 
 
 @dataclass
@@ -810,46 +435,21 @@ class GetProperty(Request):
     IDEMPOTENT = True
     REPLY = GetPropertyReply
 
-    resource: int
+    resource: U32
     name: str
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.resource)
-        writer.string(self.name)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "GetProperty":
-        return cls(reader.u32(), reader.string())
 
 
 @dataclass
 class DeleteProperty(Request):
     OPCODE = OpCode.DELETE_PROPERTY
 
-    resource: int
+    resource: U32
     name: str
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.resource)
-        writer.string(self.name)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "DeleteProperty":
-        return cls(reader.u32(), reader.string())
 
 
 @dataclass
 class ListPropertiesReply(Reply):
     names: list[str]
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(len(self.names))
-        for name in self.names:
-            writer.string(name)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "ListPropertiesReply":
-        return cls([reader.string() for _ in range(reader.u32())])
 
 
 @dataclass
@@ -858,14 +458,7 @@ class ListProperties(Request):
     IDEMPOTENT = True
     REPLY = ListPropertiesReply
 
-    resource: int
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.resource)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "ListProperties":
-        return cls(reader.u32())
+    resource: U32
 
 
 @dataclass
@@ -881,13 +474,6 @@ class SetRedirect(Request):
 
     enabled: bool
 
-    def write_payload(self, writer: Writer) -> None:
-        writer.boolean(self.enabled)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "SetRedirect":
-        return cls(reader.boolean())
-
 
 @dataclass
 class AllowRequest(Request):
@@ -899,21 +485,10 @@ class AllowRequest(Request):
 
     OPCODE = OpCode.ALLOW_REQUEST
 
-    loud: int
-    opcode: OpCode          # MAP_LOUD or RESTACK_LOUD
+    loud: U32
+    opcode: Annotated[OpCode, U16]     # MAP_LOUD or RESTACK_LOUD
     honor: bool = True
-    position: StackPosition = StackPosition.TOP
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(self.loud)
-        writer.u16(int(self.opcode))
-        writer.boolean(self.honor)
-        writer.u8(int(self.position))
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "AllowRequest":
-        return cls(reader.u32(), OpCode(reader.u16()), reader.boolean(),
-                   StackPosition(reader.u8()))
+    position: Annotated[StackPosition, U8] = StackPosition.TOP
 
 
 # ---------------------------------------------------------------------------
@@ -923,31 +498,11 @@ class AllowRequest(Request):
 @dataclass
 class QueryServerReply(Reply):
     vendor: str
-    protocol_major: int
-    protocol_minor: int
-    encodings: list[int]
-    block_frames: int       # hub block size, for latency-aware clients
-    sample_rate: int        # native device-layer rate
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.string(self.vendor)
-        writer.u16(self.protocol_major)
-        writer.u16(self.protocol_minor)
-        writer.u32(len(self.encodings))
-        for encoding in self.encodings:
-            writer.u16(encoding)
-        writer.u32(self.block_frames)
-        writer.u32(self.sample_rate)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryServerReply":
-        vendor = reader.string()
-        major = reader.u16()
-        minor = reader.u16()
-        encodings = [reader.u16() for _ in range(reader.u32())]
-        block_frames = reader.u32()
-        sample_rate = reader.u32()
-        return cls(vendor, major, minor, encodings, block_frames, sample_rate)
+    protocol_major: U16
+    protocol_minor: U16
+    encodings: list[U16]
+    block_frames: U32       # hub block size, for latency-aware clients
+    sample_rate: U32        # native device-layer rate
 
 
 @dataclass
@@ -956,41 +511,16 @@ class QueryServer(Request):
     IDEMPOTENT = True
     REPLY = QueryServerReply
 
-    def write_payload(self, writer: Writer) -> None:
-        pass
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryServer":
-        return cls()
-
 
 @dataclass
-class DeviceDescription:
+class DeviceDescription(Body):
     """One physical device in the device LOUD (paper section 5.1)."""
 
-    device_id: int
-    device_class: DeviceClass
+    device_id: U32
+    device_class: Annotated[DeviceClass, U16]
     name: str
     attributes: AttributeList
-    hard_wired_to: list[int]
-
-    def write(self, writer: Writer) -> None:
-        writer.u32(self.device_id)
-        writer.u16(int(self.device_class))
-        writer.string(self.name)
-        self.attributes.write(writer)
-        writer.u32(len(self.hard_wired_to))
-        for other in self.hard_wired_to:
-            writer.u32(other)
-
-    @classmethod
-    def read(cls, reader: Reader) -> "DeviceDescription":
-        device_id = reader.u32()
-        device_class = DeviceClass(reader.u16())
-        name = reader.string()
-        attributes = AttributeList.read(reader)
-        hard_wired = [reader.u32() for _ in range(reader.u32())]
-        return cls(device_id, device_class, name, attributes, hard_wired)
+    hard_wired_to: list[U32]
 
 
 @dataclass
@@ -999,16 +529,6 @@ class QueryDeviceLoudReply(Reply):
 
     devices: list[DeviceDescription]
 
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(len(self.devices))
-        for device in self.devices:
-            device.write(writer)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryDeviceLoudReply":
-        return cls([DeviceDescription.read(reader)
-                    for _ in range(reader.u32())])
-
 
 @dataclass
 class QueryDeviceLoud(Request):
@@ -1016,35 +536,12 @@ class QueryDeviceLoud(Request):
     IDEMPOTENT = True
     REPLY = QueryDeviceLoudReply
 
-    def write_payload(self, writer: Writer) -> None:
-        pass
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryDeviceLoud":
-        return cls()
-
 
 @dataclass
 class QueryAmbientDomainsReply(Reply):
     """Domain name -> device ids within it."""
 
-    domains: dict[str, list[int]]
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u32(len(self.domains))
-        for name, device_ids in self.domains.items():
-            writer.string(name)
-            writer.u32(len(device_ids))
-            for device_id in device_ids:
-                writer.u32(device_id)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryAmbientDomainsReply":
-        domains: dict[str, list[int]] = {}
-        for _ in range(reader.u32()):
-            name = reader.string()
-            domains[name] = [reader.u32() for _ in range(reader.u32())]
-        return cls(domains)
+    domains: dict[str, list[U32]]
 
 
 @dataclass
@@ -1053,28 +550,13 @@ class QueryAmbientDomains(Request):
     IDEMPOTENT = True
     REPLY = QueryAmbientDomainsReply
 
-    def write_payload(self, writer: Writer) -> None:
-        pass
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "QueryAmbientDomains":
-        return cls()
-
 
 @dataclass
 class GetTimeReply(Reply):
     """Server audio time in samples and seconds; a sync round-trip."""
 
-    sample_time: int
+    sample_time: U64
     seconds: float
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.u64(self.sample_time)
-        writer.f64(self.seconds)
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "GetTimeReply":
-        return cls(reader.u64(), reader.f64())
 
 
 @dataclass
@@ -1083,16 +565,9 @@ class GetTime(Request):
     IDEMPOTENT = True
     REPLY = GetTimeReply
 
-    def write_payload(self, writer: Writer) -> None:
-        pass
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "GetTime":
-        return cls()
-
 
 @dataclass
-class HistogramStat:
+class HistogramStat(Body):
     """One histogram in a stats reply: bucket edges, counts, sum, count.
 
     ``edges`` are inclusive upper bounds with one overflow bucket, so
@@ -1100,11 +575,13 @@ class HistogramStat:
     """
 
     edges: list[float]
-    counts: list[int]
+    counts: list[U64]
     sum: float
-    count: int
+    count: U64
 
-    def write(self, writer: Writer) -> None:
+    # Hand-written: ``counts`` carries no count of its own on the wire;
+    # its length is implied by ``edges``.
+    def write_payload(self, writer: Writer) -> None:
         writer.u32(len(self.edges))
         for edge in self.edges:
             writer.f64(edge)
@@ -1114,10 +591,9 @@ class HistogramStat:
         writer.u64(self.count)
 
     @classmethod
-    def read(cls, reader: Reader) -> "HistogramStat":
-        n_edges = reader.u32()
-        edges = [reader.f64() for _ in range(n_edges)]
-        counts = [reader.u64() for _ in range(n_edges + 1)]
+    def read_payload(cls, reader: Reader) -> "HistogramStat":
+        edges = [reader.f64() for _ in range(reader.u32())]
+        counts = [reader.u64() for _ in range(len(edges) + 1)]
         return cls(edges, counts, reader.f64(), reader.u64())
 
     @property
@@ -1126,28 +602,15 @@ class HistogramStat:
 
 
 @dataclass
-class ClientStat:
+class ClientStat(Body):
     """Per-connection wire statistics in a stats reply."""
 
     name: str
-    requests: int
-    bytes_in: int
-    bytes_out: int
-    messages_out: int
-    queue_depth: int
-
-    def write(self, writer: Writer) -> None:
-        writer.string(self.name)
-        writer.u64(self.requests)
-        writer.u64(self.bytes_in)
-        writer.u64(self.bytes_out)
-        writer.u64(self.messages_out)
-        writer.u32(self.queue_depth)
-
-    @classmethod
-    def read(cls, reader: Reader) -> "ClientStat":
-        return cls(reader.string(), reader.u64(), reader.u64(), reader.u64(),
-                   reader.u64(), reader.u32())
+    requests: U64
+    bytes_in: U64
+    bytes_out: U64
+    messages_out: U64
+    queue_depth: U32
 
 
 @dataclass
@@ -1160,8 +623,8 @@ class GetServerStatsReply(Reply):
     """
 
     uptime_seconds: float
-    sample_time: int
-    counters: dict[str, int]
+    sample_time: U64
+    counters: dict[str, U64]
     gauges: dict[str, float]
     histograms: dict[str, HistogramStat]
     clients: list[ClientStat]
@@ -1170,49 +633,7 @@ class GetServerStatsReply(Reply):
     #: one JSON string -- client and server ship together, and the
     #: structure is documented in docs/TELEPHONY.md rather than frozen
     #: into the binary format.
-    mesh: dict = field(default_factory=dict)
-
-    def write_payload(self, writer: Writer) -> None:
-        writer.f64(self.uptime_seconds)
-        writer.u64(self.sample_time)
-        writer.u32(len(self.counters))
-        for name, value in self.counters.items():
-            writer.string(name)
-            writer.u64(value)
-        writer.u32(len(self.gauges))
-        for name, value in self.gauges.items():
-            writer.string(name)
-            writer.f64(float(value))
-        writer.u32(len(self.histograms))
-        for name, histogram in self.histograms.items():
-            writer.string(name)
-            histogram.write(writer)
-        writer.u32(len(self.clients))
-        for client in self.clients:
-            client.write(writer)
-        writer.string(json.dumps(self.mesh) if self.mesh else "")
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "GetServerStatsReply":
-        uptime_seconds = reader.f64()
-        sample_time = reader.u64()
-        counters = {}
-        for _ in range(reader.u32()):
-            name = reader.string()
-            counters[name] = reader.u64()
-        gauges = {}
-        for _ in range(reader.u32()):
-            name = reader.string()
-            gauges[name] = reader.f64()
-        histograms = {}
-        for _ in range(reader.u32()):
-            name = reader.string()
-            histograms[name] = HistogramStat.read(reader)
-        clients = [ClientStat.read(reader) for _ in range(reader.u32())]
-        encoded_mesh = reader.string()
-        mesh = json.loads(encoded_mesh) if encoded_mesh else {}
-        return cls(uptime_seconds, sample_time, counters, gauges, histograms,
-                   clients, mesh)
+    mesh: Annotated[dict, JSON] = field(default_factory=dict)
 
     def counter(self, name: str) -> int:
         """Convenience lookup; absent counters read as zero."""
@@ -1227,13 +648,6 @@ class GetServerStats(Request):
     IDEMPOTENT = True
     REPLY = GetServerStatsReply
 
-    def write_payload(self, writer: Writer) -> None:
-        pass
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "GetServerStats":
-        return cls()
-
 
 @dataclass
 class NoOperation(Request):
@@ -1241,13 +655,6 @@ class NoOperation(Request):
 
     OPCODE = OpCode.NO_OPERATION
     IDEMPOTENT = True
-
-    def write_payload(self, writer: Writer) -> None:
-        pass
-
-    @classmethod
-    def read_payload(cls, reader: Reader) -> "NoOperation":
-        return cls()
 
 
 # ---------------------------------------------------------------------------
@@ -1272,17 +679,7 @@ REQUEST_CLASSES: dict[OpCode, type[Request]] = {
 
 def decode_request(opcode: int, payload: bytes) -> Request:
     """Parse a request payload; raises WireFormatError on garbage."""
-    try:
-        cls = REQUEST_CLASSES[OpCode(opcode)]
-    except (ValueError, KeyError) as exc:
-        raise WireFormatError("unknown request opcode %d" % opcode) from exc
-    reader = Reader(payload)
-    try:
-        return cls.read_payload(reader)
-    except WireFormatError:
-        raise
-    except (ValueError, OverflowError, UnicodeDecodeError) as exc:
-        # Bad enum values, out-of-range integers, invalid UTF-8: all are
-        # malformed payloads, never decoder crashes.
-        raise WireFormatError("malformed %s payload: %s"
-                              % (cls.__name__, exc)) from exc
+    cls = REQUEST_CLASSES.get(opcode)     # OpCode keys hash as ints
+    if cls is None:
+        raise WireFormatError("unknown request opcode %d" % opcode)
+    return decode(cls.read_payload, payload, cls.__name__)

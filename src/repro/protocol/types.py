@@ -6,14 +6,18 @@ of that stream share: device classes, sound encodings, command codes,
 event codes, error codes, queue states and the small value types
 (``SoundType``, ``PortInfo``) that appear inside messages.
 
-Everything here is deliberately dumb data -- the marshalling lives in
-:mod:`repro.protocol.wire` and the semantics live in the server.
+Everything here is deliberately dumb data -- ``SoundType``'s annotations
+declare its wire kinds, :mod:`repro.protocol.codec` marshals it, and the
+semantics live in the server.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Annotated
+
+from .wire import U8, U32
 
 #: Protocol version exchanged at connection setup.
 PROTOCOL_MAJOR = 1
@@ -69,9 +73,9 @@ RATE_CD = 44100
 class SoundType:
     """The (encoding, samplesize, samplerate) tuple typing all audio data."""
 
-    encoding: Encoding
-    samplesize: int     # bits per sample as stored (8, 16, or 4 for ADPCM)
-    samplerate: int     # samples per second
+    encoding: Annotated[Encoding, U8]
+    samplesize: U8      # bits per sample as stored (8, 16, or 4 for ADPCM)
+    samplerate: U32     # samples per second
 
     def bytes_per_second(self) -> float:
         """Stored data rate of this type, in bytes per second."""

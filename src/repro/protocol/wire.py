@@ -9,7 +9,8 @@ section 4.1).  This module implements that layer:
   a kind-specific *code* (opcode, event code or error code), a 16-bit
   sequence number, and the payload length,
 * :class:`Writer` and :class:`Reader` marshal the primitive types payloads
-  are built from.
+  are built from, and :class:`Kind` names each one for the body
+  declarations (``U8`` ... ``I64`` and :data:`PLAIN_KINDS`).
 
 All integers are little-endian on the wire.  The tight definition makes the
 protocol independent of operating system, transport and language.
@@ -31,6 +32,7 @@ import select
 import socket
 import struct
 from dataclasses import dataclass
+from typing import Annotated
 
 #: Magic bytes opening the connection-setup request.
 SETUP_MAGIC = b"AUDS"
@@ -149,8 +151,28 @@ class Writer:
         self._buffer += value
         return self
 
+    def pack(self, fmt: struct.Struct, values) -> "Writer":
+        """Several fixed-width values in one ``fmt``."""
+        self._buffer += fmt.pack(*values)
+        return self
+
     def getvalue(self) -> bytes:
         return bytes(self._buffer)
+
+
+def _unpacker(fmt: struct.Struct):
+    """A Reader method taking one ``fmt`` value straight out of the
+    payload (no slice), or raising on truncation."""
+    unpack_from, size = fmt.unpack_from, fmt.size
+
+    def take(self: "Reader"):
+        pos = self._pos
+        if pos + size > len(self._data):
+            self._truncated(size)
+        self._pos = pos + size
+        return unpack_from(self._data, pos)[0]
+
+    return take
 
 
 class Reader:
@@ -164,36 +186,26 @@ class Reader:
         self._data = data
         self._pos = 0
 
+    def _truncated(self, size: int) -> None:
+        raise WireFormatError(
+            "truncated payload: wanted %d bytes at offset %d of %d"
+            % (size, self._pos, len(self._data)))
+
     def _take(self, size: int) -> bytes:
         end = self._pos + size
         if end > len(self._data):
-            raise WireFormatError(
-                "truncated payload: wanted %d bytes at offset %d of %d"
-                % (size, self._pos, len(self._data)))
+            self._truncated(size)
         chunk = self._data[self._pos:end]
         self._pos = end
         return chunk
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def i32(self) -> int:
-        return struct.unpack("<i", self._take(4))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+    u8 = _unpacker(_U8)
+    u16 = _unpacker(_U16)
+    u32 = _unpacker(_U32)
+    u64 = _unpacker(_U64)
+    i32 = _unpacker(_I32)
+    i64 = _unpacker(_I64)
+    f64 = _unpacker(_F64)
 
     def boolean(self) -> bool:
         return self.u8() != 0
@@ -209,6 +221,14 @@ class Reader:
     def raw(self, size: int) -> bytes:
         return self._take(size)
 
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        """Several fixed-width values in one ``fmt``."""
+        pos = self._pos
+        if pos + fmt.size > len(self._data):
+            self._truncated(fmt.size)
+        self._pos = pos + fmt.size
+        return fmt.unpack_from(self._data, pos)
+
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
@@ -219,6 +239,44 @@ class Reader:
         if not self.at_end():
             raise WireFormatError(
                 "%d unexpected trailing bytes in payload" % self.remaining())
+
+
+class Kind:
+    """One wire kind: how a value is put to a :class:`Writer` and taken
+    from a :class:`Reader`.  Body fields declare theirs in their
+    annotations (:mod:`repro.protocol.codec`).  Fixed-width kinds also
+    carry their struct format character, so the codec can move a run of
+    them with one ``struct`` call, and ``convert`` maps a raw unpacked
+    value to the field's type (an enum member)."""
+
+    __slots__ = ("name", "put", "take", "fmt", "convert")
+
+    def __init__(self, name: str, put, take, fmt: str | None = None,
+                 convert=None) -> None:
+        self.name = name
+        self.put = put
+        self.take = take
+        self.fmt = fmt
+        self.convert = convert
+
+    def __repr__(self) -> str:
+        return "Kind(%s)" % self.name
+
+
+U8 = Annotated[int, Kind("u8", Writer.u8, Reader.u8, "B")]
+U16 = Annotated[int, Kind("u16", Writer.u16, Reader.u16, "H")]
+U32 = Annotated[int, Kind("u32", Writer.u32, Reader.u32, "I")]
+U64 = Annotated[int, Kind("u64", Writer.u64, Reader.u64, "Q")]
+I32 = Annotated[int, Kind("i32", Writer.i32, Reader.i32, "i")]
+I64 = Annotated[int, Kind("i64", Writer.i64, Reader.i64, "q")]
+
+#: Kinds of the plain annotations that need no width.
+PLAIN_KINDS = {
+    bool: Kind("bool", Writer.boolean, Reader.boolean, "?"),
+    float: Kind("f64", Writer.f64, Reader.f64, "d"),
+    str: Kind("string", Writer.string, Reader.string),
+    bytes: Kind("blob", Writer.blob, Reader.blob),
+}
 
 
 def recv_exact_into(sock: socket.socket, view: memoryview,

@@ -1,14 +1,31 @@
 """Unit tests for the Alib connection machinery."""
 
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.alib import AudioClient, ConnectionError_
+from repro.alib.connection import AudioConnection
 from repro.protocol.errors import ProtocolError
-from repro.protocol.requests import GetTime, NoOperation, QueryLoud
+from repro.protocol.requests import (
+    GetTime,
+    ListCatalogue,
+    NoOperation,
+    QueryLoud,
+    QueryQueue,
+)
+from repro.protocol.setup import SetupReply, SetupRequest
 from repro.protocol.types import ErrorCode, EventCode, EventMask
+from repro.protocol.wire import (
+    Message,
+    MessageKind,
+    WireFormatError,
+    read_message,
+    write_message,
+)
 
 
 
@@ -190,3 +207,48 @@ class TestAuFileHelpers:
         assert data == original
         assert sound_type == MULAW_8K
         assert annotation == "copy"
+
+
+def _serve_one_reply(listener: socket.socket, payload: bytes) -> None:
+    """A one-connection fake server: accept, hand out an id range, answer
+    the first request with ``payload``, then wait for the client to go."""
+    sock, _ = listener.accept()
+    with sock:
+        SetupRequest.read_from(sock)
+        sock.sendall(SetupReply(True, id_base=1 << 20).encode())
+        request = read_message(sock)
+        write_message(sock, Message(MessageKind.REPLY, request.code,
+                                    request.sequence, payload))
+        try:
+            sock.recv(1)
+        except OSError:
+            pass
+
+
+class TestMalformedReply:
+    """A reply that frames correctly but does not decode reaches the
+    caller as WireFormatError, never as a raw decoder exception."""
+
+    @pytest.mark.parametrize("request_, payload", [
+        # QueryQueueReply whose state byte names no QueueState.
+        (QueryQueue(1), bytes([99]) + bytes(16)),
+        # ListCatalogueReply whose one name is not UTF-8.
+        (ListCatalogue(), struct.pack("<II", 1, 2) + b"\xff\xfe"),
+    ], ids=["bad-enum", "bad-utf8"])
+    def test_undecodable_reply_raises_wire_format_error(self, request_,
+                                                        payload):
+        listener = socket.create_server(("127.0.0.1", 0))
+        server = threading.Thread(target=_serve_one_reply,
+                                  args=(listener, payload))
+        server.start()
+        try:
+            conn = AudioConnection(port=listener.getsockname()[1],
+                                   request_timeout=5.0)
+            try:
+                with pytest.raises(WireFormatError, match="malformed"):
+                    conn.round_trip(request_)
+            finally:
+                conn.close()
+        finally:
+            server.join(timeout=5.0)
+            listener.close()

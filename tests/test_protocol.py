@@ -1,12 +1,13 @@
 """Unit and property tests for the wire protocol layer."""
 
+import pathlib
 import socket
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocol import attributes as attr_mod
+from repro.protocol import codec
 from repro.protocol.attributes import AttributeList
 from repro.protocol.errors import ProtocolError, bad
 from repro.protocol.events import Event
@@ -141,8 +142,8 @@ class TestAttributes:
             raw=b"\x00\xff",
         )
         writer = Writer()
-        attrs.write(writer)
-        back = AttributeList.read(Reader(writer.getvalue()))
+        codec.ATTRIBUTE_LIST.put(writer, attrs)
+        back = codec.ATTRIBUTE_LIST.take(Reader(writer.getvalue()))
         assert back.items == attrs.items
 
     def test_of_converts_underscores(self):
@@ -160,8 +161,8 @@ class TestAttributes:
     def test_bool_is_not_int(self):
         attrs = AttributeList.of(flag=True, count=1)
         writer = Writer()
-        attrs.write(writer)
-        back = AttributeList.read(Reader(writer.getvalue()))
+        codec.ATTRIBUTE_LIST.put(writer, attrs)
+        back = codec.ATTRIBUTE_LIST.take(Reader(writer.getvalue()))
         assert back["flag"] is True
         assert back["count"] == 1
         assert not isinstance(back["count"], bool)
@@ -169,12 +170,12 @@ class TestAttributes:
     def test_mixed_list_rejected(self):
         writer = Writer()
         with pytest.raises(WireFormatError):
-            attr_mod.write_value(writer, [1, "two"])
+            codec.ATTRIBUTE_VALUE.put(writer, [1, "two"])
 
     def test_unsupported_value_rejected(self):
         writer = Writer()
         with pytest.raises(WireFormatError):
-            attr_mod.write_value(writer, object())
+            codec.ATTRIBUTE_VALUE.put(writer, object())
 
     @given(st.dictionaries(
         st.text(min_size=1, max_size=16),
@@ -191,8 +192,8 @@ class TestAttributes:
     def test_roundtrip_property(self, items):
         attrs = AttributeList(dict(items))
         writer = Writer()
-        attrs.write(writer)
-        back = AttributeList.read(Reader(writer.getvalue()))
+        codec.ATTRIBUTE_LIST.put(writer, attrs)
+        back = codec.ATTRIBUTE_LIST.take(Reader(writer.getvalue()))
         assert back.items == attrs.items
 
 
@@ -373,3 +374,20 @@ class TestSetup:
         finally:
             server_sock.close()
             client_sock.close()
+
+
+class TestProtocolDoc:
+    def test_opcode_table_matches_registry(self):
+        """docs/PROTOCOL.md's opcode table lists exactly the registered
+        requests: opcode, class name, and whether a reply comes back."""
+        doc = (pathlib.Path(__file__).parents[1] / "docs" / "PROTOCOL.md")
+        text = doc.read_text()
+        table = text[text.index("| op | request | reply |"):]
+        table = table[:table.index("\n\n")]
+        rows = set()
+        for line in table.splitlines()[2:]:
+            op, request, reply = [cell.strip()
+                                  for cell in line.split("|")[1:4]]
+            rows.add((int(op), request.split("(")[0], reply == "yes"))
+        assert rows == {(int(opcode), cls.__name__, cls.REPLY is not None)
+                        for opcode, cls in REQUEST_CLASSES.items()}

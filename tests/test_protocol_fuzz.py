@@ -6,15 +6,32 @@ the server turns WireFormatError into BadRequest instead of crashing, so
 the decoders are the crash surface worth fuzzing.
 """
 
+import dataclasses
+import enum
+import operator
+import typing
+from typing import Annotated
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocol.attributes import AttributeList
+from repro.protocol import codec
+from repro.protocol import requests as requests_module
+from repro.protocol.attributes import AttributeList, AttrValue
 from repro.protocol.errors import ProtocolError
 from repro.protocol.events import Event
-from repro.protocol.requests import REQUEST_CLASSES, decode_request
-from repro.protocol.types import ErrorCode, EventCode, OpCode
+from repro.protocol.requests import (
+    REQUEST_CLASSES,
+    ClientStat,
+    DeviceDescription,
+    GetPropertyReply,
+    HistogramStat,
+    Reply,
+    Request,
+    decode_request,
+)
+from repro.protocol.types import ErrorCode, EventCode, OpCode, SoundType
 from repro.protocol.wire import (
     ConnectionClosed,
     Message,
@@ -76,7 +93,7 @@ class TestDecodeRequestFuzz:
     @settings(max_examples=200, deadline=None)
     def test_attribute_list_decoder(self, payload):
         try:
-            AttributeList.read(Reader(payload))
+            codec.decode(codec.ATTRIBUTE_LIST.take, payload, "attributes")
         except WireFormatError:
             pass
 
@@ -291,57 +308,142 @@ class TestBurstFraming:
             stream.read_burst()
 
 
-class TestRoundTripCompleteness:
-    def test_every_request_class_default_roundtrips(self):
-        """Every request built from minimal defaults survives
-        encode/decode -- catches field-order drift between the two."""
-        import dataclasses
+# -- every declared body round-trips ---------------------------------------
 
-        from repro.protocol.types import (
-            Command,
-            CommandMode,
-            DeviceClass,
-            EventMask,
-            MULAW_8K,
-            QueueOp,
-            StackPosition,
-        )
+_INT_RANGES = {
+    "u8": (0, (1 << 8) - 1), "u16": (0, (1 << 16) - 1),
+    "u32": (0, (1 << 32) - 1), "u64": (0, (1 << 64) - 1),
+    "i32": (-(1 << 31), (1 << 31) - 1), "i64": (-(1 << 63), (1 << 63) - 1),
+}
+_FLOATS = st.floats(allow_nan=False)
+_PLAIN = {bool: st.booleans(), float: _FLOATS, str: st.text(max_size=12),
+          bytes: st.binary(max_size=16)}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(1 << 53), 1 << 53)
+    | _FLOATS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
 
-        defaults = {
-            int: 1,
-            str: "x",
-            bool: True,
-            bytes: b"\x00",
-            Command: Command.PLAY,
-            CommandMode: CommandMode.QUEUED,
-            DeviceClass: DeviceClass.PLAYER,
-            EventMask: EventMask.QUEUE,
-            QueueOp: QueueOp.START,
-            StackPosition: StackPosition.TOP,
-        }
-        for opcode, cls in REQUEST_CLASSES.items():
-            kwargs = {}
-            for field in dataclasses.fields(cls):
-                if field.default is not dataclasses.MISSING or \
-                        field.default_factory is not dataclasses.MISSING:
-                    continue
-                annotation = field.type
-                for known, value in defaults.items():
-                    if known.__name__ in str(annotation):
-                        kwargs[field.name] = value
-                        break
-                else:
-                    if "SoundType" in str(annotation):
-                        kwargs[field.name] = MULAW_8K
-                    elif "AttributeList" in str(annotation):
-                        from repro.protocol.attributes import AttributeList
 
-                        kwargs[field.name] = AttributeList.of(x=1)
-                    else:
-                        kwargs[field.name] = 1
-            request = cls(**kwargs)
-            decoded = decode_request(int(opcode), request.encode())
-            assert decoded == request, cls.__name__
+def _attr_values():
+    return st.one_of(
+        st.integers(*_INT_RANGES["i64"]), st.text(max_size=12),
+        st.booleans(), _FLOATS, _strategy(SoundType),
+        st.lists(st.integers(*_INT_RANGES["i64"]), max_size=4),
+        st.lists(st.text(max_size=6), min_size=1, max_size=4),
+        st.binary(max_size=12))
+
+
+def _enum_values(cls):
+    members = st.sampled_from(list(cls))
+    if issubclass(cls, enum.Flag):
+        return st.builds(operator.or_, members, members)
+    return members
+
+
+def _strategy(hint):
+    """Values of one declared field kind, read off its annotation."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        base, kind = args[0], args[1]
+        if typing.get_origin(kind) is Annotated:
+            kind = kind.__metadata__[0]
+        if kind is codec.JSON:
+            return st.dictionaries(st.text(max_size=8), _JSON, max_size=3)
+        if kind is codec.HEADER and base is int:
+            return st.integers(0, 0xFFFF)   # the header's u16 sequence
+        if int in typing.get_args(base):
+            (base,) = [arg for arg in typing.get_args(base) if arg is not int]
+            low = max(member.value for member in base) + 1
+            return _enum_values(base) | st.integers(
+                low, _INT_RANGES[kind.name][1])
+        if isinstance(base, type) and issubclass(base, enum.Enum):
+            return _enum_values(base)
+        return st.integers(*_INT_RANGES[kind.name])
+    if hint in _PLAIN:
+        return _PLAIN[hint]
+    if hint is AttributeList:
+        return st.builds(AttributeList, st.dictionaries(
+            st.text(max_size=8), _attr_values(), max_size=4))
+    if hint == AttrValue:
+        return _attr_values()
+    if type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return st.none() | _strategy(inner)
+    if origin is list:
+        return st.lists(_strategy(args[0]), max_size=3)
+    if origin is dict:
+        return st.dictionaries(_strategy(args[0]), _strategy(args[1]),
+                               max_size=3)
+    if origin is tuple:
+        return st.tuples(*[_strategy(arg) for arg in args])
+    if dataclasses.is_dataclass(hint):
+        return _body_strategy(hint)
+    raise TypeError("no strategy for %r" % (hint,))
+
+
+def _body_strategy(cls):
+    if cls in _HAND_WRITTEN:
+        return _HAND_WRITTEN[cls]()
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return st.builds(cls, *[_strategy(hints[field.name])
+                            for field in dataclasses.fields(cls)])
+
+
+#: Bodies with hand-written layouts (a field's value decides another's
+#: presence or length), drawn by hand to match.
+_HAND_WRITTEN = {
+    GetPropertyReply: lambda: st.just(GetPropertyReply(False, None))
+    | st.builds(lambda value: GetPropertyReply(True, value), _attr_values()),
+    HistogramStat: lambda: st.lists(_FLOATS, max_size=4).flatmap(
+        lambda edges: st.builds(
+            HistogramStat, st.just(edges),
+            st.lists(st.integers(*_INT_RANGES["u64"]),
+                     min_size=len(edges) + 1, max_size=len(edges) + 1),
+            _FLOATS, st.integers(*_INT_RANGES["u64"]))),
+}
+
+
+def _roundtrip(value):
+    cls = type(value)
+    if cls in (Event, ProtocolError):
+        return cls.decode(value.encode())
+    if issubclass(cls, Request):
+        return decode_request(int(cls.OPCODE), value.encode())
+    reader = Reader(value.encode())
+    decoded = cls.read_payload(reader)
+    reader.expect_end()
+    return decoded
+
+
+_BODIES = sorted(
+    {*REQUEST_CLASSES.values(), DeviceDescription, HistogramStat, ClientStat,
+     Event, ProtocolError,
+     *(cls for cls in vars(requests_module).values()
+       if isinstance(cls, type) and issubclass(cls, Reply)
+       and cls is not Reply)},
+    key=lambda cls: cls.__name__)
+
+
+class TestDeclaredRoundTrip:
+    """Random values of every body, drawn from its declared field kinds,
+    survive encode/decode unchanged (types included)."""
+
+    def test_every_request_and_reply_is_covered(self):
+        covered = set(_BODIES)
+        assert set(REQUEST_CLASSES.values()) <= covered
+        assert {cls.REPLY for cls in REQUEST_CLASSES.values()
+                if cls.REPLY is not None} <= covered
+
+    @pytest.mark.parametrize("cls", _BODIES, ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_roundtrip(self, cls, data):
+        value = data.draw(_body_strategy(cls))
+        decoded = _roundtrip(value)
+        assert decoded == value
+        assert repr(decoded) == repr(value)
 
 
 # -- trunk bearer framing -----------------------------------------------------

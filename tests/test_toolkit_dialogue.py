@@ -121,22 +121,45 @@ class TestQueuePauseTiming:
         loud.delay(250)
         player.play(sound)
         loud.delay_end()
-        loud.start_queue()
-        loud.pause_queue()
-        client.sync()
-        assert loud.query_queue().state is QueueState.CLIENT_PAUSED
+        # Start and pause with the audio clock stopped.  The hub free-runs
+        # at CPU speed, so a shard thread that dispatches the two requests
+        # a few milliseconds apart would let the Delay burn down -- and
+        # the Play finish, emitting QUEUE_EMPTY -- before the pause.
+        server.hub.stop()
+        try:
+            loud.start_queue()
+            loud.pause_queue()
+            client.sync()
+            assert loud.query_queue().state is QueueState.CLIENT_PAUSED
+        finally:
+            server.hub.start()
         # Let a lot of audio time pass while paused.
         start = server.hub.clock.sample_time
         server.hub.clock.wait_until(start + RATE)
         loud.resume_queue()
-        assert client.wait_for_event(
+        empty = client.wait_for_event(
             lambda e: e.code is EventCode.QUEUE_EMPTY, timeout=15)
+        assert empty
         # Reconstruct exact times from the event stream: the playback
         # must begin at started + 250 ms + (resumed - paused), because
         # queue-relative time was suspended across the pause.
+        events = client.pending_events()
         times = {}
-        for event in client.pending_events():
+        for event in events:
             times.setdefault(event.code, event.sample_time)
+        counters = server.stats_snapshot()["counters"]
+        missing = {EventCode.QUEUE_STARTED, EventCode.QUEUE_PAUSED,
+                   EventCode.QUEUE_RESUMED} - set(times)
+        assert not missing, (
+            "missing %s; received %s then QUEUE_EMPTY at %d; server "
+            "events.QUEUE_RESUMED=%s clients.resumed=%s "
+            "clients.evicted_slow=%s" % (
+                sorted(code.name for code in missing),
+                [(event.code.name, event.sample_time) for event in events],
+                empty.sample_time,
+                counters.get("events.QUEUE_RESUMED"),
+                counters.get("clients.resumed"),
+                counters.get("clients.evicted_slow")))
         expected = (times[EventCode.QUEUE_STARTED]
                     + 250 * RATE // 1000
                     + (times[EventCode.QUEUE_RESUMED]
