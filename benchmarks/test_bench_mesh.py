@@ -10,6 +10,7 @@ paper's distributed-telephony story end to end:
 
   1. the fleet converges from discovery alone (timed),
   2. a call crosses >= 2 tandem hops with sample-exact two-way audio,
+     the tandem node cutting its bearer through,
   3. the A-B segment is partitioned mid-fleet and a redial completes
      over the alternate ring direction (one hop longer),
   4. healing the partition restores the withdrawn path,
@@ -163,8 +164,8 @@ def _place_call(exchanges, gateways, caller_node, caller, callee,
                 sink.append(block)
         if len(heard_b) >= 3 and len(heard_a) >= 3:
             break
-    # mu-law decode(encode(x)) is a projection: the expected audio is
-    # bit-identical however many tandem transcodes sit in the path.
+    # Tandems forward the mu-law bytes untouched: the expected audio is
+    # decode(encode(x)) however many tandem hops sit in the path.
     two_way = (
         any(np.array_equal(h, mulaw_decode(mulaw_encode(sent_a)))
             for h in heard_b)
@@ -199,6 +200,9 @@ def test_mesh_soak_discovery_tandem_partition(report):
         assert hops_first == 2, \
             "first tandem call unhealthy (hops=%d)" % hops_first
         assert gateways["B"]._m_tandem.value == 1
+        # B cut the call's bearer through rather than buffering it.
+        tandem_frames = gateways["B"]._m_tandem_frames.value
+        assert tandem_frames > 0, "tandem B forwarded no bearer blocks"
 
         # Chaos partition: blackhole the proxy, then sever the live A-B
         # trunk.  Reconnect attempts stall in the blackhole, so the
@@ -242,6 +246,7 @@ def test_mesh_soak_discovery_tandem_partition(report):
                     static_routes=static_routes,
                     tandem_hops_first=hops_first,
                     tandem_hops_redial=hops_redial,
+                    tandem_frames=int(tandem_frames),
                     redial_ok=redial_ok,
                     healed=healed,
                     loop_refused=int(loop_refused),

@@ -393,8 +393,8 @@ def _call_with_audio(fleet, caller_line, callee_line):
                 sink.append(block)
         if len(heard_b) >= 3 and len(heard_a) >= 3:
             break
-    # mu-law decode(encode(x)) is a projection, so the expected audio is
-    # identical no matter how many tandem transcodes it crossed.
+    # Tandems forward the mu-law bytes untouched, so the far end hears
+    # exactly decode(encode(x)) however many of them the call crossed.
     assert any(np.array_equal(h, mulaw_decode(mulaw_encode(sent_a)))
                for h in heard_b), "caller->callee audio lost"
     assert any(np.array_equal(h, mulaw_decode(mulaw_encode(sent_b)))
@@ -620,9 +620,14 @@ class TestStaticLeafInterop:
 class TestMeshVisibility:
     def test_mesh_snapshot_reports_peers_and_routes(self):
         fleet = MeshFleet(LINE_ABC)
+        gw_a = fleet.gateways["A"]
         try:
-            assert fleet.pump_until(lambda: fleet.knows("A", "300", hops=2))
-            snapshot = fleet.gateways["A"].mesh_snapshot()
+            # Routes (adverts via B) and the roster (A's own registry
+            # poll) arrive independently: wait for both.
+            assert fleet.pump_until(
+                lambda: fleet.knows("A", "300", hops=2)
+                and "C" in gw_a._mesh_peers)
+            snapshot = gw_a.mesh_snapshot()
             assert snapshot["node"] == "A"
             assert snapshot["local_prefixes"] == ["1"]
             by_name = {peer["name"]: peer for peer in snapshot["peers"]}
