@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro.bench import harness
+from repro.leakguard import no_leaked_threads_or_fds  # noqa: F401
 
 _ROWS: list[str] = []
 

@@ -171,29 +171,46 @@ class AudioConnection:
             return allocated
 
     def send(self, request: Request) -> int:
-        """Send one asynchronous request; returns its sequence number."""
-        self._await_usable(request)
+        """Send one asynchronous request; returns its sequence number.
+
+        In reconnect mode a write that fails parks the sender exactly
+        like one that arrived during the reconnect window: the request
+        goes out on the new connection, after the journal replay.
+        """
         payload = request.encode()
-        with self._send_lock:
-            if self.closed:
-                raise AlibDisconnected(
-                    "connection is closed",
-                    request_name=type(request).__name__,
-                    opcode=int(request.OPCODE))
-            self._sequence = (self._sequence + 1) & 0xFFFF
-            sequence = self._sequence
-            message = Message(MessageKind.REQUEST, int(request.OPCODE),
-                              sequence, payload)
-            try:
-                write_message(self.sock, message)
-            except OSError as exc:
-                raise AlibDisconnected(
-                    "send failed: %s" % exc,
-                    request_name=type(request).__name__,
-                    opcode=int(request.OPCODE)) from exc
-            if self.journal is not None:
-                self.journal.record(request)
-        return sequence
+        while True:
+            self._await_usable(request)
+            with self._send_lock:
+                if self.closed:
+                    raise AlibDisconnected(
+                        "connection is closed",
+                        request_name=type(request).__name__,
+                        opcode=int(request.OPCODE))
+                if not self._usable.is_set():
+                    continue    # a reconnect began meanwhile: wait it out
+                self._sequence = (self._sequence + 1) & 0xFFFF
+                sequence = self._sequence
+                message = Message(MessageKind.REQUEST, int(request.OPCODE),
+                                  sequence, payload)
+                try:
+                    write_message(self.sock, message)
+                except OSError as exc:
+                    if not self._reconnect:
+                        raise AlibDisconnected(
+                            "send failed: %s" % exc,
+                            request_name=type(request).__name__,
+                            opcode=int(request.OPCODE)) from exc
+                    # Cleared under the send lock, so before the reader's
+                    # socket swap; the shutdown wakes the reader at once.
+                    self._usable.clear()
+                    try:
+                        self.sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass
+                    continue
+                if self.journal is not None:
+                    self.journal.record(request)
+            return sequence
 
     def round_trip(self, request: Request,
                    timeout: float | None = None) -> Reply:

@@ -23,7 +23,7 @@ short-lived connector threads; the tick never blocks).  Bearer audio is
 carried as sequence-numbered mu-law frames.  A call that ends here plays
 them out through a per-call :class:`~repro.trunk.jitter.JitterBuffer`;
 a call this gateway only switches between two trunks forwards them raw,
-on the tick they arrive.
+from the link reader, as they arrive.
 
 :meth:`TrunkGateway.enable_mesh` adds the dynamic routing plane on top
 (docs/TELEPHONY.md, "Mesh routing"): peers are discovered through a
@@ -37,11 +37,13 @@ next-best route when the preferred next hop is down or refuses.  Static
 routes stay as an override: a static prefix at least as specific as the
 best mesh match dials first, with mesh paths as backup.
 
-All signaling and bearer handling runs in :meth:`tick`, which the
-exchange drives inside the audio block cycle -- link reader threads only
-park parsed frames, so exchange state is mutated under one clock (and,
-on a server, under the topology lock).  On link loss every call riding
-the link is released mid-call on both sides within a tick.
+All signaling runs in :meth:`tick`, which the exchange drives inside
+the audio block cycle -- link reader threads only park parsed signaling
+frames, so exchange state is mutated under one clock (and, on a server,
+under the topology lock).  Bearer is handled on the reader thread as it
+arrives, touching only the leg table and a small bearer lock, never the
+exchange.  On link loss every call riding the link is released mid-call
+on both sides within a tick.
 """
 
 from __future__ import annotations
@@ -164,9 +166,13 @@ class _TrunkLeg(Line):
         self.released = False
         self.jitter = gateway.build_jitter()
         self._seq_out = 0
-        #: Cut-through state for a transit leg: onward seq minus
-        #: upstream seq, fixed by the first frame forwarded (None until
-        #: then).
+        #: The trunk leg arriving bearer is forwarded to once a transit
+        #: call connects (None: buffer it in ``jitter``).  A pair points
+        #: at each other; releasing either side clears its half.  Set
+        #: under the gateway's bearer lock.
+        self.cut_to: _TrunkLeg | None = None
+        #: Onward seq minus upstream seq, fixed by the first frame
+        #: forwarded (None until then).
         self._seq_offset: int | None = None
 
     # -- frames out -----------------------------------------------------------
@@ -323,6 +329,12 @@ class InboundLeg(_TrunkLeg):
         self.hops = 0
 
     def far_end_answered(self) -> None:
+        """The call connected: answer upstream, and if the callee is
+        itself a trunk leg (a tandem or forwarded transit call), cut
+        the bearer through between the two trunks."""
+        call = self.exchange.call_for(self)
+        if call is not None and isinstance(call.callee, _TrunkLeg):
+            self.gateway.cut_through(self, call.callee)
         self._send(TrunkFrame(FrameType.ANSWER, self.call_id))
 
     def far_end_hung_up(self) -> None:
@@ -381,16 +393,20 @@ class TrunkGateway:
         self._seen_generation = 0
         #: link -> _AdvertState: what each mesh link was last told.
         self._advertised: dict[TrunkLink, _AdvertState] = {}
-        #: link -> {call_id -> leg}; all mutation happens on the tick
-        #: thread or under _state_lock.
+        #: link -> {call_id -> leg}; mutated on the tick thread under
+        #: _state_lock (removals also under _bearer_lock, so a reader
+        #: that finds a leg under it knows the leg is registered).
         self._legs: dict[TrunkLink, dict[int, _TrunkLeg]] = {}
-        #: link -> ([(call_id, seq, pcm)], [(call_id, seq, mulaw)])
-        #: staged this flush window: blocks local parties spoke, and
-        #: transit blocks forwarded as they arrived.  Touched only on
-        #: the tick thread (deliver_audio runs inside the exchange's
-        #: block cycle), so it needs no lock.
-        self._stage: dict[TrunkLink, tuple[list, list]] = {}
+        #: link -> [(call_id, seq, pcm)] staged this flush window: the
+        #: blocks local parties spoke.  Touched only on the tick thread
+        #: (deliver_audio runs inside the exchange's block cycle), so it
+        #: needs no lock.
+        self._stage: dict[TrunkLink, list] = {}
         self._state_lock = threading.Lock()
+        #: Makes a reader's forward-or-push decisions for a batch, a
+        #: cut-through install and a leg's release atomic with respect
+        #: to each other.  Held only across queue handoffs.
+        self._bearer_lock = threading.Lock()
         self._listener: Listener | None = None
         self._running = False
         self._started = False
@@ -639,12 +655,13 @@ class TrunkGateway:
         self._m_active.set(self._leg_count())
 
     def deregister_leg(self, leg: _TrunkLeg) -> None:
-        with self._state_lock:
+        with self._state_lock, self._bearer_lock:
             by_call = self._legs.get(leg.link)
             if by_call is not None and by_call.get(leg.call_id) is leg:
                 del by_call[leg.call_id]
                 if not by_call:
                     self._legs.pop(leg.link, None)
+            leg.cut_to = None
         self._fold_leg_stats(leg)
         self._m_active.set(self._leg_count())
 
@@ -670,48 +687,36 @@ class TrunkGateway:
         """
         seq = leg._seq_out
         leg._seq_out += 1
-        self._staged(leg.link)[0].append(
-            (leg.call_id, seq, np.asarray(samples, dtype=np.int16)))
-
-    def _forward_raw(self, leg: _TrunkLeg, seq: int, payload) -> None:
-        """Queue a transit block for ``leg`` exactly as it arrived."""
-        leg._seq_out = seq + 1
-        self._staged(leg.link)[1].append((leg.call_id, seq, payload))
-
-    def _staged(self, link: TrunkLink) -> tuple[list, list]:
-        staged = self._stage.get(link)
-        if staged is None:
-            staged = self._stage[link] = ([], [])
-        return staged
+        spoken = self._stage.get(leg.link)
+        if spoken is None:
+            spoken = self._stage[leg.link] = []
+        spoken.append((leg.call_id, seq,
+                       np.asarray(samples, dtype=np.int16)))
 
     def _flush_staged(self) -> None:
-        """Encode and ship every link's staged audio (tick thread).
+        """Encode and ship every link's spoken audio (tick thread).
 
-        One AUDIO_BATCH per link: forwarded transit blocks ride as they
-        are, and one ``np.concatenate`` + one mu-law table take covers
-        every spoken block, whose entries are zero-copy views into that
-        single encode.
+        One AUDIO_BATCH per link: one ``np.concatenate`` + one mu-law
+        table take covers every spoken block, whose entries are
+        zero-copy views into that single encode.
         """
         if not self._stage:
             return
         stage = self._stage
         self._stage = {}
-        for link, (spoken, batch) in stage.items():
+        for link, spoken in stage.items():
             if not link.alive:
                 continue
-            if batch:
-                self._m_tandem_frames.inc(len(batch))
-            if spoken:
-                blocks = [samples for _call_id, _seq, samples in spoken]
-                pcm = (blocks[0] if len(blocks) == 1
-                       else np.concatenate(blocks))
-                encoded = memoryview(mulaw_encode(pcm))
-                position = 0
-                for call_id, seq, samples in spoken:
-                    length = len(samples)
-                    batch.append((call_id, seq,
-                                  encoded[position:position + length]))
-                    position += length
+            blocks = [samples for _call_id, _seq, samples in spoken]
+            pcm = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            encoded = memoryview(mulaw_encode(pcm))
+            batch = []
+            position = 0
+            for call_id, seq, samples in spoken:
+                length = len(samples)
+                batch.append((call_id, seq,
+                              encoded[position:position + length]))
+                position += length
             accepted = link.send_batch(batch)
             if accepted:
                 self._m_frames_out.inc(accepted)
@@ -730,8 +735,8 @@ class TrunkGateway:
             while link.inbound:
                 self._handle_frame(link, link.inbound.popleft())
         self._pump_audio(frames)
-        # Everything local parties spoke this block cycle, plus transit
-        # audio forwarded as it arrived, goes out as one batch per link.
+        # Everything local parties spoke this block cycle goes out as
+        # one batch per link (transit audio already left on arrival).
         self._flush_staged()
         if self.mesh_enabled:
             self._flush_adverts()
@@ -771,8 +776,10 @@ class TrunkGateway:
             self._release_all_on(link, "trunk down")
 
     def _release_all_on(self, link: TrunkLink, reason: str) -> None:
-        with self._state_lock:
+        with self._state_lock, self._bearer_lock:
             legs = list(self._legs.pop(link, {}).values())
+            for leg in legs:
+                leg.cut_to = None
         for leg in legs:
             self._fold_leg_stats(leg)
             if isinstance(leg, RemoteLine):
@@ -970,7 +977,9 @@ class TrunkGateway:
                 link = TrunkLink(
                     sock, peer, initiated=target is not None,
                     keepalive_interval=self.keepalive_interval,
-                    outbound_bound=self.outbound_bound).start()
+                    outbound_bound=self.outbound_bound)
+                link.on_bearer = self._bearer_arrived
+                link.start()
                 if target is None:
                     self._accepted.append(link)
                 else:
@@ -986,28 +995,6 @@ class TrunkGateway:
             return self._legs.get(link, {}).get(call_id)
 
     def _handle_frame(self, link: TrunkLink, frame: TrunkFrame) -> None:
-        if frame.type is FrameType.AUDIO_BATCH:
-            entries = frame.entries
-            self._m_frames_in.inc(len(entries))
-            self._m_batch_in.inc()
-            self._m_batch_entries_in.inc(len(entries))
-            # Each lookup is one dict get, atomic without the state
-            # lock, so the link's legs need no locked copy.
-            by_call = self._legs.get(link)
-            if by_call is None:
-                return
-            for call_id, seq, payload in entries:
-                leg = by_call.get(call_id)
-                if leg is None:
-                    continue
-                onward = self._transit_onward(leg)
-                if onward is None:
-                    # The call ends here: raw bytes go into the ring,
-                    # decoded once per pop as a single table take.
-                    leg.jitter.push(seq, payload)
-                else:
-                    self._cut_through(leg, onward, seq, payload)
-            return
         self._m_signaling_in.inc()
         if frame.type is FrameType.ROUTE_ADVERT:
             self._m_adverts_in.inc(len(frame.adverts))
@@ -1078,46 +1065,80 @@ class TrunkGateway:
         # else: dial already failed the call; the leg's call_failed sent
         # the RELEASE and deregistered itself.
 
-    # -- bearer: cut-through and pump -----------------------------------------
+    # -- bearer: arrival, cut-through and pump -------------------------------
 
-    def _transit_onward(self, leg: _TrunkLeg) -> _TrunkLeg | None:
-        """The trunk leg a connected call switches ``leg`` through to,
-        or None when the call ends here (or is not connected yet)."""
-        call = self.exchange.call_for(leg)
-        if call is None or call.state is not CallState.CONNECTED:
-            return None
-        onward = call.other_party(leg)
-        return onward if isinstance(onward, _TrunkLeg) else None
+    def _bearer_arrived(self, link: TrunkLink, entries) -> None:
+        """One AUDIO_BATCH from ``link`` (its reader thread).
 
-    def _cut_through(self, leg: _TrunkLeg, onward: _TrunkLeg, seq: int,
-                     payload) -> None:
-        """Forward one transit block onward, raw, this tick.
-
-        Jitter belongs where audio is played out, so a tandem hop keeps
-        no buffer: upstream gaps reach the far end as gaps (a fixed
-        offset maps each upstream seq onto the onward numbering) and
-        its jitter buffer conceals each exactly once.
+        An entry whose leg is cut through goes straight out on the
+        onward link, raw: jitter belongs where audio is played out, so
+        a tandem hop keeps no buffer and adds no tick.  Upstream gaps
+        reach the far end as gaps (a fixed offset maps each upstream seq
+        onto the onward numbering) and its jitter buffer conceals each
+        exactly once.  Other entries go into their leg's jitter buffer;
+        those for released calls are dropped.
         """
-        link = onward.link
-        if link is None or not link.alive:
-            return      # the onward trunk died; the reap releases the call
-        if leg._seq_offset is None:
-            jitter = leg.jitter
-            held = jitter.depth_samples
-            if held:
-                # Audio that arrived before the call connected goes
-                # first.  A transit leg never plays out, so it need not
-                # wait for the prime.
-                jitter.prime_samples = 0
-                self._forward_raw(onward, onward._seq_out,
-                                  bytes(jitter.pop_raw(held)))
-            leg._seq_offset = onward._seq_out - seq
-        onward_seq = seq + leg._seq_offset
-        if onward_seq < onward._seq_out:
-            # At or below the last seq forwarded to this leg.
-            self._m_late.inc()
-            return
-        self._forward_raw(onward, onward_seq, payload)
+        forwards: dict[TrunkLink, list] = {}
+        late = 0
+        with self._bearer_lock:
+            by_call = self._legs.get(link, {})
+            for call_id, seq, payload in entries:
+                leg = by_call.get(call_id)
+                if leg is None:
+                    continue
+                onward = leg.cut_to
+                if onward is None:
+                    leg.jitter.push(seq, payload)
+                    continue
+                if onward.cut_to is not leg:
+                    continue        # the onward side is released
+                offset = leg._seq_offset
+                if offset is None:
+                    offset = leg._seq_offset = onward._seq_out - seq
+                onward_seq = seq + offset
+                if onward_seq < onward._seq_out:
+                    # At or below the last seq forwarded to this leg.
+                    late += 1
+                    continue
+                onward._seq_out = onward_seq + 1
+                batch = forwards.get(onward.link)
+                if batch is None:
+                    batch = forwards[onward.link] = []
+                batch.append((onward.call_id, onward_seq, payload))
+            for onward_link, batch in forwards.items():
+                self._forward(onward_link, batch)
+        if late:
+            self._m_late.inc(late)
+        count = len(entries)
+        self._m_frames_in.inc(count)
+        self._m_batch_in.inc()
+        self._m_batch_entries_in.inc(count)
+
+    def _forward(self, link: TrunkLink, batch: list) -> None:
+        """Queue transit bearer on its onward link (bearer lock held)."""
+        self._m_tandem_frames.inc(len(batch))
+        accepted = link.send_batch(batch)
+        if accepted:
+            self._m_frames_out.inc(accepted)
+
+    def cut_through(self, leg: _TrunkLeg, onward: _TrunkLeg) -> None:
+        """Switch a transit call's bearer between two trunk legs.
+
+        Runs once per call, on the tick the call connects.  Each leg's
+        audio held from before answer goes onward first, as one block;
+        then the pair is published to the link readers.  The bearer
+        lock keeps reader entries from overtaking the held block or
+        landing in a buffer nobody drains again.
+        """
+        with self._bearer_lock:
+            for source, target in ((leg, onward), (onward, leg)):
+                held = source.jitter.drain_raw()
+                if held and target.link is not None and target.link.alive:
+                    seq = target._seq_out
+                    target._seq_out += 1
+                    self._forward(target.link,
+                                  [(target.call_id, seq, held)])
+            leg.cut_to, onward.cut_to = onward, leg
 
     def _pump_audio(self, frames: int) -> None:
         with self._state_lock:
@@ -1132,10 +1153,9 @@ class TrunkGateway:
         # so delivery below can go straight to the far party instead of
         # re-resolving through exchange.route_audio.
         voiced = [(leg, call) for leg in legs
-                  if leg.jitter.poppable()
+                  if leg.jitter.poppable() and leg.cut_to is None
                   and (call := self.exchange.call_for(leg)) is not None
-                  and call.state is CallState.CONNECTED
-                  and not isinstance(call.other_party(leg), _TrunkLeg)]
+                  and call.state is CallState.CONNECTED]
         if not voiced:
             return
         if len(voiced) == 1:
@@ -1214,8 +1234,9 @@ class TrunkGateway:
     def buffered_audio_samples(self) -> int:
         """Total audio queued in every leg's jitter buffer right now.
 
-        Transit legs buffer nothing (they are cut through), so on a
-        tandem node this covers only the calls that end there.
+        Transit legs buffer nothing once connected (they are cut
+        through on arrival), so on a tandem node this covers the calls
+        that end there plus any transit audio held before answer.
         """
         with self._state_lock:
             legs = [leg for by_call in self._legs.values()

@@ -199,6 +199,20 @@ class JitterBuffer:
         return np.take(MULAW_DECODE_TABLE,
                        np.frombuffer(raw, dtype=np.uint8))
 
+    def drain_raw(self) -> bytes:
+        """Everything buffered, oldest first (frames waiting behind a
+        gap follow, the gap skipped), leaving the buffer empty."""
+        with self._lock:
+            head, size = self._head, self._size
+            first = min(size, self.max_depth_samples - head)
+            held = self._ring[head:head + first] + self._ring[:size - first]
+            for seq in sorted(self._pending):
+                held += self._pending[seq]
+            self._pending.clear()
+            self._pending_samples = 0
+            self._head = self._size = 0
+        return bytes(held)
+
     def _silence_raw_view(self, frames: int) -> memoryview:
         if len(self._silence_raw) < frames:
             self._silence_raw = bytes([MULAW_SILENCE]) * frames

@@ -2,12 +2,15 @@
 
 A :class:`TrunkLink` owns an already-handshaken socket and two threads:
 
-* the **reader** parses frames off the wire into an inbound deque that
-  the gateway drains from the exchange tick (signaling and bearer are
-  applied under the exchange's clock, never from the socket thread);
-  frames arrive through a buffered incremental
-  :class:`~repro.trunk.wire.FrameStream`, so a frame costs amortized
-  ~0 syscalls instead of the old two blocking ``recv``\\ s;
+* the **reader** parses frames off the wire through a buffered
+  incremental :class:`~repro.trunk.wire.FrameStream` (a frame costs
+  amortized ~0 syscalls).  Bearer is handled as it arrives: each
+  ``AUDIO_BATCH`` goes straight to :attr:`TrunkLink.on_bearer`, which
+  the gateway points at its bearer path (push into a leg's jitter
+  buffer, or cut a transit call through to its onward link).
+  Signaling and route adverts wait in an inbound deque for the
+  gateway's tick, so exchange state still changes only under the
+  exchange's clock;
 * the **writer** drains the outbound queue in *sweeps* -- one blocking
   ``get`` plus a ``get_nowait`` run -- encodes the whole sweep into one
   reused buffer (consecutive bearer batches collapse into a single
@@ -84,8 +87,13 @@ class TrunkLink:
         # Initiators allocate odd call ids, acceptors even, so calls
         # originated simultaneously at both ends can never collide.
         self._next_call_id = 1 if initiated else 2
-        #: Parsed frames awaiting the gateway's tick, oldest first.
+        #: Parsed signaling frames awaiting the gateway's tick, oldest
+        #: first.
         self.inbound: deque[TrunkFrame] = deque()
+        #: Called on the reader thread as ``on_bearer(link, entries)``
+        #: for every AUDIO_BATCH; the gateway sets it before
+        #: :meth:`start`.
+        self.on_bearer = lambda link, entries: None
         # Tallies the gateway folds into trunk.* metrics.
         self.shed_audio_frames = 0
         self.sendalls = 0           # syscalls spent writing
@@ -168,7 +176,9 @@ class TrunkLink:
                 self.last_rx = time.monotonic()
                 for frame in frames:
                     frame_type = frame.type
-                    if frame_type is FrameType.PING:
+                    if frame_type is FrameType.AUDIO_BATCH:
+                        self.on_bearer(self, frame.entries)
+                    elif frame_type is FrameType.PING:
                         self.send(TrunkFrame(FrameType.PONG,
                                              token=frame.token))
                     elif frame_type is FrameType.PONG:

@@ -10,18 +10,30 @@ resuming its id range and replaying its session journal, and a storm of
 chaos-afflicted clients never disturbs a well-behaved one.
 """
 
+import errno
 import os
 import threading
 
 import pytest
 
-from repro.alib import AlibDisconnected, AudioClient, ConnectionError_
+from repro.alib import (
+    AlibDisconnected,
+    AudioClient,
+    ConnectionError_,
+    connection,
+)
 from repro.bench.harness import scaled
 from repro.chaos import FaultSchedule, UP
 from repro.dsp import tones
 from repro.dsp.mixing import rms
 from repro.obs import MetricsRegistry
-from repro.protocol.types import DeviceClass, EventCode, EventMask, PCM16_8K
+from repro.protocol.types import (
+    DeviceClass,
+    EventCode,
+    EventMask,
+    OpCode,
+    PCM16_8K,
+)
 
 from conftest import wait_for
 
@@ -150,6 +162,54 @@ class TestReconnect:
             assert wait_for(lambda: client.conn.reconnects >= 1)
             info = client.server_info()
             assert info.vendor == "repro desktop audio"
+        finally:
+            client.close()
+
+    @staticmethod
+    def _fail_write_once(monkeypatch, opcode):
+        """The next write of an ``opcode`` request raises EPIPE, as a
+        write into a socket that died before the reader noticed does."""
+        write = connection.write_message
+        failed = []
+
+        def write_message(sock, message):
+            if message.code == int(opcode) and not failed:
+                failed.append(message)
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+            return write(sock, message)
+
+        monkeypatch.setattr(connection, "write_message", write_message)
+        return failed
+
+    def test_send_whose_write_fails_goes_out_after_reconnect(
+            self, server, monkeypatch):
+        """A failed write parks the sender like one that arrived during
+        the reconnect window; the request then reaches the server on
+        the new connection."""
+        client = AudioClient(port=server.port, client_name="torn-write",
+                             reconnect=True, request_timeout=5.0)
+        try:
+            loud = client.create_loud()
+            loud.set_property("take", "before")
+            client.sync()
+            failed = self._fail_write_once(monkeypatch,
+                                           OpCode.CHANGE_PROPERTY)
+            loud.set_property("take", "after")
+            assert len(failed) == 1
+            assert client.conn.reconnects == 1
+            assert loud.get_property("take") == "after"
+        finally:
+            client.close()
+
+    def test_send_whose_write_fails_raises_without_reconnect(
+            self, server, monkeypatch):
+        client = AudioClient(port=server.port, client_name="torn-fragile")
+        try:
+            loud = client.create_loud()
+            client.sync()
+            self._fail_write_once(monkeypatch, OpCode.CHANGE_PROPERTY)
+            with pytest.raises(AlibDisconnected):
+                loud.set_property("take", "after")
         finally:
             client.close()
 

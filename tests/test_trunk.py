@@ -7,6 +7,7 @@ briefly so the link pump threads can move frames.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -23,7 +24,9 @@ from repro.trunk import (
     FrameStream,
     FrameType,
     Handshake,
+    InboundLeg,
     JitterBuffer,
+    RemoteLine,
     TrunkFrame,
     TrunkGateway,
     TrunkProtocolError,
@@ -789,10 +792,12 @@ class ThreeExchanges:
     Static routes send ``3xx`` from A to B and from B to C.  ``tick``
     runs A, B and C in lockstep, in that order; before each of B and C
     ticks, it waits until every bearer block its upstream neighbour
-    accepted for sending sits in its link's inbound queue (or has been
-    handled), so what a tick sees never depends on sleep timing.  Audio
-    in these tests flows A -> C only, so each gateway's ``frames_out``
-    is exactly what its downstream neighbour should receive.
+    accepted for sending has reached its leg's jitter buffer or its
+    onward link (a gateway counts an AUDIO_BATCH's entries in
+    ``frames_in`` only once its link reader has put them there), so
+    what a tick sees never depends on sleep timing.  Audio in these
+    tests flows A -> C only, so each gateway's ``frames_out`` is exactly
+    what its downstream neighbour should receive.
     """
 
     def __init__(self):
@@ -815,21 +820,17 @@ class ThreeExchanges:
             gateway.stop()
 
     @staticmethod
-    def _bearer_seen(gateway):
-        queued = sum(len(frame.entries)
-                     for link in gateway._all_links()
-                     for frame in link.inbound.copy()
-                     if frame.type is FrameType.AUDIO_BATCH)
-        return gateway._m_frames_in.value + queued
+    def wait_bearer(upstream, gateway):
+        """Wait until ``gateway`` has placed all ``upstream`` sent."""
+        sent = upstream._m_frames_out.value
+        assert wait_for(lambda: gateway._m_frames_in.value >= sent, 5.0), \
+            "bearer never reached %s" % gateway.name
 
     def tick(self):
         upstream = None
         for exchange, gateway in zip(self.exchanges, self.gateways):
             if upstream is not None:
-                sent = upstream._m_frames_out.value
-                assert wait_for(
-                    lambda: self._bearer_seen(gateway) >= sent, 5.0), \
-                    "bearer never reached %s" % gateway.name
+                self.wait_bearer(upstream, gateway)
             exchange.tick(BLOCK)
             upstream = gateway
 
@@ -841,12 +842,13 @@ class ThreeExchanges:
             time.sleep(0.002)
         return predicate()
 
-    def connect(self, held=()):
+    def connect(self, held=(), before_answer=None):
         """Place 100 (on A) -> 300 (on C) and wait until it is up.
 
         ``held`` raw mu-law blocks are pushed into B's transit leg from
         A while C is still ringing: audio B holds from before the call
-        was connected.
+        was connected.  ``before_answer(transit_leg)`` runs just before
+        C answers.
         """
         alice = self.exchanges[0].add_line("100")
         carol = self.exchanges[2].add_line("300")
@@ -856,6 +858,8 @@ class ThreeExchanges:
         transit = self.transit_leg()
         for seq, block in enumerate(held):
             transit.jitter.push(seq, block)
+        if before_answer is not None:
+            before_answer(transit)
         carol.off_hook()
         ex_a = self.exchanges[0]
         assert self.pump_until(
@@ -978,11 +982,225 @@ class TestCutThroughTandem:
                                             len(spoken) + 4)
         assert _same_blocks(heard, spoken)
         transit = rig.transit_leg()
-        transit.link.inbound.append(TrunkFrame(
-            FrameType.AUDIO_BATCH, entries=(
-                (transit.call_id, 2, bytes(mulaw_encode(spoken[2]))),)))
+        transit.link.on_bearer(transit.link, (
+            (transit.call_id, 2, bytes(mulaw_encode(spoken[2]))),))
         forwarded = rig.gw_b._m_tandem_frames.value
         heard, _first, _buffered = rig.talk(alice, carol, [], 4)
         assert heard == []
         assert rig.gw_b._m_late.value == 1
         assert rig.gw_b._m_tandem_frames.value == forwarded
+
+    def test_bearer_crosses_a_tandem_that_never_ticks(self, line_abc):
+        """Only A ticks: B's link reader forwards each block on arrival
+        and C's link reader files it in C's leg, block for block."""
+        rig = line_abc
+        alice, _carol = rig.connect()
+        ex_a = rig.exchanges[0]
+        transit = rig.transit_leg()
+        (far_leg,) = [leg for by_call in rig.gw_c._legs.values()
+                      for leg in by_call.values()]
+        spoken = _voiced_blocks(12)
+        for block in spoken:
+            alice.send_audio(block)
+            ex_a.tick(BLOCK)
+            rig.wait_bearer(rig.gw_a, rig.gw_c)
+            assert transit.jitter.depth_samples == 0
+            assert rig.gw_b.buffered_audio_samples() == 0
+        held = np.frombuffer(far_leg.jitter.drain_raw(), dtype=np.uint8)
+        assert np.array_equal(mulaw_decode(held), np.concatenate(spoken))
+        assert rig.gw_b._m_tandem_frames.value == len(spoken)
+
+
+class _ObservedLock:
+    """Stands in for a gateway's bearer lock.
+
+    ``contended`` is set whenever an acquire finds the lock held; a
+    ``hook`` of ``(thread, callable)`` runs once, with the lock held,
+    the next time that thread acquires it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.contended = threading.Event()
+        self.hook = None
+
+    def __enter__(self):
+        if not self._lock.acquire(blocking=False):
+            self.contended.set()
+            self._lock.acquire()
+        hook = self.hook
+        if hook is not None and hook[0] is threading.current_thread():
+            self.hook = None
+            hook[1]()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+class _RecordingLink:
+    """Stands in for a TrunkLink: records the bearer queued on it."""
+
+    alive = True
+
+    def __init__(self):
+        self.entries = []
+
+    def send_batch(self, entries):
+        self.entries.extend(entries)
+        return len(entries)
+
+
+def _stress_payload(seq):
+    return bytes([seq % 251]) * 8
+
+
+class TestBearerRaces:
+    """A link reader delivering bearer while the tick installs a call's
+    cut-through, and while it releases the call.
+
+    Each race runs the reader's delivery on its own thread from inside
+    the tick's critical step and lets the tick go on only once that
+    delivery has finished or is waiting for the bearer lock, so the
+    interleaving is forced rather than hoped for.
+    """
+
+    @staticmethod
+    def _race(lock, link, entries, errors, threads):
+        settled = lock.contended = threading.Event()
+
+        def deliver():
+            try:
+                link.on_bearer(link, entries)
+            except Exception as exc:     # surfaced by the test body
+                errors.append(exc)
+            settled.set()
+
+        thread = threading.Thread(target=deliver, name="race-reader")
+        threads.append(thread)
+        thread.start()
+        assert settled.wait(5.0), "reader neither finished nor blocked"
+
+    def test_reader_races_install_and_release(self, line_abc):
+        rig = line_abc
+        gw_b = rig.gw_b
+        lock = gw_b._bearer_lock = _ObservedLock()
+        errors, threads, published = [], [], []
+        held = _voiced_blocks(3, seed=23)
+        raced = _voiced_blocks(2, seed=29)
+
+        def race_install(transit):
+            drain = transit.jitter.drain_raw
+
+            def drain_then_race():
+                audio = drain()
+                published.append(transit.cut_to)
+                self._race(lock, transit.link, [
+                    (transit.call_id, seq, bytes(mulaw_encode(block)))
+                    for seq, block in enumerate(raced)], errors, threads)
+                return audio
+
+            transit.jitter.drain_raw = drain_then_race
+
+        alice, carol = rig.connect(
+            held=[bytes(mulaw_encode(block)) for block in held],
+            before_answer=race_install)
+        for thread in threads:
+            thread.join()
+        # The drain ran before the pair was published, and the reader
+        # that raced it forwarded after the held audio, not into it.
+        assert published == [None]
+        heard, _first, buffered = rig.talk(alice, carol, [], 8)
+        assert _same_blocks(heard, held + raced)
+        assert buffered == [0] * len(buffered)
+        assert gw_b._m_late.value == 0
+        assert gw_b._m_tandem_frames.value == 1 + len(raced)
+
+        transit = rig.transit_leg()
+        ex_b = rig.exchanges[1]
+        frames_at_c = rig.gw_c._m_frames_in.value
+        lock.hook = (threading.current_thread(), lambda: self._race(
+            lock, transit.link,
+            [(transit.call_id, len(raced), bytes(mulaw_encode(held[0])))],
+            errors, threads))
+        alice.on_hook()
+        assert rig.pump_until(lambda: ex_b.call_for(transit) is None)
+        for thread in threads:
+            thread.join()
+        assert lock.hook is None, "the release never took the lock"
+        # The entry that raced the release was dropped: not forwarded,
+        # not buffered, not counted late, and nothing raised.
+        assert errors == []
+        assert gw_b._m_tandem_frames.value == 1 + len(raced)
+        assert transit.jitter.depth_samples == 0
+        assert gw_b.buffered_audio_samples() == 0
+        assert gw_b._m_late.value == 0
+        assert rig.gw_c._m_frames_in.value == frames_at_c
+
+    def test_readers_stress_install_and_release(self):
+        """Four reader threads on two cores, a 1 us switch interval:
+        each call's onward stream is a gapless, in-order prefix of what
+        its reader delivered, covering everything delivered before the
+        release, and nothing is left buffered."""
+        exchange = TelephoneExchange(RATE)
+        gateway = TrunkGateway(exchange, name="B",
+                               metrics=MetricsRegistry())
+        onward_link = _RecordingLink()
+        calls = []
+        for index in range(4):
+            link = _RecordingLink()
+            transit = InboundLeg("1%02d" % index, exchange, gateway,
+                                 link, 2 * index + 1)
+            onward = RemoteLine("3%02d" % index, exchange, gateway,
+                                onward_link, 2 * index + 2)
+            gateway._legs[link] = {transit.call_id: transit}
+            gateway._legs.setdefault(onward_link, {})[onward.call_id] = \
+                onward
+            calls.append((link, transit, onward,
+                          threading.Barrier(2, timeout=5.0)))
+        errors = []
+
+        def read(link, transit, barrier):
+            try:
+                for seq in range(60):
+                    if seq in (6, 40):
+                        barrier.wait()
+                    gateway._bearer_arrived(
+                        link, [(transit.call_id, seq, _stress_payload(seq))])
+            except Exception as exc:     # surfaced by the test body
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, args=call[0:2] + call[3:])
+                   for call in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for _link, transit, onward, barrier in calls:
+                barrier.wait()          # six blocks held before answer
+                gateway.cut_through(transit, onward)
+            for _link, transit, onward, barrier in calls:
+                barrier.wait()          # forty blocks delivered
+                gateway.deregister_leg(transit)
+                gateway.deregister_leg(onward)
+            for reader in readers:
+                reader.join(10.0)
+                assert not reader.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            gateway.stop()
+        assert errors == []
+        sent = {}
+        for call_id, seq, payload in onward_link.entries:
+            sent.setdefault(call_id, []).append((seq, bytes(payload)))
+        for _link, transit, onward, _barrier in calls:
+            entries = sent[onward.call_id]
+            assert [seq for seq, _ in entries] == list(range(len(entries)))
+            stream = b"".join(payload for _, payload in entries)
+            blocks = len(stream) // 8
+            assert blocks >= 40
+            assert stream == b"".join(
+                _stress_payload(seq) for seq in range(blocks))
+            assert transit.jitter.depth_samples == 0
+        assert gateway._m_late.value == 0
