@@ -188,11 +188,6 @@ class ChaosProxy:
         """Resume forwarding after :meth:`partition`."""
         self._flowing.set()
 
-    @property
-    def link_count(self) -> int:
-        with self._links_lock:
-            return len(self._links)
-
     # -- internals ------------------------------------------------------------
 
     def _bridge(self, client_sock: socket.socket) -> None:

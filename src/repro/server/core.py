@@ -512,16 +512,6 @@ class AudioServer:
         with self._clients_lock:
             return list(self._clients)
 
-    def dispatch_request(self, client: ClientConnection,
-                         message: Message) -> None:
-        """Dispatch one already-sequenced request (tests, tooling)."""
-        if not self.dispatcher.needs_lock(message):
-            self.dispatcher.handle_unlocked(client, message)
-            return
-        with self.lock:
-            self.dispatcher.handle(client, message)
-            self._topology_version += 1
-
     def dispatch_batch(self, client: ClientConnection,
                        messages: list[Message]) -> None:
         """Dispatch one shard read's drained requests, batching the lock.

@@ -185,11 +185,6 @@ class VirtualDevice:
         return [wire for wire in self.wires
                 if wire.sink_device is self and wire.sink_port == port_index]
 
-    def wires_out_of(self, port_index: int) -> list:
-        return [wire for wire in self.wires
-                if wire.source_device is self
-                and wire.source_port == port_index]
-
     # -- binding --------------------------------------------------------------
 
     def bind(self, physical) -> None:
@@ -197,10 +192,6 @@ class VirtualDevice:
 
     def unbind(self) -> None:
         self.bound = None
-
-    @property
-    def is_bound(self) -> bool:
-        return self.bound is not None or self.BINDS_TO is None
 
     # -- the block cycle ------------------------------------------------------
 

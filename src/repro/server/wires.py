@@ -76,13 +76,6 @@ class Wire:
             metrics.counter("wires.destroyed").inc()
             metrics.gauge("wires.active").dec()
 
-    def other_end(self, device):
-        if device is self.source_device:
-            return self.sink_device
-        if device is self.sink_device:
-            return self.source_device
-        raise ValueError("device not on this wire")
-
 
 def _type_name(sound_type: SoundType) -> str:
     return "%s/%d@%d" % (sound_type.encoding.name, sound_type.samplesize,

@@ -52,6 +52,3 @@ class Call:
         if line is self.callee:
             return self.caller
         raise ValueError("line %s is not on this call" % line.number)
-
-    def involves(self, line: Line) -> bool:
-        return line is self.caller or line is self.callee
