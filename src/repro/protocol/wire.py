@@ -16,10 +16,10 @@ All integers are little-endian on the wire.  The tight definition makes the
 protocol independent of operating system, transport and language.
 
 The receive path avoids per-chunk allocation: :class:`MessageStream`
-owns one header buffer and one growable payload buffer per connection
-and fills them with ``recv_into`` on a ``memoryview``, so a message
-costs exactly one ``bytes`` materialization however many TCP segments
-carried it.  :class:`Writer` marshals into a single ``bytearray``
+owns one receive buffer per connection and fills it with ``recv_into``
+on a ``memoryview``, so one system call lands a whole burst of messages
+and each costs exactly one ``bytes`` materialization however many TCP
+segments carried it.  :class:`Writer` marshals into a single ``bytearray``
 instead of a chunk list, and :func:`set_nodelay` turns off Nagle on
 both ends of a connection (small request/reply messages must not wait
 out a delayed ACK).
@@ -28,9 +28,9 @@ out a delayed ACK).
 from __future__ import annotations
 
 import enum
-import select
 import socket
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -279,264 +279,153 @@ PLAIN_KINDS = {
 }
 
 
-def recv_exact_into(sock: socket.socket, view: memoryview,
-                    size: int) -> None:
-    """Fill ``view[:size]`` from the socket or raise
-    :class:`ConnectionClosed`.  No allocation per TCP segment."""
-    got = 0
-    while got < size:
-        received = sock.recv_into(view[got:size])
-        if received == 0:
-            raise ConnectionClosed("peer closed the connection")
-        got += received
-
-
 def recv_exact(sock: socket.socket, size: int) -> bytes:
     """Read exactly ``size`` bytes or raise :class:`ConnectionClosed`."""
     buffer = bytearray(size)
-    recv_exact_into(sock, memoryview(buffer), size)
+    view = memoryview(buffer)
+    got = 0
+    while got < size:
+        received = sock.recv_into(view[got:])
+        if received == 0:
+            raise ConnectionClosed("peer closed the connection")
+        got += received
     return bytes(buffer)
 
 
-#: Payload buffers are reused between messages up to this size; larger
-#: payloads (bulk sound data) get a one-shot allocation so a single big
-#: transfer does not pin a big buffer for the connection's lifetime.
-_REUSE_LIMIT = 1 << 16
+class BufferedStream:
+    """One receive buffer under a length-prefixed byte stream.
 
+    Bytes received but not yet handed out live in ``_rx[_start:_end]``.
+    A subclass's ``_parse(items, limit)`` checks each header there,
+    appends every complete item (at most ``limit``) and returns how many
+    bytes the next one needs from ``_start``; :meth:`_receive` makes room
+    for that many and takes whatever the socket holds with one
+    ``recv_into``.  A burst of small items therefore costs one system
+    call, and an item torn across TCP segments stays buffered until a
+    later read completes it.  The decode is the same however the stream
+    is split (tests/test_protocol_fuzz.py checks it against the
+    unbuffered :func:`read_message` and ``trunk.wire.read_frame``).
 
-class MessageStream:
-    """Framed-message reader owning reusable receive buffers.
-
-    One stream per reader thread: the 8-byte header and payloads up to
-    :data:`_REUSE_LIMIT` land in buffers allocated once, filled with
-    ``recv_into``, so each message costs exactly one ``bytes``
-    materialization (the payload handed to the parser, which may outlive
-    this read call) regardless of how many TCP segments carried it.
+    The buffer starts at :attr:`RECV_BYTES`, grows to fit a pending item
+    larger than that, and drops back once the oversized item has been
+    handed out, so an idle connection holds only the base size.
     """
 
-    __slots__ = ("sock", "_header", "_header_view", "_payload",
-                 "_payload_view", "_nb_got", "_nb_in_payload", "_nb_kind",
-                 "_nb_code", "_nb_sequence", "_nb_length", "_nb_view",
-                 "_rx", "_rx_view", "_rx_start", "_rx_end")
+    __slots__ = ("sock", "recvs", "_rx", "_view", "_start", "_end")
+
+    #: Base buffer size, and so the most one ``recv`` takes unless a
+    #: larger pending item needs more.
+    RECV_BYTES = 4096
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self._header = bytearray(HEADER_SIZE)
-        self._header_view = memoryview(self._header)
-        self._payload = bytearray(4096)
-        self._payload_view = memoryview(self._payload)
-        # Incremental (non-blocking) framing state: how many bytes of
-        # the current header or payload have arrived so far, and the
-        # decoded header once it is complete.  Used only by
-        # :meth:`read_available`; the blocking path never leaves a
-        # partial message behind, so the two modes share the buffers.
-        self._nb_got = 0
-        self._nb_in_payload = False
-        self._nb_kind = MessageKind.REQUEST
-        self._nb_code = 0
-        self._nb_sequence = 0
-        self._nb_length = 0
-        self._nb_view: memoryview | None = None
-        # Burst framing state (:meth:`read_burst`): received bytes not
-        # yet handed out live in ``_rx[_rx_start:_rx_end]``.
-        self._rx = bytearray(0)
-        self._rx_view = memoryview(self._rx)
-        self._rx_start = 0
-        self._rx_end = 0
+        self.recvs = 0          # system calls spent reading
+        self._rx = bytearray(self.RECV_BYTES)
+        self._view = memoryview(self._rx)
+        self._start = self._end = 0
 
-    def read_message(self) -> Message:
-        """Read one framed message (blocking)."""
-        recv_exact_into(self.sock, self._header_view, HEADER_SIZE)
-        kind, code, sequence, length = HEADER.unpack_from(self._header)
-        if length > MAX_PAYLOAD:
-            raise WireFormatError("declared payload of %d bytes too large"
-                                  % length)
-        try:
-            kind = MessageKind(kind)
-        except ValueError as exc:
-            raise WireFormatError("unknown message kind %d" % kind) from exc
-        if length == 0:
-            return Message(kind, code, sequence, b"")
-        if length <= _REUSE_LIMIT:
-            if length > len(self._payload):
-                self._payload = bytearray(length)
-                self._payload_view = memoryview(self._payload)
-            view = self._payload_view
-        else:
-            view = memoryview(bytearray(length))
-        recv_exact_into(self.sock, view, length)
-        return Message(kind, code, sequence, bytes(view[:length]))
-
-    def _parse_header(self) -> None:
-        """Decode the filled header buffer into the incremental state."""
-        kind, code, sequence, length = HEADER.unpack_from(self._header)
-        if length > MAX_PAYLOAD:
-            raise WireFormatError("declared payload of %d bytes too large"
-                                  % length)
-        try:
-            self._nb_kind = MessageKind(kind)
-        except ValueError as exc:
-            raise WireFormatError("unknown message kind %d" % kind) from exc
-        self._nb_code = code
-        self._nb_sequence = sequence
-        self._nb_length = length
-        self._nb_got = 0
-        self._nb_in_payload = True
-        if length == 0:
-            self._nb_view = None
-        elif length <= _REUSE_LIMIT:
-            if length > len(self._payload):
-                self._payload = bytearray(length)
-                self._payload_view = memoryview(self._payload)
-            self._nb_view = self._payload_view
-        else:
-            self._nb_view = memoryview(bytearray(length))
-
-    def _complete_message(self) -> Message:
-        payload = (bytes(self._nb_view[:self._nb_length])
-                   if self._nb_length else b"")
-        message = Message(self._nb_kind, self._nb_code, self._nb_sequence,
-                          payload)
-        self._nb_got = 0
-        self._nb_in_payload = False
-        self._nb_view = None
-        return message
-
-    def read_available(self, limit: int = 64) -> list[Message]:
-        """Drain complete messages from a *non-blocking* socket.
-
-        Returns every fully-arrived message (possibly none); a message
-        torn across TCP segments stays buffered as partial header or
-        payload bytes and is finished by a later call, so the decode is
-        byte-for-byte identical to the blocking :meth:`read_message`
-        however the stream is split (tests/test_protocol_fuzz.py proves
-        the property).  Never blocks: a read that would wait returns
-        what has been assembled so far.  Raises
-        :class:`ConnectionClosed` on EOF and :class:`WireFormatError`
-        on an unframeable stream, exactly like the blocking path.
-        """
-        messages: list[Message] = []
-        while len(messages) < limit:
-            if not self._nb_in_payload:
-                try:
-                    received = self.sock.recv_into(
-                        self._header_view[self._nb_got:])
-                except (BlockingIOError, InterruptedError):
-                    break
-                if received == 0:
-                    # EOF.  Hand back what this call already assembled;
-                    # the next call sees EOF again (recv keeps returning
-                    # zero) and raises with nothing pending, so a peer's
-                    # final burst is dispatched before the teardown.
-                    if messages:
-                        break
-                    raise ConnectionClosed("peer closed the connection")
-                self._nb_got += received
-                if self._nb_got < HEADER_SIZE:
-                    continue
-                self._parse_header()
-                if self._nb_length == 0:
-                    messages.append(self._complete_message())
-                continue
-            try:
-                received = self.sock.recv_into(
-                    self._nb_view[self._nb_got:self._nb_length])
-            except (BlockingIOError, InterruptedError):
-                break
-            if received == 0:
-                if messages:
-                    break
-                raise ConnectionClosed("peer closed the connection")
-            self._nb_got += received
-            if self._nb_got == self._nb_length:
-                messages.append(self._complete_message())
-        return messages
-
-    def read_burst(self, limit: int = 256) -> list[Message]:
-        """Block for the next message; return it and every message that
+    def read_burst(self, limit: int = 256) -> list:
+        """Block for the next item; return it and every item that
         arrived complete behind it (at most ``limit``).
 
-        One ``recv_into`` takes everything the socket holds, so a burst
-        of small messages -- a block's worth of events -- costs one
-        system call, and on a busy process one GIL hand-off, instead of
-        two per message.  Bytes past the last complete message stay
-        buffered for the next call.  Decodes exactly what
-        :meth:`read_message` would, however TCP splits the stream, and
-        raises the same errors.  Not to be mixed with the other read
-        methods on one stream.
+        Blocks for one ``recv_into`` only while nothing complete is
+        buffered.  Raises :class:`ConnectionClosed` on EOF and the
+        format's own error on an unframeable stream.
         """
-        messages: list[Message] = []
-        while True:
-            rx, start, end = self._rx, self._rx_start, self._rx_end
+        items: list = []
+        needed = self._parse(items, limit)
+        while not items:
+            if not self._receive(needed):
+                raise ConnectionClosed("peer closed the connection")
+            needed = self._parse(items, limit)
+        return items
+
+    def _consumed(self, start: int) -> None:
+        """Everything before ``_rx[start]`` has been handed out."""
+        if start < self._end:
+            self._start = start
+            return
+        self._start = self._end = 0
+        if len(self._rx) > self.RECV_BYTES:
+            self._rx = bytearray(self.RECV_BYTES)
+            self._view = memoryview(self._rx)
+
+    def _receive(self, needed: int) -> int:
+        """Move the unread tail to the front of a buffer with room for
+        a ``needed``-byte item, then one ``recv_into``.  Returns the
+        byte count: 0 at EOF."""
+        start, end = self._start, self._end
+        pending = end - start
+        size = max(needed, self.RECV_BYTES)
+        if len(self._rx) != size:
+            resized = bytearray(size)
+            resized[:pending] = self._view[start:end]
+            self._rx = resized
+            self._view = memoryview(resized)
+        elif start:
+            self._rx[:pending] = self._rx[start:end]
+        self._start, self._end = 0, pending
+        received = self.sock.recv_into(self._view[pending:])
+        self.recvs += 1
+        self._end = pending + received
+        return received
+
+
+#: Message kinds indexed by their wire value.
+_KINDS = tuple(MessageKind)
+
+
+class MessageStream(BufferedStream):
+    """Framed-message reader: the blocking client side and the
+    non-blocking server shards parse through the same buffer."""
+
+    __slots__ = ()
+
+    def _parse(self, messages: list, limit: int) -> int:
+        rx, start, end = self._rx, self._start, self._end
+        needed = HEADER_SIZE
+        while end - start >= HEADER_SIZE and len(messages) < limit:
+            kind, code, sequence, length = HEADER.unpack_from(rx, start)
+            if length > MAX_PAYLOAD:
+                raise WireFormatError(
+                    "declared payload of %d bytes too large" % length)
+            if kind >= len(_KINDS):
+                raise WireFormatError("unknown message kind %d" % kind)
+            needed = HEADER_SIZE + length
+            if end - start < needed:
+                break
+            payload = (bytes(self._view[start + HEADER_SIZE:start + needed])
+                       if length else b"")
+            messages.append(Message(_KINDS[kind], code, sequence, payload))
+            start += needed
             needed = HEADER_SIZE
-            while end - start >= HEADER_SIZE and len(messages) < limit:
-                kind, code, sequence, length = HEADER.unpack_from(rx, start)
-                if length > MAX_PAYLOAD:
-                    raise WireFormatError(
-                        "declared payload of %d bytes too large" % length)
-                try:
-                    kind = MessageKind(kind)
-                except ValueError as exc:
-                    raise WireFormatError(
-                        "unknown message kind %d" % kind) from exc
-                needed = HEADER_SIZE + length
-                if end - start < needed:
-                    break
-                payload = (bytes(self._rx_view[start + HEADER_SIZE:
-                                               start + needed])
-                           if length else b"")
-                messages.append(Message(kind, code, sequence, payload))
-                start += needed
-                needed = HEADER_SIZE
-            self._rx_start = start
-            if messages:
-                if start == end and len(rx) > _REUSE_LIMIT:
-                    self._rx_start = self._rx_end = 0
-                    self._rx = bytearray(0)
-                    self._rx_view = memoryview(self._rx)
-                return messages
-            self._receive_more(needed)
+        self._consumed(start)
+        return needed
 
-    def _receive_more(self, needed: int) -> None:
-        """Move the unread tail to the front, make room for ``needed``
-        bytes, and block for one ``recv_into``."""
-        pending = self._rx_end - self._rx_start
-        size = max(needed, _REUSE_LIMIT)
-        if len(self._rx) < size:
-            grown = bytearray(size)
-            grown[:pending] = self._rx[self._rx_start:self._rx_end]
-            self._rx = grown
-            self._rx_view = memoryview(grown)
-        elif self._rx_start:
-            self._rx[:pending] = self._rx[self._rx_start:self._rx_end]
-        self._rx_start, self._rx_end = 0, pending
-        received = self.sock.recv_into(self._rx_view[pending:])
-        if received == 0:
-            raise ConnectionClosed("peer closed the connection")
-        self._rx_end = pending + received
+    #: The benchmark's tracer wraps ``read_batch`` by name; it is the
+    #: same function as ``read_burst``.
+    read_batch = BufferedStream.read_burst
 
-    def _readable(self) -> bool:
-        """Whether a recv would return immediately (zero-timeout poll)."""
-        try:
-            ready, _, _ = select.select([self.sock], [], [], 0)
-        except (OSError, ValueError):
-            return False
-        return bool(ready)
+    def read_message(self) -> Message:
+        """Read one framed message (blocking): a one-message burst."""
+        return self.read_burst(1)[0]
 
-    def read_batch(self, limit: int = 64) -> list[Message]:
-        """One blocking read, then drain whatever has already arrived.
+    def read_available(self, limit: int = sys.maxsize) -> list[Message]:
+        """:meth:`read_burst` on a *non-blocking* socket: every complete
+        message, or none where the socket would block.
 
-        Returns at least one message; keeps reading while the socket
-        reports pending bytes, up to ``limit`` messages, so a chatty
-        client's backlog can be dispatched as one batch.  A message torn
-        across TCP segments makes the last read block briefly for its
-        remainder -- the same exposure a lone ``read_message`` has, and
-        only to the sender of that message.
+        Receives only while nothing complete is buffered, so a burst of
+        small messages costs one ``recv_into``, and a large message is
+        read until it is complete or the socket would block.  Raises :class:`ConnectionClosed` on EOF once
+        nothing complete is left, and :class:`WireFormatError` on an
+        unframeable stream.  A ``limit`` leaves the messages past it in
+        the buffer for the next call, where no selector sees them, so a
+        selector-driven caller passes none.
         """
-        messages = [self.read_message()]
-        while len(messages) < limit and self._readable():
-            messages.append(self.read_message())
-        return messages
+        try:
+            return self.read_burst(limit)
+        except (BlockingIOError, InterruptedError):
+            return []
 
 
 def set_nodelay(sock: socket.socket) -> None:
@@ -551,8 +440,9 @@ def set_nodelay(sock: socket.socket) -> None:
 def read_message(sock: socket.socket) -> Message:
     """Read one framed message from a socket (blocking).
 
-    One-shot convenience; long-lived reader threads should hold a
-    :class:`MessageStream` to reuse receive buffers.
+    The unbuffered reference framer: two ``recv`` loops and nothing read
+    past the message.  The fuzz tests check :class:`MessageStream`
+    against it; long-lived readers hold a stream instead.
     """
     header = recv_exact(sock, HEADER_SIZE)
     kind, code, sequence, length = HEADER.unpack(header)

@@ -3,9 +3,10 @@
 Every post-handshake client socket is owned by one of a small pool of
 **I/O shards**: each shard is one thread running a ``selectors`` loop
 that owns N client sockets, does non-blocking reads into the
-connection's zero-copy :class:`~repro.protocol.wire.MessageStream`
-buffers (:meth:`~repro.protocol.wire.MessageStream.read_available`),
-feeds complete requests into the batched dispatch
+connection's :class:`~repro.protocol.wire.MessageStream` buffer
+(:meth:`~repro.protocol.wire.MessageStream.read_available`: one
+``recv_into`` for a burst of small requests), feeds every request that
+read completed into the batched dispatch
 (:meth:`~.core.AudioServer.dispatch_batch`), and drains each client's
 bounded ``_OutboundQueue`` through writability callbacks.  Thread count
 is O(shards), not O(clients).
@@ -67,7 +68,10 @@ from ..protocol.wire import (
 
 log = logging.getLogger(__name__)
 
-#: Most requests one read drains into a dispatch batch.
+#: Most requests in one dispatch batch.  One read hands over every
+#: request its ``recv`` completed (complete requests left in the
+#: stream's buffer would raise no further readiness event), and the
+#: shard dispatches them in batches of this size.
 MAX_DISPATCH_BATCH = 64
 #: Most messages one flush pass encodes into one buffer and one send
 #: before yielding to other clients.
@@ -306,7 +310,7 @@ class IOShard:
     def _on_readable(self, state: _ShardClient) -> None:
         client = state.client
         try:
-            messages = state.stream.read_available(MAX_DISPATCH_BATCH)
+            messages = state.stream.read_available()
         except (ConnectionClosed, OSError, WireFormatError):
             self._teardown(state)
             return
@@ -328,7 +332,9 @@ class IOShard:
             self.pool._m_reads.inc(len(batch))
             # Sequence accounting happens per message inside the batch
             # dispatch, keeping replies in lockstep.
-            self.server.dispatch_batch(client, batch)
+            for first in range(0, len(batch), MAX_DISPATCH_BATCH):
+                self.server.dispatch_batch(
+                    client, batch[first:first + MAX_DISPATCH_BATCH])
         if not clean:
             self._teardown(state)
 

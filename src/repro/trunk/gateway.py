@@ -66,7 +66,6 @@ from ..telephony.call import CallState
 from ..telephony.line import HookState, Line
 from .discovery import (
     DEFAULT_POLL_INTERVAL,
-    DEFAULT_REGISTRY_TTL,
     MeshDiscovery,
     MeshRegistry,
     PeerRecord,
@@ -83,6 +82,8 @@ from .wire import MAX_ADVERT_ENTRIES, UNREACHABLE_HOPS, FrameType, \
 
 log = logging.getLogger(__name__)
 
+#: Backoff between dials of an unreachable peer: 50 ms doubling to 2 s.
+_REDIAL_BACKOFF = RetryPolicy(attempts=1, base_delay=0.05, max_delay=2.0)
 #: Cap on the exponential backoff exponent (RetryPolicy caps the delay
 #: itself; this just keeps ``multiplier ** attempt`` bounded).
 _MAX_BACKOFF_EXPONENT = 16
@@ -360,7 +361,6 @@ class TrunkGateway:
                  keepalive_interval: float = DEFAULT_KEEPALIVE_INTERVAL,
                  outbound_bound: int = DEFAULT_OUTBOUND_BOUND,
                  jitter_depth_seconds: float = 0.32,
-                 retry: RetryPolicy | None = None,
                  connect_timeout: float = 2.0) -> None:
         self.exchange = exchange
         self.name = name or "%s:%d:%d" % (socket.gethostname(),
@@ -369,8 +369,6 @@ class TrunkGateway:
         self.keepalive_interval = keepalive_interval
         self.outbound_bound = outbound_bound
         self.jitter_depth_seconds = jitter_depth_seconds
-        self.retry = retry or RetryPolicy(attempts=1, base_delay=0.05,
-                                          max_delay=2.0)
         #: Bounds both handshake directions: a dial's connect + preamble
         #: exchange, and an accepted peer's preamble.
         self.connect_timeout = connect_timeout
@@ -476,7 +474,6 @@ class TrunkGateway:
                     neighbors=None,
                     advertise: tuple[str, int] | None = None,
                     poll_interval: float = DEFAULT_POLL_INTERVAL,
-                    registry_ttl: float = DEFAULT_REGISTRY_TTL,
                     max_hops: int = DEFAULT_MAX_HOPS) -> None:
         """Join the dynamic routing mesh (docs/TELEPHONY.md).
 
@@ -504,8 +501,7 @@ class TrunkGateway:
         self._mesh_advertise = advertise
         if serve_registry is not None:
             self._registry = MeshRegistry(serve_registry[0],
-                                          serve_registry[1],
-                                          ttl=registry_ttl)
+                                          serve_registry[1])
         registry_addr = registry
         if registry_addr is None and serve_registry is not None:
             registry_addr = serve_registry
@@ -832,7 +828,7 @@ class TrunkGateway:
 
     def _connect_failed(self, target: DialTarget, why: str) -> None:
         with self._state_lock:
-            delay = self.retry.delay(
+            delay = _REDIAL_BACKOFF.delay(
                 min(target.attempt, _MAX_BACKOFF_EXPONENT))
             target.attempt += 1
             target.next_attempt_at = time.monotonic() + delay

@@ -67,7 +67,7 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from ..protocol.wire import ConnectionClosed, Reader, WireFormatError, \
+from ..protocol.wire import BufferedStream, Reader, WireFormatError, \
     Writer, recv_exact
 
 #: First bytes on the wire, both directions.
@@ -273,59 +273,42 @@ def read_frame(sock: socket.socket) -> TrunkFrame:
     return decode_frame(recv_exact(sock, length))
 
 
-class FrameStream:
-    """Buffered incremental trunk framer: amortized ~0 syscalls/frame.
+class FrameStream(BufferedStream):
+    """Buffered trunk framer: amortized ~0 syscalls/frame.
 
-    The same move :meth:`~repro.protocol.wire.MessageStream.read_available`
-    makes for the client protocol, applied to the trunk: one large
-    ``recv`` lands however many frames the peer's last flush carried,
-    they are parsed out of the buffer in one pass, and a frame torn
-    across TCP segments stays buffered until a later read completes it.
-    Byte-for-byte equivalent to looping :func:`read_frame` however the
-    stream is split (tests/test_protocol_fuzz.py proves the property).
+    The client protocol's receive buffer
+    (:class:`~repro.protocol.wire.BufferedStream`) under the trunk's
+    ``u32 length`` framing: one ``recv_into`` lands however many frames
+    the peer's last flush carried, and they are parsed out of the buffer
+    in one pass.  Decodes exactly what looping :func:`read_frame` does
+    however the stream is split (tests/test_protocol_fuzz.py).
     """
 
-    __slots__ = ("sock", "recvs", "_buffer")
+    __slots__ = ()
 
-    #: One recv's worth; comfortably bigger than the largest flush
-    #: window a 256-call link emits per 20 ms tick.
+    #: Comfortably bigger than the largest flush window a 256-call link
+    #: emits per 20 ms tick, so one recv takes a whole window.
     RECV_BYTES = 1 << 16
 
-    def __init__(self, sock) -> None:
-        self.sock = sock
-        self.recvs = 0          # syscall tally, folded into trunk.link.*
-        self._buffer = bytearray()
-
-    def read_frames(self, limit: int = 1024) -> list[TrunkFrame]:
-        """At least one frame (blocking), plus everything already here."""
-        frames = self._drain(limit)
-        while not frames:
-            chunk = self.sock.recv(self.RECV_BYTES)
-            self.recvs += 1
-            if not chunk:
-                raise ConnectionClosed("peer closed the trunk link")
-            self._buffer += chunk
-            frames = self._drain(limit)
-        return frames
-
-    def _drain(self, limit: int) -> list[TrunkFrame]:
-        buffer = self._buffer
-        size = len(buffer)
-        pos = 0
-        frames: list[TrunkFrame] = []
-        while len(frames) < limit and size - pos >= _LENGTH.size:
-            (length,) = _LENGTH.unpack_from(buffer, pos)
+    def _parse(self, frames: list, limit: int) -> int:
+        rx, start, end = self._rx, self._start, self._end
+        needed = _LENGTH.size
+        while end - start >= _LENGTH.size and len(frames) < limit:
+            (length,) = _LENGTH.unpack_from(rx, start)
             if length == 0 or length > MAX_FRAME_BYTES:
                 raise TrunkProtocolError("bad frame length %d" % length)
-            body_start = pos + _LENGTH.size
-            if size - body_start < length:
+            needed = _LENGTH.size + length
+            if end - start < needed:
                 break
             frames.append(decode_frame(
-                bytes(buffer[body_start:body_start + length])))
-            pos = body_start + length
-        if pos:
-            del buffer[:pos]
-        return frames
+                bytes(self._view[start + _LENGTH.size:start + needed])))
+            start += needed
+            needed = _LENGTH.size
+        self._consumed(start)
+        return needed
+
+    #: At least one frame (blocking), plus everything already here.
+    read_frames = BufferedStream.read_burst
 
 
 @dataclass(frozen=True)

@@ -113,10 +113,30 @@ class TestDispatchBatching:
         finally:
             sock.close()
 
+    def test_pipeline_past_one_dispatch_batch_all_replied(self, server):
+        # 200 requests in one write land in one shard read, more than
+        # one dispatch batch holds.  The client sends nothing more, so
+        # no later readiness event can pick up requests left in the
+        # shard's receive buffer: every reply must come anyway.
+        sock = raw_setup(server.port, client_name="pipeline-200")
+        try:
+            sock.sendall(b"".join(_request_bytes(rq.GetTime(), index + 1)
+                                  for index in range(200)))
+            stream = MessageStream(sock)
+            sock.settimeout(10.0)
+            for index in range(200):
+                reply = stream.read_message()
+                assert reply.kind is MessageKind.REPLY
+                assert reply.sequence == index + 1
+        finally:
+            sock.close()
+
     def test_read_batch_drains_buffered_messages(self):
         # Deterministic wire-level check: everything already buffered
         # comes back in one read_batch call, capped at the limit, and
         # the first read still blocks for at least one message.
+        # read_batch is only the tracer's name for read_burst.
+        assert MessageStream.read_batch is MessageStream.read_burst
         left, right = socket.socketpair()
         try:
             blob = b"".join(_request_bytes(rq.GetTime(), index + 1)

@@ -33,12 +33,14 @@ from repro.protocol.requests import (
 )
 from repro.protocol.types import ErrorCode, EventCode, OpCode, SoundType
 from repro.protocol.wire import (
+    HEADER_SIZE,
     ConnectionClosed,
     Message,
     MessageKind,
     MessageStream,
     Reader,
     WireFormatError,
+    read_message,
 )
 
 
@@ -120,9 +122,9 @@ class TestDecodeRequestFuzz:
 
 
 class TestAdversarialFraming:
-    """MessageStream must decode identically however TCP splits the
-    bytes -- the chaos proxy's throttle and the real network both
-    fragment writes at arbitrary offsets."""
+    """MessageStream must decode what the unbuffered reference reader
+    does however TCP splits the bytes -- the chaos proxy's throttle and
+    the real network both fragment writes at arbitrary offsets."""
 
     MESSAGES = st.lists(
         st.builds(Message,
@@ -135,6 +137,12 @@ class TestAdversarialFraming:
 
     @staticmethod
     def _decode_all(data, chunk_sizes, count):
+        """The oracle: the module-level unbuffered reader."""
+        sock = _ChunkedFakeSocket(data, chunk_sizes)
+        return [read_message(sock) for _index in range(count)]
+
+    @staticmethod
+    def _stream_all(data, chunk_sizes, count):
         stream = MessageStream(_ChunkedFakeSocket(data, chunk_sizes))
         return [stream.read_message() for _index in range(count)]
 
@@ -143,7 +151,7 @@ class TestAdversarialFraming:
     def test_any_chunking_decodes_identically(self, messages, chunk_sizes):
         data = b"".join(message.encode() for message in messages)
         whole = self._decode_all(data, [], len(messages))
-        chunked = self._decode_all(data, chunk_sizes, len(messages))
+        chunked = self._stream_all(data, chunk_sizes, len(messages))
         assert chunked == whole
 
     @given(MESSAGES)
@@ -151,7 +159,7 @@ class TestAdversarialFraming:
     def test_byte_at_a_time_decodes_identically(self, messages):
         data = b"".join(message.encode() for message in messages)
         whole = self._decode_all(data, [], len(messages))
-        dribbled = self._decode_all(data, [1] * len(data), len(messages))
+        dribbled = self._stream_all(data, [1] * len(data), len(messages))
         assert dribbled == whole
 
     @given(MESSAGES.filter(lambda m: len(m) >= 2), st.data())
@@ -162,7 +170,7 @@ class TestAdversarialFraming:
         stream_bytes = b"".join(message.encode() for message in messages)
         split = data.draw(st.integers(1, len(stream_bytes) - 1))
         whole = self._decode_all(stream_bytes, [], len(messages))
-        halved = self._decode_all(stream_bytes, [split], len(messages))
+        halved = self._stream_all(stream_bytes, [split], len(messages))
         assert halved == whole
 
 
@@ -292,20 +300,50 @@ class TestBurstFraming:
         whole = TestAdversarialFraming._decode_all(data, [], len(messages))
         assert self._bursts(data, [1] * len(data), len(messages)) == whole
 
+    @staticmethod
+    def _available(data, chunk_sizes, count):
+        """The I/O shard's path over the same chunked bytes."""
+        stream = MessageStream(_ChunkedFakeSocket(data, chunk_sizes))
+        return TestNonBlockingReassembly._drain(stream, count)
+
     def test_payload_larger_than_buffer_then_small(self):
         big = Message(MessageKind.REPLY, 7, 1, bytes(range(256)) * 600)
         small = Message(MessageKind.EVENT, 3, 2, b"tail")
         data = big.encode() + small.encode()
         assert self._bursts(data, [5000] * 100, 2) == [big, small]
+        assert self._available(data, [5000] * 100, 2) == [big, small]
 
     def test_eof_and_bad_kind_raise_like_blocking_reader(self):
-        stream = MessageStream(_ChunkedFakeSocket(b"", []))
-        with pytest.raises(ConnectionClosed):
-            stream.read_burst()
         bad_kind = bytes([99]) + bytes(7)
-        stream = MessageStream(_ChunkedFakeSocket(bad_kind, []))
-        with pytest.raises(WireFormatError):
-            stream.read_burst()
+        torn = Message(MessageKind.REPLY, 1, 1, b"payload").encode()[:-2]
+        for data, error in ((b"", ConnectionClosed),
+                            (bad_kind, WireFormatError),
+                            (torn, ConnectionClosed)):
+            with pytest.raises(error):
+                read_message(_ChunkedFakeSocket(data, []))
+            stream = MessageStream(_ChunkedFakeSocket(data, []))
+            with pytest.raises(error):
+                stream.read_burst()
+            stream = MessageStream(_ChunkedFakeSocket(data, []))
+            with pytest.raises(error):
+                TestNonBlockingReassembly._drain(stream, 1)
+
+
+class TestReceiveBuffer:
+    def test_buffer_no_bigger_than_before_and_shrinks_after_bulk(self):
+        # A connection used to hold an 8-byte header buffer and a 4 KiB
+        # payload buffer; its one receive buffer may not exceed that,
+        # and must drop back to it once a bulk payload has been read.
+        bulk = Message(MessageKind.REQUEST, 9, 1, bytes(200 * 1024))
+        small = Message(MessageKind.REQUEST, 2, 2, b"x")
+        data = bulk.encode() + small.encode()
+        stream = MessageStream(_ChunkedFakeSocket(data, [3000] * 100))
+        baseline = 4096 + HEADER_SIZE
+        assert len(stream._rx) <= baseline
+        assert TestNonBlockingReassembly._drain(stream, 1) == [bulk]
+        assert len(stream._rx) <= baseline
+        assert stream.read_available() == [small]
+        assert len(stream._rx) <= baseline
 
 
 # -- every declared body round-trips ---------------------------------------
@@ -456,25 +494,6 @@ from repro.trunk.wire import (  # noqa: E402
 )
 
 
-class _ChunkedRecvSocket:
-    """Like :class:`_ChunkedFakeSocket`, for plain ``recv`` consumers."""
-
-    def __init__(self, data: bytes, chunk_sizes: list[int]) -> None:
-        self._data = data
-        self._offset = 0
-        self._chunks = list(chunk_sizes)
-
-    def recv(self, limit: int) -> bytes:
-        remaining = len(self._data) - self._offset
-        if remaining == 0:
-            return b""
-        size = self._chunks.pop(0) if self._chunks else remaining
-        count = max(1, min(size, remaining, limit))
-        chunk = self._data[self._offset:self._offset + count]
-        self._offset += count
-        return chunk
-
-
 _batch_entries = st.lists(
     st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
               st.binary(max_size=48)),
@@ -514,7 +533,7 @@ class TestTrunkBatchFuzz:
     @settings(max_examples=150, deadline=None)
     def test_frame_stream_any_chunking(self, frames, chunk_sizes):
         blob = b"".join(frame.encode() for frame in frames)
-        stream = FrameStream(_ChunkedRecvSocket(blob, chunk_sizes))
+        stream = FrameStream(_ChunkedFakeSocket(blob, chunk_sizes))
         got = []
         while len(got) < len(frames):
             got.extend(stream.read_frames())
@@ -524,7 +543,7 @@ class TestTrunkBatchFuzz:
     @settings(max_examples=50, deadline=None)
     def test_frame_stream_byte_at_a_time(self, frames):
         blob = b"".join(frame.encode() for frame in frames)
-        stream = FrameStream(_ChunkedRecvSocket(blob, [1] * len(blob)))
+        stream = FrameStream(_ChunkedFakeSocket(blob, [1] * len(blob)))
         got = []
         while len(got) < len(frames):
             got.extend(stream.read_frames())
