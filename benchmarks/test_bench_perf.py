@@ -26,9 +26,11 @@ from repro.dsp.encodings import (
     mulaw_encode,
     mulaw_encode_reference,
 )
-from repro.dsp.mixing import mix, mix_reference
+from repro.dsp.mixing import mix
 from repro.protocol.requests import GetTime
 from repro.protocol.types import MULAW_8K, PCM16_8K
+
+from tests.mix_oracle import mix_reference
 
 RATE = 8000
 

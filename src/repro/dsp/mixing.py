@@ -117,23 +117,6 @@ def mix(blocks: list[np.ndarray], gains: list[float] | None = None,
     return clamp_to_int16(np.round(accumulator, out=accumulator))
 
 
-def mix_reference(blocks: list[np.ndarray],
-                  gains: list[float] | None = None,
-                  length: int | None = None) -> np.ndarray:
-    """The original all-float64 mixer, kept as the golden reference."""
-    if length is None:
-        length = max((len(block) for block in blocks), default=0)
-    accumulator = np.zeros(length, dtype=np.float64)
-    for position, block in enumerate(blocks):
-        gain = 1.0 if gains is None else gains[position]
-        if gain == 0.0 or len(block) == 0:
-            continue
-        usable = min(len(block), length)
-        accumulator[:usable] += (
-            np.asarray(block[:usable], dtype=np.float64) * gain)
-    return saturate(np.round(accumulator).astype(np.int64))
-
-
 def rms(samples: np.ndarray) -> float:
     """Root-mean-square level of a block (0.0 for an empty block)."""
     if len(samples) == 0:

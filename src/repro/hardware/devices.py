@@ -99,24 +99,15 @@ class SpeakerDevice(PhysicalAudioDevice):
 
 
 class MicrophoneDevice(PhysicalAudioDevice):
-    """A microphone: reads its room's current-block signal."""
+    """A microphone: reads its room's current-block signal when read."""
 
     def __init__(self, name: str, room: Room) -> None:
         super().__init__(name, room.name)
         self.room = room
-        self._snapshot = np.zeros(0, dtype=np.int16)
-
-    def begin_block(self, frames: int) -> None:
-        self._snapshot = self.room.microphone_signal(frames)
 
     def read(self, frames: int) -> np.ndarray:
         """The block every reader of this microphone sees this tick."""
-        if len(self._snapshot) == frames:
-            return self._snapshot
-        block = np.zeros(frames, dtype=np.int16)
-        usable = min(frames, len(self._snapshot))
-        block[:usable] = self._snapshot[:usable]
-        return block
+        return self.room.microphone_signal(frames)
 
 
 class LineDevice(PhysicalAudioDevice):

@@ -5,13 +5,18 @@ The hub is the device layer's heartbeat.  It owns the one sample clock
 rooms, and the connection to the telephone exchange.  Each tick it runs
 one block through the whole machine:
 
-1. rooms advance (last block's speaker output becomes audible),
-2. devices ``begin_block`` (microphones and lines snapshot their input),
+1. rooms advance (last block's speaker output becomes audible; a room
+   mixes it when a microphone first reads it),
+2. devices ``begin_block`` (speakers clear, lines snapshot their input),
 3. registered tick callbacks run -- this is where the server's command
    conductors and the wire-graph rendering engine execute,
-4. devices ``end_block`` (speakers emit into rooms, lines transmit),
-5. the telephone exchange ticks (remote parties live one block),
-6. the clock advances and the pacer releases the next block.
+4. devices ``end_block`` (speakers emit into rooms and captures, lines
+   transmit),
+5. block-end callbacks run -- the server delivers the block's events
+   here, so a client told that something ended can already read the
+   block it ended in,
+6. the telephone exchange ticks (remote parties live one block),
+7. the clock advances and the pacer releases the next block.
 
 The hub can free-run in a thread (virtual or real-time pacing) or be
 stepped manually for deterministic unit tests.
@@ -34,6 +39,7 @@ from .devices import (
 from .room import Room
 
 TickCallback = Callable[[int, int], None]   # (sample_time, frames)
+BlockEndCallback = Callable[[], None]
 
 
 class AudioHub:
@@ -61,6 +67,7 @@ class AudioHub:
         self.microphones: list[MicrophoneDevice] = []
         self.lines: list[LineDevice] = []
         self._tick_callbacks: list[TickCallback] = []
+        self._block_end_callbacks: list[BlockEndCallback] = []
         self._running = False
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -134,6 +141,11 @@ class AudioHub:
             if callback in self._tick_callbacks:
                 self._tick_callbacks.remove(callback)
 
+    def add_block_end_callback(self, callback: BlockEndCallback) -> None:
+        """Run ``callback`` each block after the devices end it."""
+        with self._lock:
+            self._block_end_callbacks.append(callback)
+
     def run_block(self) -> None:
         """Process exactly one block through the machine."""
         import contextlib
@@ -149,10 +161,13 @@ class AudioHub:
                 device.begin_block(frames)
             with self._lock:
                 callbacks = list(self._tick_callbacks)
+                end_callbacks = list(self._block_end_callbacks)
             for callback in callbacks:
                 callback(sample_time, frames)
             for device in self.devices:
                 device.end_block()
+            for callback in end_callbacks:
+                callback()
             if self.tick_exchange:
                 self.exchange.tick(frames)
         self.clock.advance(frames)

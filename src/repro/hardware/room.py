@@ -58,7 +58,14 @@ class InjectedSource:
 
 
 class Room:
-    """One ambient domain's acoustics, advanced block by block."""
+    """One ambient domain's acoustics, advanced block by block.
+
+    The bleed mix is made on demand: :meth:`advance` keeps last block's
+    speaker blocks and pulls this block of every injected source, and
+    the mix is computed the first time a microphone reads the room (or
+    :attr:`quiet` is asked) in the block.  A room nobody listens to costs
+    no mix.
+    """
 
     #: How much of the speakers' output bleeds into microphones.
     SPEAKER_BLEED = 0.5
@@ -67,6 +74,8 @@ class Room:
         self.name = name
         self._pending_speaker_blocks: list[np.ndarray] = []
         self._sources: list[InjectedSource] = []
+        #: This block's inputs, ``(blocks, gains, frames)``, until mixed.
+        self._inputs: tuple | None = None
         self._current_mix = np.zeros(0, dtype=np.int16)
 
     def inject(self, source: InjectedSource) -> None:
@@ -78,8 +87,8 @@ class Room:
         self._pending_speaker_blocks.append(samples)
 
     def advance(self, frames: int) -> None:
-        """Advance one block: mix last block's speakers + live sources."""
-        blocks = [block for block in self._pending_speaker_blocks]
+        """Advance one block: last block's speakers + live sources."""
+        blocks = self._pending_speaker_blocks
         gains = [self.SPEAKER_BLEED] * len(blocks)
         self._pending_speaker_blocks = []
         for source in self._sources:
@@ -87,19 +96,28 @@ class Room:
             gains.append(1.0)
         self._sources = [source for source in self._sources
                          if not source.exhausted]
-        self._current_mix = mix(blocks, gains, length=frames)
+        self._inputs = (blocks, gains, frames)
+
+    def _mix(self) -> np.ndarray:
+        """This block's mix, computed on first use."""
+        if self._inputs is not None:
+            blocks, gains, frames = self._inputs
+            self._inputs = None
+            self._current_mix = mix(blocks, gains, length=frames)
+        return self._current_mix
 
     def microphone_signal(self, frames: int) -> np.ndarray:
         """What a microphone in this room hears during the current block."""
-        if len(self._current_mix) == frames:
-            return self._current_mix
+        current = self._mix()
+        if len(current) == frames:
+            return current
         block = np.zeros(frames, dtype=np.int16)
-        usable = min(frames, len(self._current_mix))
-        block[:usable] = self._current_mix[:usable]
+        usable = min(frames, len(current))
+        block[:usable] = current[:usable]
         return block
 
     @property
     def quiet(self) -> bool:
         """True when nothing is sounding in the room right now."""
         return (not self._sources and not self._pending_speaker_blocks
-                and not np.any(self._current_mix))
+                and not np.any(self._mix()))

@@ -24,6 +24,7 @@ is evicted entirely so its socket buffers cannot pin server memory.
 from __future__ import annotations
 
 import collections
+import itertools
 import socket
 import threading
 
@@ -37,6 +38,9 @@ from ..protocol.wire import Message, MessageKind, write_message  # noqa: F401
 
 #: Default bound on per-client outbound messages awaiting their shard.
 DEFAULT_OUTBOUND_BOUND = 1024
+
+#: Connection order: connections are numbered as the server lists them.
+_connection_order = itertools.count()
 
 
 class _OutboundQueue:
@@ -104,7 +108,7 @@ class _OutboundQueue:
 
 
 class ClientConnection:
-    """One connected client: its socket, outbound queue and selections."""
+    """One connected client: its socket and outbound queue."""
 
     def __init__(self, server, sock: socket.socket, client_name: str,
                  id_base: int) -> None:
@@ -115,8 +119,8 @@ class ClientConnection:
         self.sequence = 0           # requests processed so far (16-bit wrap)
         self.closed = False
         self.evicted = False
-        #: resource id -> EventMask, set via SelectEvents.
-        self._selections: dict[int, EventMask] = {}
+        #: Position in connection order; events fan out in this order.
+        self.order = next(_connection_order)
         #: True when this client is the audio manager (SetRedirect).
         self.is_manager = False
         # Per-connection wire stats.  Each plain int below has exactly one
@@ -150,14 +154,10 @@ class ClientConnection:
 
     # -- selections -----------------------------------------------------------
 
-    def select_events(self, resource: int, mask: EventMask) -> None:
-        if mask == EventMask.NONE:
-            self._selections.pop(resource, None)
-        else:
-            self._selections[resource] = mask
-
     def selection_for(self, resource: int) -> EventMask:
-        return self._selections.get(resource, EventMask.NONE)
+        """This client's SelectEvents mask on ``resource`` (the server's
+        interest table is the record)."""
+        return self.server.events.selection_for(self, resource)
 
     # -- outbound -------------------------------------------------------------
 

@@ -120,16 +120,18 @@ class AudioServer:
         self._m_evicted_slow = metrics.counter("clients.evicted_slow")
         self._m_tick_duration = metrics.histogram(
             "tick.duration_us", edges=MICROSECOND_BUCKETS)
-        # duration_us ~= render_us + flush_us: the render component is
-        # everything under the lock up to the event flush, so time is
-        # attributed to rendering, not client fan-out.
+        # duration_us = render_us + flush_us: the render component is
+        # the tick callback up to the event flush, so time is attributed
+        # to rendering, not client fan-out (the devices' end_block in
+        # between is in neither).
         self._m_tick_render = metrics.histogram(
             "tick.render_us", edges=MICROSECOND_BUCKETS)
         self._m_tick_flush = metrics.histogram(
             "tick.flush_us", edges=MICROSECOND_BUCKETS)
         self._m_snapshot_rebuilds = metrics.counter(
             "querysnapshot.rebuilds")
-        self.resources = ResourceTable()
+        self.events = EventRouter(self)
+        self.resources = ResourceTable(on_remove=self.events.forget_resource)
         #: Precompiled render plan: one (queue, devices) row per active
         #: LOUD, flattened once and reused every block until a topology
         #: mutation invalidates it.  None = rebuild on next tick.
@@ -152,7 +154,6 @@ class AudioServer:
         #: Shared LRU of decoded sounds; dispatch attaches every sound a
         #: client creates or loads, so repeat plays skip the codec.
         self.decode_cache = DecodeCache(metrics=metrics)
-        self.events = EventRouter(self)
         self.stack = ActiveStack(self)
         self.dispatcher = Dispatcher(self)
         self.manager: ClientConnection | None = None
@@ -198,6 +199,7 @@ class AudioServer:
         # exchange and device callbacks are serialized against dispatch.
         self.hub.external_lock = self.lock
         self.hub.add_tick_callback(self._on_tick)
+        self.hub.add_block_end_callback(self._end_tick)
 
     # -- construction ---------------------------------------------------------
 
@@ -301,17 +303,30 @@ class AudioServer:
             self._m_active_louds.set(len(plan))
             self._m_plan_ticks.inc()
             # Same-tick events coalesce into one shard wakeup per
-            # client; the flush preserves emission order.
+            # client; _end_tick flushes them in emission order once the
+            # hardware has ended the block.
             self.events.begin_tick_batch()
             try:
                 self._conduct(plan, sample_time, frames)
-            finally:
-                rendered = time.perf_counter()
+            except BaseException:
+                # The block failed: still deliver what it emitted.
                 self.events.flush_tick_batch()
-        ended = time.perf_counter()
-        self._m_tick_render.observe((rendered - started) * 1e6)
-        self._m_tick_flush.observe((ended - rendered) * 1e6)
-        self._m_tick_duration.observe((ended - started) * 1e6)
+                raise
+        self._tick_render_us = (time.perf_counter() - started) * 1e6
+
+    def _end_tick(self) -> None:
+        """Deliver the block's events after the devices ended it.
+
+        A client that hears QUEUE_EMPTY can then already read the block
+        the queue emptied in from the speaker's capture.  Runs on the
+        hub thread under the topology lock (the hub's external lock).
+        """
+        flushing = time.perf_counter()
+        self.events.flush_tick_batch()
+        flush = (time.perf_counter() - flushing) * 1e6
+        self._m_tick_render.observe(self._tick_render_us)
+        self._m_tick_flush.observe(flush)
+        self._m_tick_duration.observe(self._tick_render_us + flush)
         self._sweep_stalled_clients()
 
     def _conduct(self, plan: list[tuple], sample_time: int,
@@ -558,6 +573,7 @@ class AudioServer:
                     resource.destroy()
             for resource_id in self.resources.owned_by(client.id_base):
                 self.resources.remove(resource_id)
+            self.events.forget_client(client)
             self._topology_version += 1
         with self._clients_lock:
             if client in self._clients:

@@ -422,7 +422,7 @@ class Dispatcher:
         if request.resource not in self.server.resources:
             raise bad(ErrorCode.BAD_VALUE, "no such resource",
                       request.resource)
-        client.select_events(request.resource, request.mask)
+        self.server.events.select(client, request.resource, request.mask)
 
     def _property_target(self, resource_id: int):
         target = self.server.resources.maybe_get(resource_id)

@@ -4,11 +4,19 @@
 application specifically asked to be informed of that event type."
 (paper section 5.7)
 
-Clients register (resource, mask) selections via SelectEvents; the
-router fans each emitted event out to every client whose selection
-covers it.  Device events are matched against both the device's own id
-and its root LOUD's id, so an application can select once on the LOUD it
-built rather than on every constituent device.
+Clients register (resource, mask) selections via SelectEvents into the
+router's *interest table*, ``{resource id: ((client, mask), ...)}`` in
+connection order; the router fans each emitted event out to the clients
+whose selection covers it, so an event nobody selected costs two dict
+probes and builds nothing.  Device events are matched against both the
+device's own id and its root LOUD's id, so an application can select
+once on the LOUD it built rather than on every constituent device.
+
+The table is the one record of selections.  It changes only under the
+topology lock (SelectEvents, resource removal, client teardown), so a
+selection dies with its resource and with its client, and an id reused
+later hears nothing until it is selected again.  Each entry is replaced,
+never mutated, so :meth:`EventRouter.emit` reads it with no lock.
 
 **Tick batching** (docs/PERFORMANCE.md, "Concurrency model"):
 ``begin_tick_batch``/``flush_tick_batch`` bracket the block cycle;
@@ -26,7 +34,20 @@ import threading
 from ..protocol import events as ev
 from ..protocol.attributes import AttributeList
 from ..protocol.events import Event
-from ..protocol.types import EVENT_MASK_FOR_CODE, EventCode
+from ..protocol.types import EVENT_MASK_FOR_CODE, EventCode, EventMask
+
+#: The mask bits each event code needs, as plain ints.
+_NEEDED = {code: int(mask) for code, mask in EVENT_MASK_FOR_CODE.items()}
+
+
+def _merged(first: tuple, second: tuple) -> tuple:
+    """Two interest entries as one, in connection order, a client's
+    masks on both ids or'ed together."""
+    masks: dict = {}
+    for client, mask in sorted(first + second,
+                               key=lambda entry: entry[0].order):
+        masks[client] = masks.get(client, 0) | mask
+    return tuple(masks.items())
 
 
 class EventRouter:
@@ -37,6 +58,8 @@ class EventRouter:
         self._hungry_streams: set[int] = set()
         self._announced_streams: set[int] = set()
         self._stream_lock = threading.Lock()
+        #: resource id -> ((client, int mask), ...) in connection order.
+        self._interest: dict[int, tuple] = {}
         #: client -> [Event], while a tick batch is open; else None.
         self._tick_batch: dict | None = None
         metrics = server.metrics
@@ -73,6 +96,38 @@ class EventRouter:
         else:
             client.send_event(event)
 
+    # -- the interest table (topology lock held) -----------------------------
+
+    def select(self, client, resource: int, mask: EventMask) -> None:
+        """SelectEvents: ``client``'s mask on ``resource`` (NONE drops it)."""
+        entries = tuple(entry for entry in self._interest.get(resource, ())
+                        if entry[0] is not client)
+        if mask != EventMask.NONE and not client.closed:
+            entries = _merged(entries, ((client, int(mask)),))
+        if entries:
+            self._interest[resource] = entries
+        else:
+            self._interest.pop(resource, None)
+
+    def selection_for(self, client, resource: int) -> EventMask:
+        for selector, mask in self._interest.get(resource, ()):
+            if selector is client:
+                return EventMask(mask)
+        return EventMask.NONE
+
+    def forget_resource(self, resource: int) -> None:
+        """The resource is gone: so are its selections and stream edges."""
+        self._interest.pop(resource, None)
+        with self._stream_lock:
+            self._hungry_streams.discard(resource)
+            self._announced_streams.discard(resource)
+
+    def forget_client(self, client) -> None:
+        """The client is gone: drop every selection it made."""
+        for resource, entries in list(self._interest.items()):
+            if any(selector is client for selector, _mask in entries):
+                self.select(client, resource, EventMask.NONE)
+
     # -- emission -------------------------------------------------------------
 
     def emit(self, code: EventCode, resource: int, detail: int = 0,
@@ -83,25 +138,38 @@ class EventRouter:
 
         ``also_match`` lists additional resource ids whose selections
         should receive the event (e.g. the root LOUD of a device event);
-        the event itself always names ``resource``.  With ``only_client``
+        the event itself always names ``resource``, and a client that
+        selected several of the ids gets it once.  With ``only_client``
         the event is solicited out-of-band (the audio manager's
         SetRedirect), so it is delivered without a selection check.
         """
         self._m_emitted[code].inc()
         self._m_emitted_total.inc()
-        needed = EVENT_MASK_FOR_CODE[code]
-        match_ids = (resource,) + also_match
-        for client in self.server.clients_snapshot():
-            if only_client is not None and client is not only_client:
-                continue
-            if only_client is not None or any(
-                    client.selection_for(match_id) & needed
-                    for match_id in match_ids):
-                self._deliver(client, Event(
-                    code, resource=resource, detail=detail,
-                    sample_time=sample_time,
-                    args=args or AttributeList(),
-                    sequence=client.sequence & 0xFFFF))
+        if only_client is not None:
+            if only_client in self.server.clients_snapshot():
+                self._deliver(only_client, self._event(
+                    only_client, code, resource, detail, sample_time, args))
+            return
+        interest = self._interest
+        entries = interest.get(resource, ())
+        for match_id in also_match:
+            more = interest.get(match_id)
+            if more:
+                entries = _merged(entries, more) if entries else more
+        if not entries:
+            return
+        needed = _NEEDED[code]
+        for client, mask in entries:
+            if mask & needed:
+                self._deliver(client, self._event(
+                    client, code, resource, detail, sample_time, args))
+
+    @staticmethod
+    def _event(client, code: EventCode, resource: int, detail: int,
+               sample_time: int, args: AttributeList | None) -> Event:
+        return Event(code, resource=resource, detail=detail,
+                     sample_time=sample_time, args=args or AttributeList(),
+                     sequence=client.sequence & 0xFFFF)
 
     def emit_device(self, vdevice, code: EventCode, detail: int = 0,
                     sample_time: int = 0,

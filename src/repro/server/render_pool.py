@@ -6,16 +6,23 @@ runs the block cycle's render phase over it.
 
 Most blocks of most rows are *steady*: a lone player, wired to a lone
 output bound to a speaker, in the middle of one decoded sound.  Such a
-row emits no event, finishes nothing and needs no memo, so its block is
-just a slice of the sound passed through the player's and the output's
-gain stages.  Steady rows skip ``begin_tick``/``render_source``/
-``pull_sink``: their slices are gathered into one int16 matrix, each
-gain stage is one vectorized :func:`~repro.dsp.mixing.apply_gain`
-(same float64 product, same rounding, same saturation per element), and
-each speaker takes the rows bound to it as one int32 sum.  Every other
-row runs ``begin_tick`` on all its devices, then ``consume``.
-tests/golden/render_seed*.json and blockcycle_seed*.json pin the output
-of both paths.
+row emits no event and needs no memo, so its block is just a slice of
+the sound passed through the player's and the output's gain stages.  A
+*spliced* row is steady-shaped too: its sound ends inside the block and
+the successor the conductor pre-issued for exactly that sample plays
+the rest of it (paper section 6.2), so its block is the head's tail
+followed by the successor's head, and the head finishes at the splice
+sample as :meth:`~.vdevices.playback.PlaybackProgram.program_render`
+would finish it.  Steady and spliced rows skip ``begin_tick``/
+``render_source``/``pull_sink``: their slices are gathered into one
+int16 matrix, each gain stage is one vectorized
+:func:`~repro.dsp.mixing.apply_gain` (same float64 product, same
+rounding, same saturation per element), and each speaker takes the rows
+bound to it as one int32 sum.  Every other row runs ``begin_tick`` on
+all its devices, then ``consume``.  tests/golden/render_seed*.json and
+blockcycle_seed*.json pin the output of both paths, and
+tests/test_render_splice.py compares the spliced rows with the per-row
+path on random gapless programs.
 """
 
 from __future__ import annotations
@@ -53,37 +60,82 @@ def _steady_shape(devices: tuple):
     return player, output, output.bound.hardware
 
 
-def _steady_head(player: PlayerDevice, sample_time: int, frames: int):
-    """The playing item if this block of ``player`` is steady, else None.
+def _playable(item) -> bool:
+    """Decoded material that plays through with no per-row side effect:
+    not finished, not paused and with no sync interval."""
+    return (item.samples is not None and not item.finished
+            and not item.paused and not item.sync_interval)
 
-    Steady: the head item is decoded material that covers the whole
-    block and runs past it (so nothing finishes), with no pause, no
-    sync interval and no pending gain change.
+
+def _steady_items(player: PlayerDevice, sample_time: int, frames: int):
+    """``(head, successor)`` if this block of ``player`` batches, else None.
+
+    The head is the playing item, and the block batches when:
+
+    * the head runs past the block (``successor`` is None);
+    * the head ends exactly at the block's end and no finished item
+      waits behind it (``successor`` is None);
+    * the head ends inside the block and ``successor`` was pre-issued
+      to start at exactly that sample and runs past the block's end.
+
+    In each case ``program_render`` would emit nothing, finish at most
+    the head and remove only the head from the program.  No gain change
+    may be pending.
     """
     program = player.program
     if not program or player._gain_points:
         return None
     head = program[0]
-    samples = head.samples
-    if (samples is None or head.finished or head.paused
-            or head.sync_interval or head.not_before > sample_time
-            or len(samples) - head.cursor <= frames):
+    if not _playable(head) or head.not_before > sample_time:
         return None
-    return head
+    left = len(head.samples) - head.cursor
+    if left > frames:
+        return head, None
+    if left <= 0:
+        return None
+    if len(program) == 1:
+        return (head, None) if left == frames else None
+    successor = program[1]
+    if left == frames:
+        return None if successor.finished else (head, None)
+    if (_playable(successor)
+            and successor.not_before == sample_time + left
+            and len(successor.samples) - successor.cursor > frames - left):
+        return head, successor
+    return None
 
 
-def _render_steady(rows: list[tuple], frames: int) -> None:
-    """Render steady ``(player, output, speaker, head)`` rows in one batch."""
+def _take(item, block: np.ndarray, offset: int, count: int) -> None:
+    """Copy ``count`` samples of ``item`` into ``block[offset:]``."""
+    cursor = item.cursor
+    block[offset:offset + count] = item.samples[cursor:cursor + count]
+    item.cursor = cursor + count
+    item.frames_played += count
+    item.started_playing = True
+
+
+def _render_steady(rows: list[tuple], sample_time: int, frames: int) -> None:
+    """Render steady and spliced ``(player, output, speaker, head,
+    successor)`` rows in one batch."""
     count = len(rows)
     block = np.empty((count, frames), dtype=np.int16)
     stages = ([], [], [])
     speakers: dict[SpeakerDevice, list[int]] = {}
-    for index, (player, output, speaker, head) in enumerate(rows):
+    for index, (player, output, speaker, head, successor) in enumerate(rows):
         cursor = head.cursor
-        block[index] = head.samples[cursor:cursor + frames]
-        head.cursor = cursor + frames
-        head.frames_played += frames
-        head.started_playing = True
+        left = len(head.samples) - cursor
+        if left > frames:
+            block[index] = head.samples[cursor:cursor + frames]
+            head.cursor = cursor + frames
+            head.frames_played += frames
+            head.started_playing = True
+        else:
+            row = block[index]
+            _take(head, row, 0, left)
+            head.finish(sample_time + left)
+            player.program.remove(head)
+            if successor is not None:
+                _take(successor, row, left, frames - left)
         stages[0].append(player._current_gain)
         stages[1].append(player.gain)
         stages[2].append(output.gain)
@@ -102,8 +154,8 @@ def _render_steady(rows: list[tuple], frames: int) -> None:
 
 
 class RenderPool:
-    """Renders the whole plan serially: steady rows batched, the rest
-    row by row in plan order."""
+    """Renders the whole plan serially: steady and spliced rows batched,
+    the rest row by row in plan order."""
 
     def __init__(self) -> None:
         self._plan: list[tuple] | None = None
@@ -125,9 +177,9 @@ class RenderPool:
         rest = []
         for shape, (_queue, devices) in zip(self._shapes, plan):
             if shape is not None:
-                head = _steady_head(shape[0], sample_time, frames)
-                if head is not None:
-                    steady.append((*shape, head))
+                items = _steady_items(shape[0], sample_time, frames)
+                if items is not None:
+                    steady.append((*shape, *items))
                     continue
             rest.append(devices)
         for devices in rest:
@@ -137,4 +189,4 @@ class RenderPool:
             for device in devices:
                 device.consume(sample_time, frames)
         if steady:
-            _render_steady(steady, frames)
+            _render_steady(steady, sample_time, frames)

@@ -23,8 +23,10 @@ DEVICE_LOUD_ID = 1
 class ResourceTable:
     """All live resources, by id, with client-ownership bookkeeping."""
 
-    def __init__(self) -> None:
+    def __init__(self, on_remove=None) -> None:
         self._resources: dict[int, object] = {}
+        #: Called with each removed id (the server drops its selections).
+        self._on_remove = on_remove
         self._owner: dict[int, int] = {}    # resource id -> client id base
         self._next_client_base = FIRST_CLIENT_ID
         self._released: set[int] = set()    # granted but returned unused
@@ -87,6 +89,8 @@ class ResourceTable:
     def remove(self, resource_id: int) -> None:
         self._resources.pop(resource_id, None)
         self._owner.pop(resource_id, None)
+        if self._on_remove is not None:
+            self._on_remove(resource_id)
 
     def get(self, resource_id: int, expected_type: type | None = None,
             error_code: ErrorCode = ErrorCode.BAD_VALUE) -> object:

@@ -25,7 +25,9 @@ from repro.dsp.encodings import (
     mulaw_encode,
     mulaw_encode_reference,
 )
-from repro.dsp.mixing import mix, mix_reference
+from repro.dsp.mixing import mix
+
+from tests.mix_oracle import mix_reference
 
 FULL_INT16 = np.arange(-32768, 32768, dtype=np.int32).astype(np.int16)
 ALL_CODES = bytes(range(256))

@@ -96,6 +96,28 @@ class TestRoom:
         assert room.quiet
         assert np.all(room.microphone_signal(BLOCK) == 0)
 
+    def test_mixed_only_when_heard(self, monkeypatch):
+        from repro.hardware import room as room_module
+
+        mixes = []
+        mix = room_module.mix
+
+        def counted(*args, **kwargs):
+            mixes.append(1)
+            return mix(*args, **kwargs)
+
+        monkeypatch.setattr(room_module, "mix", counted)
+        hub = AudioHub(HardwareConfig())
+        hub.add_tick_callback(lambda _time, frames: hub.speakers[0].play(
+            np.full(frames, 4000, dtype=np.int16)))
+        hub.step(3)
+        assert mixes == []      # no microphone was read
+        microphone = hub.microphones[0]
+        heard = microphone.read(BLOCK)
+        assert np.all(heard == 4000 * Room.SPEAKER_BLEED)
+        assert microphone.read(BLOCK) is heard
+        assert len(mixes) == 1
+
 
 class TestCaptureBuffer:
     def test_append_and_samples(self):
