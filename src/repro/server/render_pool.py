@@ -18,8 +18,11 @@ would finish it.  Steady and spliced rows skip ``begin_tick``/
 int16 matrix, each gain stage is one vectorized
 :func:`~repro.dsp.mixing.apply_gain` (same float64 product, same
 rounding, same saturation per element), and each speaker takes the rows
-bound to it as one int32 sum.  Every other row runs ``begin_tick`` on
-all its devices, then ``consume``.  tests/golden/render_seed*.json and
+bound to it as one int32 sum.  An *idle* steady-shaped row (empty
+program, no pending gain point) would add only zeros, so it renders
+nothing and just counts its wire's block.  Every other row runs
+``begin_tick`` on all its devices, then ``consume``.
+tests/golden/render_seed*.json and
 blockcycle_seed*.json pin the output of both paths, and
 tests/test_render_splice.py compares the spliced rows with the per-row
 path on random gapless programs.
@@ -177,7 +180,12 @@ class RenderPool:
         rest = []
         for shape, (_queue, devices) in zip(self._shapes, plan):
             if shape is not None:
-                items = _steady_items(shape[0], sample_time, frames)
+                player = shape[0]
+                if not player.program and not player._gain_points:
+                    # Idle: its block is silence.  Only the wire counts.
+                    shape[1]._m_wire_frames.inc(frames)
+                    continue
+                items = _steady_items(player, sample_time, frames)
                 if items is not None:
                     steady.append((*shape, *items))
                     continue

@@ -36,6 +36,7 @@ import threading
 import numpy as np
 
 from ..dsp.encodings import MULAW_DECODE_TABLE
+from ..obs import NULL_REGISTRY
 
 #: The mu-law code for silence: decode(0xFF) == 0 exactly, so raw-byte
 #: concealment and decoded-sample concealment produce identical audio.
@@ -44,6 +45,12 @@ MULAW_SILENCE = 0xFF
 
 class JitterBuffer:
     """Reorder, conceal, and bound one direction of one call's audio."""
+
+    #: Where each tally is also counted as it happens.  A bare buffer
+    #: counts nowhere; :meth:`TrunkGateway.build_jitter
+    #: <repro.trunk.gateway.TrunkGateway.build_jitter>` points them at
+    #: its ``trunk.jitter.*`` counters.
+    m_late = m_lost = m_underruns = m_shed = NULL_REGISTRY.counter("null")
 
     def __init__(self, *, max_depth_samples: int = 16 * 160,
                  reorder_window: int = 4) -> None:
@@ -66,13 +73,9 @@ class JitterBuffer:
         #: A talkspurt is playing: pops take audio until one runs dry,
         #: and only that pop counts an underrun.
         self._playing = False
-        # Reused pop assembly scratch + shared silence returns; consumers
-        # get either a view of these (never mutated) or a fresh decode.
-        self._scratch = bytearray(0)
+        # Shared silence that pops of an idle buffer return views of.
         self._silence_raw = b""
-        self._silence_pcm = np.zeros(0, dtype=np.int16)
-        self._silence_pcm.flags.writeable = False
-        # Plain tallies; the gateway folds them into trunk.* metrics.
+        # Plain tallies, mirrored into the m_* counters above.
         self.late_frames = 0
         self.lost_frames = 0
         self.underruns = 0
@@ -81,12 +84,22 @@ class JitterBuffer:
     # -- producer side (link reader thread) -----------------------------------
 
     def push(self, seq: int, payload: bytes) -> None:
-        """Queue one block of raw mu-law bytes under its sequence."""
+        """Queue one block of raw mu-law bytes under its sequence.
+
+        The usual frame -- the next seq, with nothing waiting behind a
+        gap -- is copied straight into the ring; ``payload`` may be any
+        bytes-like view the caller reuses afterwards.
+        """
         with self._lock:
             if self._next_seq is None:
                 self._next_seq = seq
+            if seq == self._next_seq and not self._pending:
+                self._append(payload)
+                self._next_seq = seq + 1
+                return
             if seq < self._next_seq:
                 self.late_frames += 1
+                self.m_late.inc()
                 return
             block = bytes(payload)
             self._pending[seq] = block
@@ -108,6 +121,7 @@ class JitterBuffer:
                 return
             skip_to = min(pending)
             self.lost_frames += skip_to - self._next_seq
+            self.m_lost.inc(skip_to - self._next_seq)
             self._next_seq = skip_to
 
     def _append(self, block: bytes) -> None:
@@ -121,21 +135,26 @@ class JitterBuffer:
             # its newest ``capacity`` samples, count everything displaced
             # (prior content plus the truncated prefix) as shed.
             self.shed_samples += self._size + (length - capacity)
+            self.m_shed.inc(self._size + (length - capacity))
             ring[0:capacity] = block[length - capacity:]
             self._head = 0
             self._size = capacity
             return
-        overflow = self._size + length - capacity
+        size = self._size
+        overflow = size + length - capacity
         if overflow > 0:
             self._head = (self._head + overflow) % capacity
-            self._size -= overflow
+            size -= overflow
             self.shed_samples += overflow
-        tail = (self._head + self._size) % capacity
-        first = min(length, capacity - tail)
-        ring[tail:tail + first] = block[:first]
-        if first < length:
-            ring[0:length - first] = block[first:]
-        self._size += length
+            self.m_shed.inc(overflow)
+        tail = (self._head + size) % capacity
+        end = tail + length
+        if end <= capacity:
+            ring[tail:end] = block
+        else:
+            ring[tail:] = block[:capacity - tail]
+            ring[:end - capacity] = block[capacity - tail:]
+        self._size = size + length
 
     # -- consumer side (gateway tick) -----------------------------------------
 
@@ -148,52 +167,41 @@ class JitterBuffer:
         """
         return self._playing or self._size > 0
 
-    def pop_raw(self, frames: int) -> memoryview:
+    def pop_raw(self, frames: int):
         """Exactly ``frames`` raw mu-law bytes, 0xFF-concealed.
 
-        Plays whatever is buffered; an empty buffer is silence.
-        Returns a view of a buffer this JitterBuffer owns and reuses on
-        the next pop: callers must consume (or copy) it before popping
-        again.  The gateway's vectorized pump decodes all legs' views in
-        one ``np.take`` within the same tick, so reuse is safe there.
+        Plays whatever is buffered; an empty buffer is silence.  Audio
+        comes back as a fresh ``bytearray`` the caller owns; pure silence
+        as a read-only view of a shared buffer.
         """
-        taken = 0
         with self._lock:
+            size = self._size
             if not self._playing:
-                if not self._size:
+                if not size:
                     return self._silence_raw_view(frames)
                 self._playing = True
-            taken = min(frames, self._size)
-            scratch = self._scratch
-            if len(scratch) < frames:
-                scratch = self._scratch = bytearray(frames)
             head = self._head
             capacity = self.max_depth_samples
-            first = min(taken, capacity - head)
-            scratch[0:first] = self._ring[head:head + first]
-            if first < taken:
-                scratch[first:taken] = self._ring[0:taken - first]
-            self._head = (head + taken) % capacity
-            self._size -= taken
+            taken = frames if frames < size else size
+            end = head + taken
+            if end <= capacity:
+                out = self._ring[head:end]
+            else:
+                out = self._ring[head:] + self._ring[:end - capacity]
+            self._head = end % capacity
+            self._size = size - taken
             if taken < frames:
                 self.underruns += 1
+                self.m_underruns.inc()
                 self._playing = False
         if taken < frames:
-            scratch[taken:frames] = bytes([MULAW_SILENCE]) * (frames - taken)
-        return memoryview(scratch)[:frames]
+            out += bytes([MULAW_SILENCE]) * (frames - taken)
+        return out
 
     def pop(self, frames: int) -> np.ndarray:
-        """Exactly ``frames`` decoded samples, silence-concealed.
-
-        Pure silence returns a shared read-only zeros view (no
-        allocation); real audio is decoded fresh in one table take, so
-        callers may keep the array as long as they like.
-        """
-        raw = self.pop_raw(frames)
-        if raw.obj is self._silence_raw:
-            return self._silence_pcm_view(frames)
+        """Exactly ``frames`` decoded samples, silence-concealed."""
         return np.take(MULAW_DECODE_TABLE,
-                       np.frombuffer(raw, dtype=np.uint8))
+                       np.frombuffer(self.pop_raw(frames), dtype=np.uint8))
 
     def drain_raw(self) -> bytes:
         """Everything buffered, oldest first (frames waiting behind a
@@ -213,13 +221,6 @@ class JitterBuffer:
         if len(self._silence_raw) < frames:
             self._silence_raw = bytes([MULAW_SILENCE]) * frames
         return memoryview(self._silence_raw)[:frames]
-
-    def _silence_pcm_view(self, frames: int) -> np.ndarray:
-        if len(self._silence_pcm) < frames:
-            silence = np.zeros(frames, dtype=np.int16)
-            silence.flags.writeable = False
-            self._silence_pcm = silence
-        return self._silence_pcm[:frames]
 
     @property
     def depth_samples(self) -> int:

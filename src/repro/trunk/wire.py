@@ -55,9 +55,11 @@ before a frame flows.
 
 Marshalling reuses the :class:`~repro.protocol.wire.Writer` /
 :class:`~repro.protocol.wire.Reader` primitives of the client protocol
-(same endianness, same string/blob encoding); framing errors raise
-:class:`TrunkProtocolError` so a bad peer drops the link instead of
-crashing the gateway.
+(same endianness, same string/blob encoding), except that AUDIO_BATCH,
+the per-tick bulk, is packed and parsed with one prebound ``struct``
+call per entry and decodes to payload views of the frame body.  Errors
+raise :class:`TrunkProtocolError` so a bad peer drops the link instead
+of crashing the gateway.
 """
 
 from __future__ import annotations
@@ -183,17 +185,19 @@ def encode_audio_batch_into(out: bytearray, entries) -> None:
     """Append one AUDIO_BATCH frame to a reused sweep buffer.
 
     Prebound structs, no intermediate frame objects: one header pack
-    per frame and per entry, however many calls ride it.  Entries are
+    per frame and per entry, however many calls ride it (the frame
+    header is filled in once its length is known).  Entries are
     ``(call_id, seq, payload)`` where the payload is any bytes-like
     mu-law block.
     """
-    size = 5    # u8 type + u32 count
-    for _call_id, _seq, payload in entries:
-        size += _ENTRY_HEAD.size + len(payload)
-    out += _BATCH_HEAD.pack(size, int(FrameType.AUDIO_BATCH), len(entries))
+    start = len(out)
+    out += bytes(_BATCH_HEAD.size)
+    pack = _ENTRY_HEAD.pack
     for call_id, seq, payload in entries:
-        out += _ENTRY_HEAD.pack(call_id, seq, len(payload))
+        out += pack(call_id, seq, len(payload))
         out += payload
+    _BATCH_HEAD.pack_into(out, start, len(out) - start - _LENGTH.size,
+                          FrameType.AUDIO_BATCH, len(entries))
 
 
 def decode_frame(body: bytes) -> TrunkFrame:
@@ -220,16 +224,7 @@ def decode_frame(body: bytes) -> TrunkFrame:
                                 reader.u32()))
             frame = TrunkFrame(frame_type, adverts=tuple(adverts))
         elif frame_type is FrameType.AUDIO_BATCH:
-            count = reader.u32()
-            if count > MAX_BATCH_ENTRIES:
-                raise TrunkProtocolError(
-                    "AUDIO_BATCH of %d entries too large" % count)
-            entries = []
-            for _ in range(count):
-                entry_call = reader.u32()
-                entry_seq = reader.u32()
-                entries.append((entry_call, entry_seq, reader.blob()))
-            frame = TrunkFrame(frame_type, entries=tuple(entries))
+            return _decode_audio_batch(body)
         else:
             call_id = reader.u32()
             if frame_type is FrameType.SETUP2:
@@ -258,6 +253,36 @@ def decode_frame(body: bytes) -> TrunkFrame:
     except WireFormatError as exc:
         raise TrunkProtocolError(str(exc)) from None
     return frame
+
+
+def _decode_audio_batch(body) -> TrunkFrame:
+    """AUDIO_BATCH in one pass: one prebound unpack per entry header.
+
+    Payloads are memoryview slices of ``body`` (the framer copies each
+    frame out of its receive buffer), so no payload is copied here.
+    """
+    view = memoryview(body)
+    size = len(view)
+    pos = 5     # u8 type + u32 count
+    entries = []
+    try:
+        (count,) = _LENGTH.unpack_from(view, 1)
+        if count > MAX_BATCH_ENTRIES:
+            raise TrunkProtocolError(
+                "AUDIO_BATCH of %d entries too large" % count)
+        for _ in range(count):
+            call_id, seq, length = _ENTRY_HEAD.unpack_from(view, pos)
+            pos += _ENTRY_HEAD.size
+            entries.append((call_id, seq, view[pos:pos + length]))
+            pos += length
+    except struct.error:
+        raise TrunkProtocolError("truncated AUDIO_BATCH at offset %d of %d"
+                                 % (pos, size)) from None
+    # A payload cut short by the body's end leaves pos past it.
+    if pos != size:
+        raise TrunkProtocolError("AUDIO_BATCH entries span %d of its %d "
+                                 "bytes" % (pos, size))
+    return TrunkFrame(FrameType.AUDIO_BATCH, entries=tuple(entries))
 
 
 def read_frame(sock: socket.socket) -> TrunkFrame:

@@ -487,11 +487,13 @@ class TestDeclaredRoundTrip:
 # -- trunk bearer framing -----------------------------------------------------
 
 from repro.trunk.wire import (  # noqa: E402
+    MAX_BATCH_ENTRIES,
     FrameStream,
     FrameType,
     TrunkFrame,
     TrunkProtocolError,
 )
+from tests.trunk_oracle import decode_audio_batch_reference  # noqa: E402
 
 
 _batch_entries = st.lists(
@@ -558,6 +560,70 @@ class TestTrunkBatchFuzz:
             decode_frame(body)
         except TrunkProtocolError:
             pass
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+                  st.integers(0, 400).map(lambda size: bytes(
+                      (size + index) % 256 for index in range(size)))),
+        max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_decodes_as_the_field_by_field_oracle(self, entries):
+        from repro.trunk.wire import decode_frame
+
+        body = TrunkFrame(FrameType.AUDIO_BATCH,
+                          entries=tuple(entries)).encode()[4:]
+        decoded = decode_frame(body).entries
+        assert decoded == decode_audio_batch_reference(body)
+        assert decoded == tuple(entries)
+
+    @given(_batch_entries)
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_or_padded_batch_rejected_by_both(self, entries):
+        from repro.trunk.wire import decode_frame
+
+        body = TrunkFrame(FrameType.AUDIO_BATCH,
+                          entries=tuple(entries)).encode()[4:]
+        bad = [body[:cut] for cut in range(len(body))] + [body + b"\0"]
+        for decoder in (decode_frame, decode_audio_batch_reference):
+            for malformed in bad:
+                with pytest.raises(TrunkProtocolError):
+                    decoder(malformed)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_batch_count_over_the_bound_rejected_by_both(self, extra):
+        from repro.trunk.wire import decode_frame
+
+        count = MAX_BATCH_ENTRIES + 1
+        body = bytes([FrameType.AUDIO_BATCH]) + count.to_bytes(4, "little")
+        body += bytes(12) * count * extra    # empty entries, or none
+        for decoder in (decode_frame, decode_audio_batch_reference):
+            with pytest.raises(TrunkProtocolError, match="too large"):
+                decoder(body)
+
+    def test_payload_views_survive_the_next_burst(self):
+        """A burst's payloads are views of frame bodies copied out of
+        the receive buffer: the next burst compacting or reusing that
+        buffer leaves them intact."""
+        first = [TrunkFrame(FrameType.AUDIO_BATCH, entries=tuple(
+            (call, seq, bytes([call * 16 + seq]) * 160)
+            for call in range(4))) for seq in range(3)]
+        second = [TrunkFrame(FrameType.AUDIO_BATCH, entries=tuple(
+            (call, seq, bytes([0xAA ^ seq]) * 160) for call in range(4)))
+            for seq in range(3, 9)]
+        blob = b"".join(frame.encode() for frame in first + second)
+        # The first recv ends mid-frame, so the second compacts the
+        # partial frame to the front of the buffer and overwrites it.
+        cut = len(b"".join(frame.encode() for frame in first)) + 7
+        stream = FrameStream(_ChunkedFakeSocket(blob, [cut]))
+        got = stream.read_frames()
+        assert got == first
+        payloads = [payload for frame in got
+                    for _call, _seq, payload in frame.entries]
+        while len(got) < len(first) + len(second):
+            got.extend(stream.read_frames())
+        assert got == first + second
+        assert payloads == [payload for frame in first
+                            for _call, _seq, payload in frame.entries]
 
 
 # -- mesh route propagation and registry framing ------------------------------

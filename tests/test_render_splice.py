@@ -158,8 +158,9 @@ def test_spliced_rows_match_per_row_render(program):
 
 
 def test_gapless_boundaries_take_the_batch():
-    """Three pre-issued boundaries splice; the row first renders row by
-    row in the block where the last clip ends with no successor."""
+    """Three pre-issued boundaries splice; the row renders row by row
+    only in the block where the last clip ends with no successor, and
+    not at all once its program is empty."""
     calls = []
     consume = PlayerDevice.consume
 
@@ -171,7 +172,7 @@ def test_gapless_boundaries_take_the_batch():
                           "steps": [("play", 333)] * 4}], "actions": []}
     with mock.patch.object(PlayerDevice, "consume", counted):
         spliced = run(program, per_row=False)
-    assert calls[0] == 1280     # the block holding sample 4 * 333
+    assert calls == [1280]      # the block holding sample 4 * 333
     assert [time for _serial, time, _detail in spliced["done"]] == [
         333, 666, 999, 1332]
     assert spliced == run(program, per_row=True)

@@ -1156,6 +1156,79 @@ class TestCutThroughTandem:
         assert rig.gw_b._m_tandem_frames.value == len(spoken)
 
 
+class TestJitterCountersExact:
+    """``trunk.jitter.*`` count each tally as it happens, so after every
+    tick they equal the summed tallies of the far end's live and
+    released legs: no per-leg fold lags them."""
+
+    TALLIES = (("late_frames", "_m_late"), ("lost_frames", "_m_lost"),
+               ("underruns", "_m_underruns"),
+               ("shed_samples", "_m_jitter_shed"))
+
+    def test_counters_match_leg_tallies_after_every_tick(self, line_abc):
+        rig = line_abc
+        gw_c = rig.gw_c
+        alice, carol = rig.connect()
+        (far_leg,) = [leg for by_call in gw_c._legs.values()
+                      for leg in by_call.values()]
+        link_ab = rig.gw_a.routes[0].link
+        bound = link_ab.outbound_bound
+        spoken = iter(_voiced_blocks(80))
+        checked = []
+
+        def check():
+            for tally, counter in self.TALLIES:
+                assert (getattr(gw_c, counter).value
+                        == getattr(far_leg.jitter, tally)), tally
+            checked.append(tuple(getattr(far_leg.jitter, tally)
+                                 for tally, _counter in self.TALLIES))
+
+        def tick(speak=True, far_end=True):
+            if speak:
+                alice.send_audio(next(spoken))
+            if far_end:
+                rig.tick()
+                carol.receive_audio(BLOCK)
+            else:
+                # The far end stalls: A and B run, C only receives.
+                rig.exchanges[0].tick(BLOCK)
+                rig.wait_bearer(rig.gw_a, rig.gw_b)
+                rig.exchanges[1].tick(BLOCK)
+                rig.wait_bearer(rig.gw_b, gw_c)
+            check()
+
+        for _ in range(4):
+            tick()
+        # One window shed at A: C conceals the gap once, counted lost.
+        link_ab.outbound_bound = 0
+        tick()
+        link_ab.outbound_bound = bound
+        for _ in range(6):
+            tick()
+        assert far_leg.jitter.lost_frames == 1
+        # A replayed frame from before the stream head: late.
+        far_leg.link.on_bearer(far_leg.link, (
+            (far_leg.call_id, 1, bytes(mulaw_encode(_voiced_blocks(1)[0]))),))
+        check()
+        assert far_leg.jitter.late_frames == 1
+        # The talker pauses: C runs dry mid-talkspurt, an underrun.
+        for _ in range(3):
+            tick(speak=False)
+        assert far_leg.jitter.underruns >= 1
+        # C stalls while A talks on: its buffer sheds past the depth.
+        depth_blocks = far_leg.jitter.max_depth_samples // BLOCK
+        for _ in range(depth_blocks + 3):
+            tick(far_end=False)
+        assert far_leg.jitter.shed_samples > 0
+        for _ in range(4):
+            tick()
+        # The call ends: the released leg's tallies stay counted.
+        alice.on_hook()
+        assert rig.pump_until(lambda: not gw_c._legs)
+        check()
+        assert len(set(checked)) > 4
+
+
 class _ObservedLock:
     """Stands in for a gateway's bearer lock.
 
