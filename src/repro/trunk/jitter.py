@@ -11,7 +11,8 @@ The :class:`JitterBuffer` decouples the two clocks:
   adaptive playout delay needs pauses between talkspurts to change
   in, and every sender here sends a block per tick while off hook);
 * frames arrive with sequence numbers; late frames (already concealed
-  and skipped past) are dropped and counted;
+  and skipped past) and second copies of a frame still waiting are
+  dropped and counted;
 * gaps in the sequence are *concealed* with silence exactly once, and
   counted as lost;
 * a pop that runs out of audio mid-talkspurt returns silence for the
@@ -97,7 +98,9 @@ class JitterBuffer:
                 self._append(payload)
                 self._next_seq = seq + 1
                 return
-            if seq < self._next_seq:
+            if seq < self._next_seq or seq in self._pending:
+                # Already played, skipped, or waiting behind a gap: the
+                # first copy stands.
                 self.late_frames += 1
                 self.m_late.inc()
                 return

@@ -1,4 +1,5 @@
-"""The all-float64 mixer: the oracle the fast mixer is checked against.
+"""The all-float64 mixer and gain: the oracles the fast paths are
+checked against.
 
 Shared by tests/test_dsp_fastpath.py (bit-identity, saturation edges
 included) and benchmarks/test_bench_perf.py (the fast path's speedup
@@ -28,3 +29,9 @@ def mix_reference(blocks: list[np.ndarray],
         accumulator[:usable] += (
             np.asarray(block[:usable], dtype=np.float64) * gain)
     return saturate(np.round(accumulator).astype(np.int64))
+
+
+def apply_gain_reference(samples: np.ndarray, gain: float) -> np.ndarray:
+    """One gain stage in float64: product, round half to even, clip."""
+    scaled = np.round(np.asarray(samples, dtype=np.float64) * gain)
+    return np.clip(scaled, -32768, 32767).astype(np.int16)

@@ -284,6 +284,22 @@ class TestJitterBuffer:
         assert jb.late_frames == 1
         assert jb.depth_samples == 0
 
+    def test_duplicate_behind_a_gap_is_late_and_counted_once(self):
+        jb = JitterBuffer()
+        frames = 8
+        jb.push(0, self._payload(1, frames))
+        jb.push(2, self._payload(3, frames))     # waits for seq 1
+        jb.push(2, self._payload(5, frames))     # a second copy of seq 2
+        assert jb.late_frames == 1
+        assert jb.depth_samples == 2 * frames
+        jb.push(1, self._payload(2, frames))
+        assert jb.depth_samples == 3 * frames
+        out = jb.pop(3 * frames)
+        assert np.array_equal(out, np.concatenate([
+            self._decoded(value, frames) for value in (1, 2, 3)]))
+        assert jb.depth_samples == 0
+        assert jb.lost_frames == jb.underruns == 0
+
     def test_gap_concealed_and_counted_lost(self):
         jb = JitterBuffer(reorder_window=2)
         jb.push(0, self._payload(1))
