@@ -132,11 +132,6 @@ class Dispatcher:
         # int opcode sets, checked per message on the dispatch path.
         self._pure_codes = frozenset(int(op) for op in PURE_OPCODES)
         self._snapshot_codes = frozenset(int(op) for op in SNAPSHOT_OPCODES)
-        self._snapshot_handlers = {
-            OpCode.QUERY_LOUD: self._query_loud_snapshot,
-            OpCode.QUERY_VIRTUAL_DEVICE: self._query_device_snapshot,
-            OpCode.QUERY_WIRE: self._query_wire_snapshot,
-        }
 
     def needs_lock(self, message: Message) -> bool:
         """Whether this request must run under the topology lock."""
@@ -148,17 +143,14 @@ class Dispatcher:
 
     def handle(self, client, message: Message) -> None:
         """Decode and execute one request; errors become error messages."""
-        self._run(client, message, self._handlers)
+        self._run(client, message)
 
     def handle_unlocked(self, client, message: Message) -> None:
         """Execute a pure or snapshot request without the lock."""
         self._m_unlocked.inc()
-        if message.code in self._snapshot_codes:
-            self._run(client, message, self._snapshot_handlers)
-        else:
-            self._run(client, message, self._handlers)
+        self._run(client, message)
 
-    def _run(self, client, message: Message, handlers: dict) -> None:
+    def _run(self, client, message: Message) -> None:
         started = perf_counter()
         try:
             request = rq.decode_request(message.code, message.payload)
@@ -170,7 +162,7 @@ class Dispatcher:
                 0, str(exc)))
             return
         opcode = int(request.OPCODE)
-        handler = handlers[request.OPCODE]
+        handler = self._handlers[request.OPCODE]
         try:
             handler(client, request)
         except ProtocolError as error:
@@ -290,42 +282,19 @@ class Dispatcher:
             return
         self.server.stack.restack(loud, request.position)
 
+    # Topology reads run lock-free, served from the prebuilt
+    # QuerySnapshot so they never wait behind the block cycle.
+
     def _query_loud(self, client, request: rq.QueryLoud) -> None:
-        loud = self._loud(request.loud)
-        reply = rq.QueryLoudReply(
-            parent=loud.parent.loud_id if loud.parent else 0,
-            children=[child.loud_id for child in loud.children],
-            devices=[device.device_id for device in loud.devices],
-            mapped=loud.mapped,
-            active=loud.active,
-            stack_index=self.server.stack.index_of(loud),
-            attributes=loud.attributes)
+        reply = self.server.query_snapshot().loud_reply(request.loud)
         client.send_reply(reply, client.sequence)
 
     def _query_virtual_device(self, client,
                               request: rq.QueryVirtualDevice) -> None:
-        device = self._device(request.device)
-        reply = rq.QueryVirtualDeviceReply(
-            device_class=device.DEVICE_CLASS,
-            attributes=device.describe(),
-            ports=[(port.index, int(port.direction), port.sound_type)
-                   for port in device.ports],
-            wires=[wire.wire_id for wire in device.wires])
-        client.send_reply(reply, client.sequence)
-
-    # Lock-free variants: identical replies, served from the prebuilt
-    # QuerySnapshot so they never wait behind the block cycle.
-
-    def _query_loud_snapshot(self, client, request: rq.QueryLoud) -> None:
-        reply = self.server.query_snapshot().loud_reply(request.loud)
-        client.send_reply(reply, client.sequence)
-
-    def _query_device_snapshot(self, client,
-                               request: rq.QueryVirtualDevice) -> None:
         reply = self.server.query_snapshot().device_reply(request.device)
         client.send_reply(reply, client.sequence)
 
-    def _query_wire_snapshot(self, client, request: rq.QueryWire) -> None:
+    def _query_wire(self, client, request: rq.QueryWire) -> None:
         reply = self.server.query_snapshot().wire_reply(request.wire)
         client.send_reply(reply, client.sequence)
 
@@ -333,13 +302,6 @@ class Dispatcher:
                                 request: rq.AugmentVirtualDevice) -> None:
         device = self._device(request.device)
         device.attributes = device.attributes.merged_with(request.attributes)
-
-    def _query_wire(self, client, request: rq.QueryWire) -> None:
-        wire = self._wire(request.wire)
-        reply = rq.QueryWireReply(
-            wire.source_device.device_id, wire.source_port,
-            wire.sink_device.device_id, wire.sink_port, wire.wire_type)
-        client.send_reply(reply, client.sequence)
 
     # -- sounds ---------------------------------------------------------------
 

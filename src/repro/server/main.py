@@ -121,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Nothing in the daemon reads its output capture: keep none.
     config = HardwareConfig(sample_rate=args.rate, block_frames=args.block,
-                            speakerphone=args.speakerphone)
+                            speakerphone=args.speakerphone,
+                            capture_output=False)
     server = AudioServer(config, host=args.host, port=args.port,
                          realtime=args.realtime,
                          catalogue_dir=args.catalogue,

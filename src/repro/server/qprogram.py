@@ -6,16 +6,21 @@ DelayEnd.  These queue commands are not meant to provide a programming
 language but to facilitate synchronization.  There are no conditionals
 or branches and the queue is not an interpretor."  (paper section 5.5)
 
-A queue's pending work is a tree:
+A queue's unfinished work is a tree:
 
 * :class:`Leaf` -- one device command;
 * :class:`Seq` -- children run one after another (the implicit top
-  level, and the inside of a Delay block);
-* :class:`Par` -- a CoBegin/CoEnd bracket: each child is a parallel
-  branch; the node completes when *all* branches do;
-* :class:`DelayBlock` -- a Delay/DelayEnd bracket: its children run
-  sequentially, starting ``delay_frames`` after the block becomes
-  eligible.
+  level, and a Delay/DelayEnd bracket, whose first child starts
+  ``delay_frames`` after the bracket becomes eligible);
+* :class:`Par` -- a CoBegin/CoEnd bracket: once it is both closed and
+  eligible, every child starts as a parallel branch; it completes when
+  *all* branches do.
+
+A container holds only its unfinished children: a finished child
+leaves its parent, which keeps one sample, ``next_start``, where its
+next child starts.  A bracket completes only once its closing command
+has arrived, so work appended to a drained queue is never stranded
+behind a bracket that finished early.
 
 Eligibility propagates *absolute sample times* down the tree: when a
 leaf completes at sample T, its successor becomes eligible at exactly T.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 
 from ..protocol.attributes import AttributeList
 from ..protocol.errors import bad
@@ -48,15 +54,11 @@ class Node:
 
     def __init__(self) -> None:
         self.parent: "Container | None" = None
-        self.done = False
-        self.completed_at: int | None = None
 
     def set_eligible(self, time: int) -> None:
         raise NotImplementedError
 
     def _complete(self, time: int) -> None:
-        self.done = True
-        self.completed_at = time
         if self.parent is not None:
             self.parent.child_completed(self, time)
 
@@ -118,16 +120,14 @@ class Leaf(Node):
 
 
 class Container(Node):
-    """Base of Seq / Par / DelayBlock."""
+    """Base of Seq and Par: holds its unfinished children only."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.children: list[Node] = []
-        self.eligible_at: int | None = None
-
-    def append(self, child: Node) -> None:
-        child.parent = self
-        self.children.append(child)
+        #: Set by the bracket's closing command (never for the root).
+        self.closed = False
+        #: Where the next child starts; None until the node is eligible.
+        self.next_start: int | None = None
 
     def child_completed(self, child: Node, time: int) -> None:
         raise NotImplementedError
@@ -136,85 +136,82 @@ class Container(Node):
 class Seq(Container):
     """Children run in order; completion time threads through."""
 
-    def __init__(self) -> None:
+    def __init__(self, delay_frames: int = 0) -> None:
         super().__init__()
-        self._cursor = 0
-
-    def set_eligible(self, time: int) -> None:
-        self.eligible_at = time
-        if self._cursor < len(self.children):
-            self.children[self._cursor].set_eligible(time)
-        elif not self.children:
-            self._complete(time)
+        self.delay_frames = delay_frames
+        self.children: deque[Node] = deque()
 
     def append(self, child: Node) -> None:
-        super().append(child)
-        # Appending to an eligible, exhausted Seq re-arms it (the dynamic
-        # top-level queue): the new child is eligible at the time the last
-        # child finished, or the Seq's own eligibility time.
-        if (self.eligible_at is not None
-                and self._cursor == len(self.children) - 1):
-            last_time = self.eligible_at
-            if self._cursor > 0:
-                previous = self.children[self._cursor - 1]
-                if previous.completed_at is not None:
-                    last_time = previous.completed_at
-            child.set_eligible(last_time)
-        self.done = False
+        child.parent = self
+        self.children.append(child)
+        # The dynamic top level: a child appended to an eligible, drained
+        # Seq starts where the last child finished.
+        if self.next_start is not None and len(self.children) == 1:
+            child.set_eligible(self.next_start)
+
+    def set_eligible(self, time: int) -> None:
+        self._advance(time + self.delay_frames)
+
+    def close(self) -> None:
+        self.closed = True
+        if self.next_start is not None and not self.children:
+            self._complete(self.next_start)
 
     def child_completed(self, child: Node, time: int) -> None:
-        if (self._cursor < len(self.children)
-                and self.children[self._cursor] is child):
-            self._cursor += 1
-            if self._cursor < len(self.children):
-                self.children[self._cursor].set_eligible(time)
-            else:
-                self._complete(time)
+        # Only the head is ever eligible, so only the head completes.
+        self.children.popleft()
+        self._advance(time)
 
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self.children)
+    def _advance(self, time: int) -> None:
+        self.next_start = time
+        if self.children:
+            self.children[0].set_eligible(time)
+        elif self.closed:
+            self._complete(time)
 
 
 class Par(Container):
-    """A CoBegin bracket: all children start together."""
+    """A CoBegin bracket: all children start together once it is closed.
 
-    def set_eligible(self, time: int) -> None:
-        self.eligible_at = time
-        if not self.children:
-            self._complete(time)
-            return
-        for child in self.children:
-            child.set_eligible(time)
+    Until its branches start, ``next_start`` is the bracket's eligibility
+    time; after, it is the latest branch end so far.
+    """
 
-    def child_completed(self, child: Node, time: int) -> None:
-        if all(node.done for node in self.children):
-            finish = max(node.completed_at or time
-                         for node in self.children)
-            self._complete(finish)
-
-
-class DelayBlock(Container):
-    """A Delay bracket: a Seq that starts ``delay_frames`` late."""
-
-    def __init__(self, delay_frames: int) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.delay_frames = delay_frames
-        self._inner = Seq()
-        self._inner.parent = self
+        #: Insertion-ordered, so branches keep program order and a
+        #: finished one leaves in O(1).
+        self.children: dict[Node, None] = {}
 
     def append(self, child: Node) -> None:
-        self._inner.append(child)
-        self.children = self._inner.children
+        child.parent = self
+        self.children[child] = None
 
     def set_eligible(self, time: int) -> None:
-        self.eligible_at = time
-        self._inner.set_eligible(time + self.delay_frames)
+        self.next_start = time
+        if self.closed:
+            self._start()
+
+    def close(self) -> None:
+        self.closed = True
+        if self.next_start is not None:
+            self._start()
+
+    def _start(self) -> None:
+        start = self.next_start
+        if not self.children:
+            self._complete(start)
+            return
+        # A copy: an empty bracket among the branches completes at once
+        # (and may move next_start on before the later branches start).
+        for child in list(self.children):
+            child.set_eligible(start)
 
     def child_completed(self, child: Node, time: int) -> None:
-        # Only the inner Seq reports here.
-        if child is self._inner:
-            self._complete(time)
+        del self.children[child]
+        self.next_start = max(self.next_start, time)
+        if not self.children:
+            self._complete(self.next_start)
 
 
 _PENDING = (LeafState.WAITING, LeafState.READY)
@@ -248,34 +245,34 @@ class QueueProgram:
                     args: AttributeList) -> Leaf | None:
         """Append one queued command; returns the Leaf (None for brackets)."""
         if command is Command.CO_BEGIN:
-            par = Par()
-            self._top.append(par)
-            self._open.append(par)
-            return None
-        if command is Command.CO_END:
-            if not isinstance(self._top, Par):
-                raise bad(ErrorCode.BAD_MATCH, "CoEnd without CoBegin")
-            self._open.pop()
+            self._open_bracket(Par())
             return None
         if command is Command.DELAY:
             milliseconds = args.get("ms")
             if milliseconds is None:
                 raise bad(ErrorCode.BAD_VALUE, "Delay needs an ms argument")
-            frames = int(milliseconds) * self._sample_rate() // 1000
-            block = DelayBlock(frames)
-            self._top.append(block)
-            self._open.append(block)
+            self._open_bracket(
+                Seq(int(milliseconds) * self.sample_rate // 1000))
+            return None
+        if command is Command.CO_END:
+            if not isinstance(self._top, Par):
+                raise bad(ErrorCode.BAD_MATCH, "CoEnd without CoBegin")
+            self._open.pop().close()
             return None
         if command is Command.DELAY_END:
-            if not isinstance(self._top, DelayBlock):
+            if self._top is self.root or not isinstance(self._top, Seq):
                 raise bad(ErrorCode.BAD_MATCH, "DelayEnd without Delay")
-            self._open.pop()
+            self._open.pop().close()
             return None
         leaf = Leaf(device_id, command, args)
         leaf.program = self
         self._pending += 1
         self._top.append(leaf)
         return leaf
+
+    def _open_bracket(self, bracket: Container) -> None:
+        self._top.append(bracket)
+        self._open.append(bracket)
 
     def _leaf_moved(self, leaf: Leaf, state: LeafState) -> None:
         """Account one leaf leaving ``leaf.state`` for ``state``."""
@@ -289,12 +286,9 @@ class QueueProgram:
     #: Filled in by the owning queue so Delay can convert ms to frames.
     sample_rate = 8000
 
-    def _sample_rate(self) -> int:
-        return self.sample_rate
-
     def arm(self, time: int) -> None:
         """Make the root eligible (queue started)."""
-        if self.root.eligible_at is None:
+        if self.root.next_start is None:
             self.root.set_eligible(time)
 
     def ready_leaves(self) -> list[Leaf]:
@@ -307,18 +301,12 @@ class QueueProgram:
         if isinstance(node, Leaf):
             if node.state is LeafState.READY:
                 ready.append(node)
-            return
-        if isinstance(node, DelayBlock):
-            self._collect_ready(node._inner, ready)
-            return
-        if isinstance(node, Seq):
-            if node._cursor < len(node.children):
-                self._collect_ready(node.children[node._cursor], ready)
-            return
-        if isinstance(node, Par):
+        elif isinstance(node, Seq):
+            if node.children:
+                self._collect_ready(node.children[0], ready)
+        else:
             for child in node.children:
-                if not child.done:
-                    self._collect_ready(child, ready)
+                self._collect_ready(child, ready)
 
     def pending_count(self) -> int:
         """Leaves not yet started."""
@@ -340,25 +328,23 @@ class QueueProgram:
     def flush_pending(self) -> list[Leaf]:
         """Discard not-yet-started leaves (ControlQueue FLUSH).
 
-        Implemented by completing them immediately with no device action;
-        returns the flushed leaves, in program order, so the caller can
-        report them.
+        Returns the flushed leaves, in program order, so the caller can
+        report them.  The program restarts as an empty one, armed if the
+        old one was; running leaves stay counted and finish in the
+        detached old tree.
         """
         flushed: list[Leaf] = []
         self._collect_pending(self.root, flushed)
         for leaf in flushed:
             leaf._move(LeafState.DONE)
-        # Rebuild the tree as an empty program: simplest faithful
-        # semantics for a full flush of pending work.  Running leaves
-        # stay counted and finish in the detached old tree.
+        armed_at = self.root.next_start
         self.root = Seq()
         self._open = [self.root]
+        if armed_at is not None:
+            self.root.set_eligible(armed_at)
         return flushed
 
     def _collect_pending(self, node: Node, pending: list[Leaf]) -> None:
-        # The whole tree: a command appended inside a bracket that
-        # already completed (an empty CoBegin armed before its first
-        # command arrived) sits behind its Seq's cursor, still pending.
         if isinstance(node, Leaf):
             if node.state in _PENDING:
                 pending.append(node)

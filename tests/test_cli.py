@@ -16,6 +16,7 @@ from repro.dsp import tones
 from repro.dsp.aufile import write_au
 from repro.dsp.encodings import mulaw_encode
 from repro.protocol.types import MULAW_8K
+from repro.server import main as server_main
 from repro.server.main import build_parser
 from repro.telephony import SimulatedParty
 
@@ -154,6 +155,23 @@ class TestServerDaemon:
         finally:
             process.send_signal(signal.SIGTERM)
             process.wait(timeout=10)
+
+    def test_daemon_keeps_no_output_capture(self, monkeypatch):
+        # Nothing in the daemon reads the capture; kept, it grows by
+        # every block the server emits for as long as it runs.
+        configs = []
+
+        class Built(Exception):
+            pass
+
+        def record(config, **_kwargs):
+            configs.append(config)
+            raise Built
+
+        monkeypatch.setattr(server_main, "AudioServer", record)
+        with pytest.raises(Built):
+            server_main.main(["--port", "0"])
+        assert configs[0].capture_output is False
 
 
 class TestServerAddressFlags:

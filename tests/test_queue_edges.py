@@ -1,8 +1,16 @@
 """Edge cases of queue semantics over the protocol."""
 
-import numpy as np
+import gc
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import repro
+from repro.alib import AudioClient
 from repro.dsp import tones
+from repro.hardware import HardwareConfig
 from repro.protocol.types import (
     Command,
     CommandMode,
@@ -12,10 +20,13 @@ from repro.protocol.types import (
     PCM16_8K,
     QueueState,
 )
+from repro.server import AudioServer
 
 from conftest import wait_for
 
 RATE = 8000
+#: tracemalloc filter: allocations made by the package's own code.
+SOURCE = [tracemalloc.Filter(True, str(Path(repro.__file__).parent / "*"))]
 
 
 def build_player(client):
@@ -187,3 +198,156 @@ class TestImmediatePauseResume:
         nonzero = played[played != 0]
         # Sample-exact continuation: the full ramp, once, in order.
         assert np.array_equal(nonzero, ramp)
+
+
+@pytest.fixture
+def stepped():
+    """A server whose hub moves only when the test steps it, and one
+    client; a block is 160 samples, so capture index = sample time."""
+    server = AudioServer(HardwareConfig())
+    server.start(start_hub=False)
+    client = AudioClient(port=server.port, client_name="stepped")
+    yield server, client
+    client.close()
+    server.stop()
+
+
+def build_pair(client):
+    """One mapped LOUD with two players on one output, no events
+    selected."""
+    loud = client.create_loud()
+    player_a = loud.create_device(DeviceClass.PLAYER)
+    player_b = loud.create_device(DeviceClass.PLAYER)
+    output = loud.create_device(DeviceClass.OUTPUT)
+    loud.wire(player_a, 0, output, 0)
+    loud.wire(player_b, 0, output, 0)
+    loud.map()
+    return loud, player_a, player_b
+
+
+def flat(client, frames, value):
+    return client.sound_from_samples(
+        np.full(frames, value, dtype=np.int16), PCM16_8K)
+
+
+def step(server, client, blocks):
+    client.sync()
+    server.hub.step(blocks)
+    return server.hub.speakers[0].capture.samples()
+
+
+class TestBracketCompletion:
+    """A bracket completes only once its closing command arrives, and a
+    CoBegin starts its branches together once it is closed."""
+
+    def test_cobegin_on_a_drained_queue_plays_both_branches(self, stepped):
+        server, client = stepped
+        loud, player_a, player_b = build_pair(client)
+        player_a.play(flat(client, 160, 7))
+        loud.start_queue()
+        step(server, client, 2)         # the warm-up ends at 160: dry
+        loud.co_begin()
+        player_a.play(flat(client, 400, 1000))
+        player_b.play(flat(client, 600, 40))
+        loud.co_end()
+        played = step(server, client, 8)
+        # Both start at 320, the first sample after the bracket arrived.
+        assert np.array_equal(played[:160], np.full(160, 7))
+        assert not np.any(played[160:320])
+        assert np.array_equal(played[320:720], np.full(400, 1040))
+        assert np.array_equal(played[720:920], np.full(200, 40))
+        assert not np.any(played[920:])
+        assert loud.query_queue().pending == 0
+
+    def test_delay_on_a_drained_queue_plays_then_continues(self, stepped):
+        server, client = stepped
+        loud, player_a, player_b = build_pair(client)
+        player_a.play(flat(client, 160, 7))
+        loud.start_queue()
+        step(server, client, 2)
+        # The Delay becomes eligible where the warm-up ended, at 160.
+        loud.delay(100)
+        player_a.play(flat(client, 400, 1000))
+        loud.delay_end()
+        player_b.play(flat(client, 300, 40))
+        played = step(server, client, 12)
+        assert not np.any(played[160:960])
+        assert np.array_equal(played[960:1360], np.full(400, 1000))
+        assert np.array_equal(played[1360:1660], np.full(300, 40))
+        assert not np.any(played[1660:])
+        assert loud.query_queue().pending == 0
+
+    def test_predecessor_ending_inside_an_open_cobegin(self, stepped):
+        server, client = stepped
+        loud, player_a, player_b = build_pair(client)
+        player_a.play(flat(client, 480, 7))
+        loud.start_queue()
+        loud.co_begin()
+        player_a.play(flat(client, 400, 1000))
+        step(server, client, 4)         # the Play before ends at 480
+        player_b.play(flat(client, 600, 40))
+        loud.co_end()
+        player_a.play(flat(client, 200, 5))
+        played = step(server, client, 10)
+        assert np.array_equal(played[:480], np.full(480, 7))
+        # The bracket closed at 640: both branches start there together.
+        assert not np.any(played[480:640])
+        assert np.array_equal(played[640:1040], np.full(400, 1040))
+        assert np.array_equal(played[1040:1240], np.full(200, 40))
+        assert np.array_equal(played[1240:1440], np.full(200, 5))
+        assert not np.any(played[1440:])
+        assert loud.query_queue().pending == 0
+
+    def test_flushed_running_queue_takes_new_work(self, stepped):
+        server, client = stepped
+        loud, player_a, _player_b = build_pair(client)
+        player_a.play(flat(client, 320, 7))
+        player_a.play(flat(client, 320, 9))
+        loud.start_queue()
+        step(server, client, 1)
+        loud.flush_queue()
+        player_a.play(flat(client, 160, 1000))
+        played = step(server, client, 4)
+        assert not np.any(played == 9)
+        assert np.count_nonzero(played == 1000) == 160
+        assert loud.query_queue().pending == 0
+
+
+class TestRetainedMemory:
+    def test_queue_memory_stays_bounded(self):
+        """A long-lived queue keeps only its unfinished work: thousands of
+        finished one-block Plays retain nothing of theirs."""
+        server = AudioServer(HardwareConfig(capture_output=False))
+        server.start(start_hub=False)
+        client = AudioClient(port=server.port, client_name="soak")
+        tracemalloc.start()
+        try:
+            loud, player, _other = build_pair(client)
+            beep = flat(client, 160, 1000)
+            loud.start_queue()
+
+            def retained():
+                # Finished leaves and their handles form reference
+                # cycles: count what is reachable, not what awaits the
+                # cycle collector.
+                gc.collect()
+                return tracemalloc.take_snapshot().filter_traces(SOURCE)
+
+            def plays(count, batch=100):
+                for _ in range(count // batch):
+                    for _ in range(batch):
+                        player.play(beep)
+                    step(server, client, batch)
+
+            plays(500)
+            before = retained()
+            plays(3000)
+            after = retained()
+            assert loud.query_queue().completed == 3500
+        finally:
+            tracemalloc.stop()
+            client.close()
+            server.stop()
+        growth = sum(stat.size_diff
+                     for stat in after.compare_to(before, "filename"))
+        assert growth < 256 * 1024

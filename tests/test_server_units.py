@@ -156,6 +156,40 @@ class TestQueueProgramSequencing:
         assert program.running_leaves() == [running]
         assert program.pending_count() == 0
 
+    def test_completing_a_completed_leaf_changes_nothing(self):
+        program = make_program()
+        first = program.add_command(1, Command.PLAY, _args())
+        second = program.add_command(1, Command.PLAY, _args())
+        third = program.add_command(1, Command.PLAY, _args())
+        program.arm(0)
+        first.mark_running()
+        first.complete(100)
+        second.mark_running()
+        first.complete(200)
+        assert second.not_before == 100
+        assert third.state is LeafState.WAITING
+        assert program.running_leaves() == [second]
+        assert program.pending_count() == 1
+        assert program.running_count() == 1
+
+    def test_finished_work_leaves_the_tree(self):
+        program = make_program()
+        program.add_command(0, Command.CO_BEGIN, _args())
+        a = program.add_command(1, Command.PLAY, _args())
+        b = program.add_command(2, Command.PLAY, _args())
+        program.add_command(0, Command.CO_END, _args())
+        after = program.add_command(1, Command.PLAY, _args())
+        program.arm(0)
+        for leaf in (a, b):
+            leaf.mark_running()
+        a.complete(100)
+        assert tree_leaves(program.root) == [b, after]
+        b.complete(200)
+        assert tree_leaves(program.root) == [after]
+        after.mark_running()
+        after.complete(300)
+        assert tree_leaves(program.root) == []
+
     def test_running_leaves_in_program_order(self):
         program = make_program()
         program.add_command(0, Command.CO_BEGIN, _args())
