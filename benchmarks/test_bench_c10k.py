@@ -12,7 +12,7 @@ Results land in BENCH_C10K.json via the harness result sink.
 from repro.bench import scaled
 from repro.bench.harness import record_perf
 from repro.bench.loadgen import run_load
-from repro.server import AudioServer
+from repro.server import AudioServer, ServerConfig
 
 #: Concurrent sessions the soak opens.
 SESSIONS = scaled(1000, 200)
@@ -29,7 +29,7 @@ CHURN_FRACTION = 0.02
 
 
 def test_c10k_soak(report):
-    server = AudioServer(realtime=True)
+    server = AudioServer(settings=ServerConfig(realtime=True))
     server.start()
     try:
         stats = run_load(server.host, server.port, sessions=SESSIONS,

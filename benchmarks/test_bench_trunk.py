@@ -15,7 +15,7 @@ from repro.bench.harness import record_perf
 from repro.chaos import ChaosProxy, FaultSchedule
 from repro.dsp import tones
 from repro.hardware import HardwareConfig
-from repro.server import AudioServer
+from repro.server import AudioServer, ServerConfig
 from repro.telephony import (
     Dial,
     HangUp,
@@ -66,16 +66,14 @@ class LoopingParty(SimulatedParty):
 
 def test_trunk_soak_under_chaos(report):
     schedule = FaultSchedule(seed=7, latency=0.001, jitter=0.004)
-    server_b = AudioServer(HardwareConfig(lines=()), realtime=True,
-                           trunk_listen=("127.0.0.1", 0),
-                           trunk_name="soak-b")
+    server_b = AudioServer(HardwareConfig(lines=()), ServerConfig(
+        realtime=True, trunk_listen=("127.0.0.1", 0), trunk_name="soak-b"))
     server_b.start()
     proxy = ChaosProxy(("127.0.0.1", server_b.trunk.port),
                        schedule=schedule).start()
-    server_a = AudioServer(HardwareConfig(lines=()), realtime=True,
-                           trunk_routes=[("5552", "127.0.0.1",
-                                          proxy.port)],
-                           trunk_name="soak-a")
+    server_a = AudioServer(HardwareConfig(lines=()), ServerConfig(
+        realtime=True, trunk_routes=(("5552", "127.0.0.1", proxy.port),),
+        trunk_name="soak-a"))
     server_a.start()
     try:
         assert server_a.trunk.wait_connected(10.0)

@@ -22,7 +22,7 @@ from repro.protocol.types import (
     EventMask,
     PCM16_8K,
 )
-from repro.server import AudioServer
+from repro.server import AudioServer, ServerConfig
 from repro.toolkit import Soundviewer
 
 RATE = 8000
@@ -31,7 +31,7 @@ RATE = 8000
 def main() -> None:
     # Real-time pacing so the bar visibly progresses for a human.
     realtime = "--fast" not in sys.argv
-    server = AudioServer(realtime=realtime)
+    server = AudioServer(settings=ServerConfig(realtime=realtime))
     server.start()
     client = AudioClient(port=server.port, client_name="soundviewer")
 

@@ -16,6 +16,7 @@ import numpy as np
 from ..alib.api import AudioClient, DeviceHandle, LoudHandle
 from ..hardware.config import HardwareConfig
 from ..protocol.types import DeviceClass, EventCode, EventMask
+from ..server.config import ServerConfig
 from ..server.core import AudioServer
 
 #: CI smoke mode: REPRO_BENCH_FAST=1 shrinks iteration counts and
@@ -102,7 +103,8 @@ def make_rig(sample_rate: int = 8000, block_frames: int = 160,
              realtime: bool = False, metrics=None) -> Rig:
     config = HardwareConfig(sample_rate=sample_rate,
                             block_frames=block_frames)
-    server = AudioServer(config, realtime=realtime, metrics=metrics)
+    server = AudioServer(config, ServerConfig(realtime=realtime),
+                         metrics=metrics)
     server.start()
     client = AudioClient(port=server.port, client_name="bench")
     return Rig(server, client)

@@ -36,9 +36,6 @@ from ..protocol.types import EventMask
 # (perfbench/tracing.py) looks it up and patches it on this module.
 from ..protocol.wire import Message, MessageKind, write_message  # noqa: F401
 
-#: Default bound on per-client outbound messages awaiting their shard.
-DEFAULT_OUTBOUND_BOUND = 1024
-
 #: Connection order: connections are numbered as the server lists them.
 _connection_order = itertools.count()
 
@@ -140,11 +137,11 @@ class ClientConnection:
         self._m_errors_sent = metrics.counter("net.errors_sent")
         self._m_dropped_events = metrics.counter(
             "clients.outbound.dropped_events")
-        self._outbound = _OutboundQueue(
-            getattr(server, "outbound_bound", DEFAULT_OUTBOUND_BOUND))
-        #: Wall-clock instant the owning shard started a socket write it
-        #: could not finish for this client, or None while idle.  Written
-        #: by the shard thread; read by the server's stall sweep.
+        self._outbound = _OutboundQueue(server.settings.outbound_bound)
+        #: The server clock's reading when the owning shard started a
+        #: socket write it could not finish for this client, or None
+        #: while idle.  Written by the shard thread; read by the
+        #: server's stall sweep.
         self._writing_since: float | None = None
         #: The owning I/O shard, set by IOShardPool.register; None
         #: before registration and after teardown.  close() defers socket

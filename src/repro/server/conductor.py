@@ -153,7 +153,8 @@ class CommandQueue:
             self._issue_immediate(device_id, command, args)
             return
         self._m_issued.inc()
-        leaf = self.program.add_command(device_id, command, args)
+        leaf = self.program.add_command(device_id, command, args,
+                                        self._queue_time())
         if leaf is not None:
             leaf.issuer = client
             self._was_empty = False
@@ -161,6 +162,13 @@ class CommandQueue:
             if (leaf.command not in (Command.CO_BEGIN, Command.CO_END)
                     and device_id != 0):
                 self.loud.find_device(device_id)
+
+    def _queue_time(self) -> int:
+        """Queue time now: it stands still while the queue is paused."""
+        if self.state in (QueueState.CLIENT_PAUSED,
+                          QueueState.SERVER_PAUSED):
+            return self._pause_started
+        return self.server.hub.sample_time
 
     def _issue_immediate(self, device_id: int, command: Command,
                          args: AttributeList) -> None:

@@ -30,9 +30,9 @@ queue-based so no client can stall audio.  See docs/PERFORMANCE.md
 from __future__ import annotations
 
 import logging
-import os
 import socket
 import time
+from collections.abc import Callable
 from operator import attrgetter
 
 from ..dsp import encodings
@@ -40,19 +40,19 @@ from ..dsp.tones import beep, busy_tone, dial_tone, ringback_tone
 from ..hardware.config import HardwareConfig
 from ..hardware.hub import AudioHub
 from ..listener import Listener
-from ..obs import MICROSECOND_BUCKETS, MetricsRegistry
+from ..obs import MICROSECOND_BUCKETS, NULL_REGISTRY, MetricsRegistry
 from ..protocol.setup import ID_RANGE_SIZE, SetupReply, SetupRequest
 from ..protocol.types import MULAW_8K, PROTOCOL_MAJOR
-from ..obs import NULL_REGISTRY
 from ..protocol.wire import (
     ConnectionClosed,
     Message,
     WireFormatError,
     set_nodelay,
 )
-from ..trunk import TrunkGateway
-from .clients import DEFAULT_OUTBOUND_BOUND, ClientConnection
+from ..trunk.gateway import build_trunk
+from .clients import ClientConnection
 from .conductor import WakeHeap
+from .config import ServerConfig
 from .devices import build_wrappers
 from .dispatch import Dispatcher
 from .events import EventRouter
@@ -71,41 +71,28 @@ log = logging.getLogger(__name__)
 class AudioServer:
     """The whole server: hub, resources, stack, dispatch, connections."""
 
-    def __init__(self, config: HardwareConfig | None = None,
+    def __init__(self, hardware: HardwareConfig | None = None,
+                 settings: ServerConfig | None = None, *,
                  hub: AudioHub | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 realtime: bool = False,
-                 catalogue_dir: str | None = None,
                  metrics: MetricsRegistry | None = None,
-                 outbound_bound: int = DEFAULT_OUTBOUND_BOUND,
-                 stall_deadline: float = 5.0,
-                 trunk_listen: tuple[str, int] | None = None,
-                 trunk_routes: list[tuple[str, str, int]] | None = None,
-                 trunk_name: str = "",
-                 mesh_registry: tuple[str, int] | None = None,
-                 mesh_join: tuple[str, int] | None = None,
-                 mesh_prefixes: list[str] | None = None,
-                 mesh_neighbors: list[str] | None = None) -> None:
-        self.hub = hub or AudioHub(config, realtime=realtime)
-        #: Graceful-degradation knobs (docs/RELIABILITY.md): per-client
-        #: outbound queue bound, and how long one socket write may stay
-        #: unfinished before the consumer is evicted.
-        self.outbound_bound = outbound_bound
-        self.stall_deadline = stall_deadline
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        #: Everything but the hardware (server/config.py).
+        self.settings = settings = settings or ServerConfig()
+        #: Read by every deadline here and in the trunk (a test seam).
+        self.now = clock
+        self.hub = hub or AudioHub(hardware, realtime=settings.realtime)
         self._last_stall_sweep = 0.0
-        # The observability plane.  REPRO_METRICS=0 turns instrumentation
-        # into no-ops machine-wide (for measuring the metering itself).
         if metrics is None:
-            metrics = MetricsRegistry(
-                enabled=os.environ.get("REPRO_METRICS", "1") != "0")
+            metrics = MetricsRegistry(enabled=settings.metrics)
         self.metrics = metrics
         #: The topology lock: serializes mutating dispatch, the block
         #: cycle and client teardown.  Pure/snapshot queries never take
         #: it.  Instrumented (lock.wait_us / lock.hold_us); rank order
         #: and hold times are asserted with REPRO_LOCK_DEBUG=1.
         self.lock = InstrumentedRLock("topology", RANK_TOPOLOGY,
-                                      metrics=metrics)
-        self._started_at = time.monotonic()
+                                      metrics=metrics,
+                                      debug=settings.lock_debug)
+        self._started_at = clock()
         self._m_blocks = metrics.counter("audio.blocks")
         self._m_frames = metrics.counter("audio.frames")
         self._m_active_louds = metrics.gauge("audio.active_louds")
@@ -159,42 +146,24 @@ class AudioServer:
         self.manager: ClientConnection | None = None
         self._clients: list[ClientConnection] = []
         self._clients_lock = InstrumentedRLock("clients", RANK_CLIENTS,
-                                               metrics=metrics)
+                                               metrics=metrics,
+                                               debug=settings.lock_debug)
         self._catalogues: dict[str, Catalogue] = {}
-        self.host = host
-        self.port = port
+        self.host = settings.host
+        self.port = settings.port
         self._listener: Listener | None = None
         self._running = False
         self._build_device_loud()
-        self._build_catalogues(catalogue_dir)
+        self._build_catalogues(settings.catalogue)
         # Telephony observability: the exchange is built before any
         # server exists (often by the hub), so the first server that
         # wraps it lends it the real registry.
         exchange = self.hub.exchange
         if exchange.metrics is NULL_REGISTRY:
             exchange.attach_metrics(metrics)
-        #: The trunk gateway (docs/TELEPHONY.md): federates this
-        #: server's exchange with remote peers.  Built only when routes
-        #: or a trunk listener are configured; its tick runs as an
-        #: exchange party inside the hub's block cycle.
-        self.trunk: TrunkGateway | None = None
-        mesh = mesh_registry is not None or mesh_join is not None
-        if trunk_listen is not None or trunk_routes or mesh:
-            self.trunk = TrunkGateway(
-                exchange, name=trunk_name, metrics=metrics)
-            if trunk_listen is not None:
-                self.trunk.listen(*trunk_listen)
-            for prefix, route_host, route_port in (trunk_routes or []):
-                self.trunk.add_route(prefix, route_host, route_port)
-            if mesh:
-                # Join (and optionally serve) the dynamic routing mesh;
-                # static --trunk-route entries stay as overrides.
-                self.trunk.enable_mesh(
-                    registry=mesh_join,
-                    serve_registry=mesh_registry,
-                    prefixes=tuple(mesh_prefixes or ()),
-                    neighbors=(frozenset(mesh_neighbors)
-                               if mesh_neighbors else None))
+        #: The trunk gateway (docs/TELEPHONY.md), if the settings ask for
+        #: one; its tick runs as an exchange party in the block cycle.
+        self.trunk = build_trunk(settings, exchange, metrics, clock)
         # The whole hub block cycle runs under the server lock so that
         # exchange and device callbacks are serialized against dispatch.
         self.hub.external_lock = self.lock
@@ -360,18 +329,19 @@ class AudioServer:
 
         Runs off the block cycle but rate-limited to a few times per
         second; a stalled client is one whose shard has been unable to
-        finish a single message write for longer than
-        :attr:`stall_deadline` (its TCP buffers are full and it is not
+        finish a single message write for longer than the settings'
+        ``stall_deadline`` (its TCP buffers are full and it is not
         reading), at which point dropping events is no longer enough.
         """
-        now = time.monotonic()
-        if now - self._last_stall_sweep < min(0.25, self.stall_deadline / 4):
+        now = self.now()
+        deadline = self.settings.stall_deadline
+        if now - self._last_stall_sweep < min(0.25, deadline / 4):
             return
         self._last_stall_sweep = now
         for client in self.clients_snapshot():
             if client.evicted or client.closed:
                 continue
-            if client.stalled_for(now) > self.stall_deadline:
+            if client.stalled_for(now) > deadline:
                 client.evicted = True
                 self._m_evicted_slow.inc()
                 log.warning(
@@ -593,7 +563,7 @@ class AudioServer:
         snapshot = self.metrics.snapshot()
         clients = self.clients_snapshot()
         snapshot["server"] = {
-            "uptime_seconds": time.monotonic() - self._started_at,
+            "uptime_seconds": self.now() - self._started_at,
             "sample_time": self.hub.sample_time,
             "sample_rate": self.hub.sample_rate,
             "block_frames": self.hub.block_frames,

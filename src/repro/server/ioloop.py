@@ -413,7 +413,7 @@ class IOShard:
             state.out_size = len(buffer)
             state.out_count = len(encoded)
             state.sent = 0
-            client._writing_since = time.monotonic()
+            client._writing_since = self.server.now()
         return True
 
     def _want_write(self, state: _ShardClient, flag: bool) -> None:

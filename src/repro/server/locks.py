@@ -11,8 +11,9 @@ The server's locks form a strict hierarchy (docs/INTERNALS.md):
 :class:`InstrumentedRLock` wraps :class:`threading.RLock` with two
 always-on histograms -- ``lock.wait_us`` (time spent blocked acquiring)
 and ``lock.hold_us`` (outermost hold duration) -- and an opt-in debug
-mode (``REPRO_LOCK_DEBUG=1``) that asserts the rank order above on
-every acquisition and warns when a hold exceeds a threshold.  The
+mode that asserts the rank order above on every acquisition and warns
+when a hold exceeds a threshold.  The server's locks run in debug mode
+when ``REPRO_LOCK_DEBUG=1`` (read by ``server/config.py``).  The
 metrics share one histogram pair across all instrumented locks, so the
 snapshot answers "is anything contending?" with two names.
 """
@@ -20,7 +21,6 @@ snapshot answers "is anything contending?" with two names.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 from time import perf_counter
 
@@ -33,14 +33,12 @@ RANK_TOPOLOGY = 10
 RANK_CLIENTS = 20
 RANK_OUTBOUND = 30
 
+#: Debug mode logs an outermost hold longer than this many seconds.
+HOLD_WARN_SECONDS = 0.05
+
 
 class LockDisciplineError(RuntimeError):
     """A thread acquired locks against the declared rank order."""
-
-
-def lock_debug_enabled() -> bool:
-    """Whether REPRO_LOCK_DEBUG=1 asked for order/hold assertions."""
-    return os.environ.get("REPRO_LOCK_DEBUG", "") == "1"
 
 
 #: Per-thread stack of (rank, name) for locks currently held outermost.
@@ -63,19 +61,17 @@ class InstrumentedRLock:
     hold time on the matching outermost release.  With ``debug`` on,
     acquiring a lock whose rank is not strictly greater than every lock
     the thread already holds raises :class:`LockDisciplineError`, and
-    holds beyond ``hold_warn_seconds`` are logged.
+    holds beyond :data:`HOLD_WARN_SECONDS` are logged.
     """
 
-    __slots__ = ("name", "rank", "debug", "hold_warn_seconds", "_inner",
-                 "_local", "_m_wait", "_m_hold")
+    __slots__ = ("name", "rank", "debug", "_inner", "_local", "_m_wait",
+                 "_m_hold")
 
     def __init__(self, name: str, rank: int,
-                 metrics=None, debug: bool | None = None,
-                 hold_warn_seconds: float = 0.05) -> None:
+                 metrics=None, debug: bool = False) -> None:
         self.name = name
         self.rank = rank
-        self.debug = lock_debug_enabled() if debug is None else debug
-        self.hold_warn_seconds = hold_warn_seconds
+        self.debug = debug
         self._inner = threading.RLock()
         self._local = threading.local()     # depth + entered_at, per thread
         if metrics is None:
@@ -110,10 +106,10 @@ class InstrumentedRLock:
                 stack = _held_stack()
                 if stack and stack[-1] == (self.rank, self.name):
                     stack.pop()
-                if held > self.hold_warn_seconds:
+                if held > HOLD_WARN_SECONDS:
                     log.warning("lock %r held %.1f ms (warn threshold "
                                 "%.1f ms)", self.name, held * 1e3,
-                                self.hold_warn_seconds * 1e3)
+                                HOLD_WARN_SECONDS * 1e3)
         if depth > 0:
             self._local.depth = depth - 1
         self._inner.release()

@@ -1,34 +1,13 @@
 """Command-line entry point: run an audio server.
 
-Usage::
-
-    repro-audio-server [--port N] [--realtime] [--catalogue DIR]
-                       [--speakerphone] [--rate HZ] [--block FRAMES]
-                       [--stats-interval SECONDS]
-                       [--outbound-bound MESSAGES]
-                       [--stall-deadline SECONDS]
-                       [--trunk-listen [HOST:]PORT]
-                       [--trunk-route PREFIX=HOST:PORT]...
-                       [--trunk-name NAME]
-                       [--mesh-registry [HOST:]PORT]
-                       [--mesh-join HOST:PORT]
-                       [--mesh-prefix PREFIX]... [--mesh-neighbor NAME]...
+``repro-audio-server --help`` lists the flags.  Each sets one field of
+the server's HardwareConfig or ServerConfig (``config.py``), parsed
+once here.
 
 SIGUSR1 dumps a stats snapshot to stderr at any time; one more snapshot
-is dumped at shutdown.
-
-Trunking (docs/TELEPHONY.md): ``--trunk-listen`` accepts trunk
-connections from peer servers; each ``--trunk-route`` homes a number
-prefix at a peer, so local clients can dial numbers that live on other
-servers' exchanges.
-
-Mesh routing (docs/TELEPHONY.md, "Mesh routing"): ``--mesh-registry``
-serves the fleet's discovery registry from this node; ``--mesh-join``
-points at a registry served elsewhere.  Either one joins the mesh:
-peers are discovered and linked automatically, each ``--mesh-prefix``
-is advertised fleet-wide as homed here, and calls to prefixes owned
-further away are tandem-switched through intermediate nodes.  Static
-``--trunk-route`` entries stay as overrides.
+is dumped at shutdown.  The ``--trunk-*`` and ``--mesh-*`` flags
+federate this server's exchange with its peers, by static routes or
+through the self-assembling mesh (docs/TELEPHONY.md).
 """
 
 from __future__ import annotations
@@ -38,10 +17,10 @@ import signal
 import sys
 import threading
 
-from ..hardware.config import HardwareConfig
 from ..obs import StatsLogger
 from ..protocol.types import DEFAULT_PORT
 from ..trunk import parse_route
+from .config import from_args
 from .core import AudioServer
 
 
@@ -55,63 +34,61 @@ def parse_trunk_listen(text: str) -> tuple[str, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The daemon's flags; each ``dest`` names the field it sets, and a
+    flag left out leaves that field at its default."""
     parser = argparse.ArgumentParser(
-        prog="repro-audio-server",
+        prog="repro-audio-server", argument_default=argparse.SUPPRESS,
         description="The desktop-audio server (USENIX '91 reproduction).")
-    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--host")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     parser.add_argument("--realtime", action="store_true",
                         help="pace audio blocks against the wall clock")
-    parser.add_argument("--catalogue", default=None, metavar="DIR",
+    parser.add_argument("--catalogue", metavar="DIR",
                         help="directory of .au files served as the "
                              "'local' catalogue")
     parser.add_argument("--speakerphone", action="store_true",
                         help="add the hard-wired speakerphone trio")
-    parser.add_argument("--rate", type=int, default=8000,
+    parser.add_argument("--rate", type=int, dest="sample_rate", metavar="HZ",
                         help="device-layer sample rate (default 8000)")
-    parser.add_argument("--block", type=int, default=160,
+    parser.add_argument("--block", type=int, dest="block_frames",
+                        metavar="FRAMES",
                         help="block size in frames (default 160 = 20 ms)")
-    parser.add_argument("--stats-interval", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--stats-interval", type=float, metavar="SECONDS",
                         help="dump a stats snapshot to stderr every "
                              "SECONDS (also dumped on SIGUSR1 and at "
                              "shutdown)")
-    parser.add_argument("--outbound-bound", type=int, default=1024,
-                        metavar="MESSAGES",
+    parser.add_argument("--outbound-bound", type=int, metavar="MESSAGES",
                         help="per-client outbound queue bound; oldest "
                              "events are shed past it (default 1024)")
-    parser.add_argument("--stall-deadline", type=float, default=5.0,
-                        metavar="SECONDS",
+    parser.add_argument("--stall-deadline", type=float, metavar="SECONDS",
                         help="evict a client whose socket leaves a write "
                              "unfinished this long (default 5.0)")
-    parser.add_argument("--trunk-listen", default=None,
-                        type=parse_trunk_listen,
+    parser.add_argument("--trunk-listen", type=parse_trunk_listen,
                         metavar="[HOST:]PORT",
                         help="accept inter-server telephony trunks on "
                              "this address (default host 127.0.0.1)")
-    parser.add_argument("--trunk-route", action="append", default=[],
+    parser.add_argument("--trunk-route", action="append",
                         type=parse_route, metavar="PREFIX=HOST:PORT",
                         dest="trunk_routes",
                         help="home numbers starting with PREFIX at the "
                              "peer server's trunk listener (repeatable)")
-    parser.add_argument("--trunk-name", default="",
+    parser.add_argument("--trunk-name",
                         help="name announced in the trunk handshake; "
                              "must differ from every peer's, static or "
                              "mesh (default HOSTNAME:PID:N)")
-    parser.add_argument("--mesh-registry", default=None,
-                        type=parse_trunk_listen,
+    parser.add_argument("--mesh-registry", type=parse_trunk_listen,
                         metavar="[HOST:]PORT",
                         help="serve the mesh discovery registry on this "
                              "address (and join the mesh through it)")
-    parser.add_argument("--mesh-join", default=None,
-                        type=parse_trunk_listen, metavar="HOST:PORT",
+    parser.add_argument("--mesh-join", type=parse_trunk_listen,
+                        metavar="HOST:PORT",
                         help="join the mesh via a registry served by "
                              "another node")
-    parser.add_argument("--mesh-prefix", action="append", default=[],
+    parser.add_argument("--mesh-prefix", action="append",
                         metavar="PREFIX", dest="mesh_prefixes",
                         help="number prefix this exchange originates, "
                              "advertised fleet-wide (repeatable)")
-    parser.add_argument("--mesh-neighbor", action="append", default=[],
+    parser.add_argument("--mesh-neighbor", action="append",
                         metavar="NAME", dest="mesh_neighbors",
                         help="only initiate trunk links to these peers "
                              "(repeatable; default: link to every "
@@ -120,23 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # Nothing in the daemon reads its output capture: keep none.
-    config = HardwareConfig(sample_rate=args.rate, block_frames=args.block,
-                            speakerphone=args.speakerphone,
-                            capture_output=False)
-    server = AudioServer(config, host=args.host, port=args.port,
-                         realtime=args.realtime,
-                         catalogue_dir=args.catalogue,
-                         outbound_bound=args.outbound_bound,
-                         stall_deadline=args.stall_deadline,
-                         trunk_listen=args.trunk_listen,
-                         trunk_routes=args.trunk_routes,
-                         trunk_name=args.trunk_name,
-                         mesh_registry=args.mesh_registry,
-                         mesh_join=args.mesh_join,
-                         mesh_prefixes=args.mesh_prefixes,
-                         mesh_neighbors=args.mesh_neighbors)
+    hardware, settings = from_args(build_parser().parse_args(argv))
+    server = AudioServer(hardware, settings=settings)
     server.start()
     print("audio server listening on %s:%d" % (server.host, server.port))
     if server.trunk is not None and server.trunk.port is not None:
@@ -148,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             print("mesh registry serving on %s:%d"
                   % (registry.host, registry.port))
         print("mesh routing enabled (node %r)" % server.trunk.name)
-    stats = StatsLogger(server, interval=args.stats_interval)
+    stats = StatsLogger(server, interval=settings.stats_interval)
     stats.start()
     stop = threading.Event()
 

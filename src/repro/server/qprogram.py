@@ -111,6 +111,7 @@ class Leaf(Node):
         if self.advanced:
             return
         self.advanced = True
+        self.handle = None      # it points back here: no cycle to collect
         self._move(LeafState.DONE)
         self._complete(time)
 
@@ -141,13 +142,14 @@ class Seq(Container):
         self.delay_frames = delay_frames
         self.children: deque[Node] = deque()
 
-    def append(self, child: Node) -> None:
+    def append(self, child: Node, now: int) -> None:
         child.parent = self
         self.children.append(child)
         # The dynamic top level: a child appended to an eligible, drained
-        # Seq starts where the last child finished.
+        # Seq starts where the last child finished, or where it arrived
+        # if that is later: a Delay counts from its arrival.
         if self.next_start is not None and len(self.children) == 1:
-            child.set_eligible(self.next_start)
+            child.set_eligible(max(self.next_start, now))
 
     def set_eligible(self, time: int) -> None:
         self._advance(time + self.delay_frames)
@@ -183,7 +185,7 @@ class Par(Container):
         #: finished one leaves in O(1).
         self.children: dict[Node, None] = {}
 
-    def append(self, child: Node) -> None:
+    def append(self, child: Node, now: int) -> None:
         child.parent = self
         self.children[child] = None
 
@@ -242,17 +244,18 @@ class QueueProgram:
         return self._open[-1]
 
     def add_command(self, device_id: int, command: Command,
-                    args: AttributeList) -> Leaf | None:
-        """Append one queued command; returns the Leaf (None for brackets)."""
+                    args: AttributeList, now: int = 0) -> Leaf | None:
+        """Append one queued command, arriving at queue time ``now``;
+        returns the Leaf (None for brackets)."""
         if command is Command.CO_BEGIN:
-            self._open_bracket(Par())
+            self._open_bracket(Par(), now)
             return None
         if command is Command.DELAY:
             milliseconds = args.get("ms")
             if milliseconds is None:
                 raise bad(ErrorCode.BAD_VALUE, "Delay needs an ms argument")
             self._open_bracket(
-                Seq(int(milliseconds) * self.sample_rate // 1000))
+                Seq(int(milliseconds) * self.sample_rate // 1000), now)
             return None
         if command is Command.CO_END:
             if not isinstance(self._top, Par):
@@ -267,11 +270,11 @@ class QueueProgram:
         leaf = Leaf(device_id, command, args)
         leaf.program = self
         self._pending += 1
-        self._top.append(leaf)
+        self._top.append(leaf, now)
         return leaf
 
-    def _open_bracket(self, bracket: Container) -> None:
-        self._top.append(bracket)
+    def _open_bracket(self, bracket: Container, now: int) -> None:
+        self._top.append(bracket, now)
         self._open.append(bracket)
 
     def _leaf_moved(self, leaf: Leaf, state: LeafState) -> None:

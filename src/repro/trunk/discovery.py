@@ -40,6 +40,7 @@ import socket
 import struct
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..listener import Listener
@@ -65,7 +66,10 @@ MAX_REGISTRY_PEERS = 4096
 MAX_PEER_PREFIXES = 256
 
 #: Seconds a registration stays live without being refreshed.
-DEFAULT_REGISTRY_TTL = 5.0
+REGISTRY_TTL = 5.0
+
+#: Seconds one registry request or poll may spend on its socket.
+REGISTRY_IO_TIMEOUT = 2.0
 
 #: Seconds between a node's register/poll round trips.
 DEFAULT_POLL_INTERVAL = 0.5
@@ -182,19 +186,18 @@ class MeshRegistry:
     """The registry server: any node can host it.
 
     Each request runs on its own short-lived thread, bounded by
-    ``io_timeout``, so a client that connects and never speaks delays
-    only itself.
+    :data:`REGISTRY_IO_TIMEOUT`, so a client that connects and never
+    speaks delays only itself.  ``clock`` times registrations against
+    :data:`REGISTRY_TTL`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 ttl: float = DEFAULT_REGISTRY_TTL,
-                 io_timeout: float = 2.0) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.host = host
         self.port = port
-        self.ttl = ttl
-        self.io_timeout = io_timeout
+        self.now = clock
         self._lock = threading.Lock()
-        #: name -> (record, last_seen monotonic).
+        #: name -> (record, ``clock()`` when it last registered).
         self._peers: dict[str, tuple[PeerRecord, float]] = {}
         self._listener: Listener | None = None
         self._running = False
@@ -219,17 +222,10 @@ class MeshRegistry:
             self._listener.stop()
             self._listener = None
 
-    def snapshot(self) -> list[PeerRecord]:
-        """The live roster (pruned of expired entries)."""
-        now = time.monotonic()
-        with self._lock:
-            self._prune(now)
-            return [record for record, _seen in self._peers.values()]
-
     def _prune(self, now: float) -> None:
         """Drop registrations older than the TTL (lock held)."""
         dead = [name for name, (_record, seen) in self._peers.items()
-                if now - seen > self.ttl]
+                if now - seen > REGISTRY_TTL]
         for name in dead:
             del self._peers[name]
         self.expired += len(dead)
@@ -238,7 +234,7 @@ class MeshRegistry:
 
     def _serve(self, sock: socket.socket) -> None:
         try:
-            sock.settimeout(self.io_timeout)
+            sock.settimeout(REGISTRY_IO_TIMEOUT)
             self._handle(sock)
         except (OSError, ConnectionClosed, RegistryProtocolError) as exc:
             with self._lock:
@@ -256,7 +252,7 @@ class MeshRegistry:
         record = records[0]
         if not record.name:
             raise RegistryProtocolError("peer registered without a name")
-        now = time.monotonic()
+        now = self.now()
         with self._lock:
             if not self._running:
                 return
@@ -277,12 +273,10 @@ class MeshDiscovery:
     """
 
     def __init__(self, registry: tuple[str, int], record_fn, *,
-                 interval: float = DEFAULT_POLL_INTERVAL,
-                 io_timeout: float = 2.0) -> None:
+                 interval: float = DEFAULT_POLL_INTERVAL) -> None:
         self.registry = registry
         self.record_fn = record_fn
         self.interval = interval
-        self.io_timeout = io_timeout
         self._lock = threading.Lock()
         self._peers: dict[str, PeerRecord] = {}
         self._stop = threading.Event()
@@ -321,9 +315,8 @@ class MeshDiscovery:
         """
         record = self.record_fn()
         try:
-            with socket.create_connection(self.registry,
-                                          timeout=self.io_timeout) as sock:
-                sock.settimeout(self.io_timeout)
+            with socket.create_connection(
+                    self.registry, timeout=REGISTRY_IO_TIMEOUT) as sock:
                 sock.sendall(encode_preamble() + encode_register(record))
                 op, records = read_registry_frame(sock)
         except (OSError, ConnectionClosed, RegistryProtocolError) as exc:

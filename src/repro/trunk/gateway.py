@@ -54,6 +54,7 @@ import os
 import socket
 import threading
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -76,7 +77,7 @@ from .link import (
     DEFAULT_OUTBOUND_BOUND,
     TrunkLink,
 )
-from .routing import DEFAULT_MAX_HOPS, RouteTable
+from .routing import RouteTable
 from .wire import MAX_ADVERT_ENTRIES, UNREACHABLE_HOPS, FrameType, \
     Handshake, TrunkFrame, TrunkProtocolError
 
@@ -87,6 +88,10 @@ _REDIAL_BACKOFF = RetryPolicy(attempts=1, base_delay=0.05, max_delay=2.0)
 #: Cap on the exponential backoff exponent (RetryPolicy caps the delay
 #: itself; this just keeps ``multiplier ** attempt`` bounded).
 _MAX_BACKOFF_EXPONENT = 16
+
+#: Seconds that bound a dial's connect and handshake, and an accepted
+#: peer's handshake.
+HANDSHAKE_TIMEOUT = 2.0
 
 #: RELEASE reasons that mean "this *path* failed", not "the callee
 #: declined": a still-ringing outbound leg retries its next candidate
@@ -249,10 +254,8 @@ class RemoteLine(_TrunkLeg):
             # No live candidate: fail the call instead of ringing into
             # the void.  The call is already registered, so the release
             # path works synchronously from inside dial().
-            self.ringing = False
-            self.released = True
             self.gateway.deregister_leg(self)
-            self.exchange.remote_released(self, "trunk down")
+            self.remote_released("trunk down")
             return
         if self._tandem:
             self.gateway._m_tandem.inc()
@@ -366,7 +369,7 @@ class TrunkGateway:
                  keepalive_interval: float = DEFAULT_KEEPALIVE_INTERVAL,
                  outbound_bound: int = DEFAULT_OUTBOUND_BOUND,
                  jitter_depth_seconds: float = 0.32,
-                 connect_timeout: float = 2.0) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.exchange = exchange
         self.name = name or "%s:%d:%d" % (socket.gethostname(),
                                           os.getpid(), next(_UNNAMED))
@@ -374,9 +377,8 @@ class TrunkGateway:
         self.keepalive_interval = keepalive_interval
         self.outbound_bound = outbound_bound
         self.jitter_depth_seconds = jitter_depth_seconds
-        #: Bounds both handshake directions: a dial's connect + preamble
-        #: exchange, and an accepted peer's preamble.
-        self.connect_timeout = connect_timeout
+        #: Read by every stale-link, redial and registry-TTL decision.
+        self.now = clock
         self.host: str | None = None
         self.port: int | None = None
         self._routes: list[DialTarget] = []
@@ -404,6 +406,8 @@ class TrunkGateway:
         #: needs no lock.
         self._stage: dict[TrunkLink, list] = {}
         self._state_lock = threading.Lock()
+        #: Notified when a dialed link comes up (wait_connected).
+        self._link_up = threading.Condition(self._state_lock)
         #: Makes a reader's forward-or-push decisions for a batch, a
         #: cut-through install and a leg's release atomic with respect
         #: to each other.  Held only across queue handoffs.
@@ -459,7 +463,7 @@ class TrunkGateway:
         route = DialTarget(host, port, prefix=prefix)
         self._routes.append(route)
         if self._started:
-            self._kick_route(route)
+            self._kick_route(route, self.now())
         return route
 
     def listen(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -478,8 +482,7 @@ class TrunkGateway:
                     prefixes=(),
                     neighbors=None,
                     advertise: tuple[str, int] | None = None,
-                    poll_interval: float = DEFAULT_POLL_INTERVAL,
-                    max_hops: int = DEFAULT_MAX_HOPS) -> None:
+                    poll_interval: float = DEFAULT_POLL_INTERVAL) -> None:
         """Join the dynamic routing mesh (docs/TELEPHONY.md).
 
         ``registry`` is the host/port of the fleet's registry endpoint;
@@ -498,21 +501,17 @@ class TrunkGateway:
         entry that makes loop prevention work.
         """
         self.mesh_enabled = True
-        self.table.max_hops = max_hops
         for prefix in prefixes:
             self.table.add_local(prefix)
         if neighbors is not None:
             self._mesh_neighbors = frozenset(neighbors)
         self._mesh_advertise = advertise
         if serve_registry is not None:
-            self._registry = MeshRegistry(serve_registry[0],
-                                          serve_registry[1])
-        registry_addr = registry
-        if registry_addr is None and serve_registry is not None:
-            registry_addr = serve_registry
-        if registry_addr is not None:
-            self._discovery = MeshDiscovery(
-                registry_addr, self._mesh_record, interval=poll_interval)
+            self._registry = MeshRegistry(*serve_registry, clock=self.now)
+        if registry or serve_registry:
+            self._discovery = MeshDiscovery(registry or serve_registry,
+                                            self._mesh_record,
+                                            interval=poll_interval)
         if self.host is None:
             # A mesh node must accept trunks from its peers; pick an
             # ephemeral listener unless one was configured explicitly.
@@ -564,7 +563,7 @@ class TrunkGateway:
         if self.mesh_enabled:
             self._start_mesh()
         for route in self._routes:
-            self._kick_route(route)
+            self._kick_route(route, self.now())
         return self
 
     def stop(self) -> None:
@@ -594,13 +593,10 @@ class TrunkGateway:
         return all(route.live_link() is not None for route in self._routes)
 
     def wait_connected(self, timeout: float = 5.0) -> bool:
-        """Wall-clock wait for every route to come up (tests, tools)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.connected():
-                return True
-            time.sleep(0.005)
-        return self.connected()
+        """Wait up to ``timeout`` wall seconds for every route to come
+        up (tests, tools); woken by each link a dial brings up."""
+        with self._link_up:
+            return self._link_up.wait_for(self.connected, timeout)
 
     # -- resolver API (called by the exchange under its lock) -----------------
 
@@ -712,7 +708,7 @@ class TrunkGateway:
     # -- the tick (runs inside the exchange's block cycle) --------------------
 
     def tick(self, frames: int) -> None:
-        now = time.monotonic()
+        now = self.now()
         links = self._reap_dead_links(now)
         for route in self._routes:
             if route.live_link() is None:
@@ -743,7 +739,7 @@ class TrunkGateway:
         links still alive."""
         links = self._all_links()
         for link in links:
-            if link.alive and link.stale(now):
+            if link.alive and now - link.last_rx > link.keepalive_timeout:
                 log.warning("trunk link %s stale (%.1fs silent): closing",
                             link.name, now - link.last_rx)
                 link.close()
@@ -772,29 +768,19 @@ class TrunkGateway:
             for leg in legs:
                 leg.cut_to = None
         for leg in legs:
-            if isinstance(leg, RemoteLine):
-                # A ringing outbound leg whose path just died retries
-                # its next-best candidate before the call is failed.
-                if leg.failover(reason):
-                    continue
-                leg.released = True
-                leg.ringing = False
-                self.exchange.remote_released(leg, reason)
-            else:
-                leg.released = True
-                leg.remote_released(reason)
+            # A ringing outbound leg whose path just died retries its
+            # next-best candidate before the call is failed.
+            leg.remote_released(reason)
         if legs:
             self._m_active.set(self._leg_count())
 
     # -- route (re)connection -------------------------------------------------
 
-    def _kick_route(self, target: DialTarget,
-                    now: float | None = None) -> None:
+    def _kick_route(self, target: DialTarget, now: float) -> None:
         if not self._running:
             return
-        reference = time.monotonic() if now is None else now
         with self._state_lock:
-            if target.connecting or reference < target.next_attempt_at:
+            if target.connecting or now < target.next_attempt_at:
                 return
             target.connecting = True
         threading.Thread(target=self._connect_route, args=(target,),
@@ -805,7 +791,7 @@ class TrunkGateway:
     def _connect_route(self, target: DialTarget) -> None:
         try:
             sock = socket.create_connection(
-                (target.host, target.port), timeout=self.connect_timeout)
+                (target.host, target.port), timeout=HANDSHAKE_TIMEOUT)
         except OSError as exc:
             self._connect_failed(target, str(exc))
             return
@@ -828,7 +814,7 @@ class TrunkGateway:
             delay = _REDIAL_BACKOFF.delay(
                 min(target.attempt, _MAX_BACKOFF_EXPONENT))
             target.attempt += 1
-            target.next_attempt_at = time.monotonic() + delay
+            target.next_attempt_at = self.now() + delay
             target.connecting = False
         log.debug("trunk dial to %s:%d failed (%s); retry in %.2fs",
                   target.host, target.port, why, delay)
@@ -928,7 +914,7 @@ class TrunkGateway:
     def _handshake(self, sock: socket.socket,
                    target: DialTarget | None = None) -> TrunkLink | None:
         """Exchange preambles on a fresh trunk socket, bounded by
-        ``connect_timeout``; a compatible peer becomes a live link.
+        :data:`HANDSHAKE_TIMEOUT`; a compatible peer becomes a live link.
 
         ``target`` is the peer this gateway dialed (the initiator speaks
         first); None means the socket was accepted.  The link is
@@ -938,7 +924,7 @@ class TrunkGateway:
         """
         local = Handshake(self.name, sample_rate=self.exchange.sample_rate)
         try:
-            sock.settimeout(self.connect_timeout)
+            sock.settimeout(HANDSHAKE_TIMEOUT)
             if target is not None:
                 sock.sendall(local.encode())
             peer = Handshake.read_from(sock)
@@ -967,13 +953,14 @@ class TrunkGateway:
                 link = TrunkLink(
                     sock, peer, initiated=target is not None,
                     keepalive_interval=self.keepalive_interval,
-                    outbound_bound=self.outbound_bound)
+                    outbound_bound=self.outbound_bound, clock=self.now)
                 link.on_bearer = self._bearer_arrived
                 link.start()
                 if target is None:
                     self._accepted.append(link)
                 else:
                     target.link = link
+                    self._link_up.notify_all()
                 return link
         sock.close()
         return None
@@ -1255,5 +1242,29 @@ class TrunkGateway:
         return snapshot
 
 
-__all__ = ["DialTarget", "InboundLeg", "RemoteLine", "TrunkGateway",
-           "parse_route"]
+def build_trunk(settings, exchange, metrics,
+                clock: Callable[[], float]) -> TrunkGateway | None:
+    """The gateway a server's :class:`~repro.server.config.ServerConfig`
+    asks for, on ``exchange``; None when it names no trunk listener,
+    route or mesh.  The server starts and stops it with itself."""
+    mesh = settings.mesh_registry or settings.mesh_join
+    if not (settings.trunk_listen or settings.trunk_routes or mesh):
+        return None
+    gateway = TrunkGateway(exchange, name=settings.trunk_name,
+                           metrics=metrics, clock=clock)
+    if settings.trunk_listen is not None:
+        gateway.listen(*settings.trunk_listen)
+    for prefix, host, port in settings.trunk_routes:
+        gateway.add_route(prefix, host, port)
+    if mesh:
+        # Join (and optionally serve) the dynamic routing mesh; static
+        # --trunk-route entries stay as overrides.
+        gateway.enable_mesh(registry=settings.mesh_join,
+                            serve_registry=settings.mesh_registry,
+                            prefixes=settings.mesh_prefixes,
+                            neighbors=settings.mesh_neighbors or None)
+    return gateway
+
+
+__all__ = ["HANDSHAKE_TIMEOUT", "DialTarget", "InboundLeg", "RemoteLine",
+           "TrunkGateway", "build_trunk", "parse_route"]

@@ -33,6 +33,7 @@ import socket
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 
 from ..protocol.wire import ConnectionClosed, set_nodelay
 from .wire import (
@@ -69,23 +70,23 @@ class TrunkLink:
     """A handshaken trunk connection being pumped in both directions."""
 
     def __init__(self, sock: socket.socket, peer: Handshake, *,
-                 initiated: bool, name: str = "",
+                 initiated: bool,
                  keepalive_interval: float = DEFAULT_KEEPALIVE_INTERVAL,
-                 outbound_bound: int = DEFAULT_OUTBOUND_BOUND) -> None:
+                 outbound_bound: int = DEFAULT_OUTBOUND_BOUND,
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.sock = sock
-        self.peer = peer
-        #: True when this endpoint opened the TCP connection; initiators
-        #: allocate odd call ids, acceptors even (see trunk/wire.py).
-        self.initiated = initiated
-        self.name = name or peer.name
+        self.name = peer.name
         self.keepalive_interval = keepalive_interval
         self.keepalive_timeout = (KEEPALIVE_TIMEOUT_FACTOR
                                   * keepalive_interval)
         self.outbound_bound = outbound_bound
         self.alive = True
-        self.last_rx = time.monotonic()
-        # Initiators allocate odd call ids, acceptors even, so calls
-        # originated simultaneously at both ends can never collide.
+        #: The gateway's clock, which stamps ``last_rx``.
+        self.now = clock
+        self.last_rx = clock()
+        # The endpoint that opened the TCP connection allocates odd call
+        # ids, the acceptor even, so calls originated simultaneously at
+        # both ends can never collide (see trunk/wire.py).
         self._next_call_id = 1 if initiated else 2
         #: Parsed signaling frames awaiting the gateway's tick, oldest
         #: first.
@@ -160,20 +161,16 @@ class TrunkLink:
                                           entries=tuple(entries)))
         return count
 
-    def stale(self, now: float | None = None) -> bool:
-        """Has the peer gone silent past the keepalive deadline?"""
-        reference = time.monotonic() if now is None else now
-        return reference - self.last_rx > self.keepalive_timeout
-
     # -- pump threads ---------------------------------------------------------
 
     def _read_loop(self) -> None:
         stream = FrameStream(self.sock)
+        now = self.now
         try:
             while self.alive:
                 frames = stream.read_frames()
                 self.recvs = stream.recvs
-                self.last_rx = time.monotonic()
+                self.last_rx = now()
                 for frame in frames:
                     frame_type = frame.type
                     if frame_type is FrameType.AUDIO_BATCH:
@@ -269,11 +266,10 @@ class TrunkLink:
                 return
             self.alive = False
         self._outbound.put(None)    # wake the writer
-        for how in (socket.SHUT_RDWR,):
-            try:
-                self.sock.shutdown(how)
-            except OSError:
-                pass
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self.sock.close()
         except OSError:

@@ -28,10 +28,11 @@ from repro.protocol.types import (
     QueueOp,
 )
 from repro.protocol.wire import Message, MessageKind
-from repro.server import AudioServer
+from repro.server import AudioServer, ServerConfig
 from repro.server.clients import _OutboundQueue
 
 from conftest import wait_for
+from manual_clock import ManualClock
 
 RATE = 8000
 BOUND = 64
@@ -78,8 +79,8 @@ class TestOutboundQueue:
 @pytest.fixture
 def tight_server():
     """A server with a small outbound bound and a short stall deadline."""
-    server = AudioServer(HardwareConfig(), outbound_bound=BOUND,
-                         stall_deadline=STALL_DEADLINE)
+    server = AudioServer(HardwareConfig(), ServerConfig(
+        outbound_bound=BOUND, stall_deadline=STALL_DEADLINE))
     server.start()
     yield server
     server.stop()
@@ -206,3 +207,42 @@ class TestSlowConsumer:
             assert elapsed < STALL_DEADLINE * 10
         finally:
             sock.close()
+
+
+class TestStallDeadlineOnManualClock:
+    def test_stalled_client_evicted_only_past_the_deadline(self):
+        clock = ManualClock()
+        server = AudioServer(HardwareConfig(), ServerConfig(
+            outbound_bound=BOUND, stall_deadline=STALL_DEADLINE),
+            clock=clock)
+        server.start(start_hub=False)
+        sock = start_stalled_flood(server)
+        try:
+            # The setup reply is sent after the client is registered.
+            victim = staller_connection(server)
+            victim.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                   4096)
+            # Blocks of sync events fill both socket buffers: sheds
+            # start, and a further 50 blocks leave no room for a write
+            # to finish.  The clock stands still meanwhile.
+            for _block in range(20000):
+                if victim.dropped_events:
+                    break
+                server.hub.step(1)
+            server.hub.step(50)
+            assert victim.dropped_events > 0
+            stuck_at = clock.time
+            assert victim.stalled_for(stuck_at + 1.0) == 1.0
+
+            clock.time = stuck_at + STALL_DEADLINE
+            server.hub.step(1)
+            assert not victim.evicted
+            # The sweep runs at most every quarter second.
+            clock.advance(0.25)
+            server.hub.step(1)
+            assert victim.evicted
+            assert server.metrics.counter(
+                "clients.evicted_slow").value == 1
+        finally:
+            sock.close()
+            server.stop()

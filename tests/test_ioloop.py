@@ -48,10 +48,11 @@ from repro.protocol.wire import (
     MessageStream,
     set_nodelay,
 )
-from repro.server import AudioServer, ioloop
+from repro.server import AudioServer, ServerConfig, ioloop
 from repro.server.clients import ClientConnection
 
 from conftest import wait_for
+from manual_clock import ManualClock
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -285,7 +286,9 @@ class AcceptAllSocket:
 
 def _detached_shard_client(sock):
     """An I/O shard and one connection on ``sock``, no loop thread."""
-    server = SimpleNamespace(metrics=MetricsRegistry(), outbound_bound=1024)
+    server = SimpleNamespace(metrics=MetricsRegistry(),
+                             settings=ServerConfig(outbound_bound=1024),
+                             now=ManualClock())
     pool = ioloop.IOShardPool(server)
     client = ClientConnection(server, sock, "short", 0x100000)
     return pool, pool.shards[0], client, ioloop._ShardClient(client)
@@ -494,7 +497,7 @@ class TestChaosUnderShards:
     """The chaos-tier soak: jittery, resetting links under shards."""
 
     def _shard_server(self) -> AudioServer:
-        server = AudioServer(HardwareConfig(), realtime=True)
+        server = AudioServer(HardwareConfig(), ServerConfig(realtime=True))
         server.start()
         return server
 

@@ -27,6 +27,8 @@ from repro.trunk import (
     read_frame,
 )
 from repro.trunk.discovery import (
+    REGISTRY_IO_TIMEOUT,
+    REGISTRY_TTL,
     MeshDiscovery,
     MeshRegistry,
     OP_PEERS,
@@ -39,6 +41,7 @@ from repro.trunk.discovery import (
 )
 
 from conftest import wait_for
+from manual_clock import ManualClock
 
 RATE = 8000
 BLOCK = 160
@@ -198,7 +201,8 @@ class TestRegistry:
             registry.stop()
 
     def test_ttl_expires_silent_peers(self):
-        registry = MeshRegistry("127.0.0.1", 0, ttl=0.1).start()
+        clock = ManualClock()
+        registry = MeshRegistry("127.0.0.1", 0, clock=clock).start()
         try:
             live = MeshDiscovery(
                 ("127.0.0.1", registry.port),
@@ -208,12 +212,17 @@ class TestRegistry:
                 lambda: PeerRecord("G", "127.0.0.1", 4009, ()))
             assert ghost.poll_once() and live.poll_once()
             assert set(live.peers()) == {"G"}
-            time.sleep(0.15)                 # the ghost stops registering
+            # The ghost stops registering; at the TTL it is still live.
+            clock.advance(REGISTRY_TTL)
+            assert live.poll_once()
+            assert set(live.peers()) == {"G"}
+            assert registry.expired == 0
+            # Past it, the ghost is gone (the poller re-registered
+            # itself in each round trip, so it stays).
+            clock.advance(0.001)
             assert live.poll_once()
             assert set(live.peers()) == set()
-            # Both entries aged out before the final poll (the poller
-            # re-registers itself in the same round trip).
-            assert registry.expired >= 1
+            assert registry.expired == 1
         finally:
             registry.stop()
 
@@ -224,8 +233,7 @@ class TestRegistry:
         placeholder.close()
         discovery = MeshDiscovery(
             ("127.0.0.1", dead_port),
-            lambda: PeerRecord("A", "127.0.0.1", 4000, ()),
-            io_timeout=0.2)
+            lambda: PeerRecord("A", "127.0.0.1", 4000, ()))
         assert not discovery.poll_once()
         assert discovery.poll_failures == 1
         assert discovery.generation == 0
@@ -251,8 +259,8 @@ class TestRegistry:
 
     def test_silent_client_does_not_stall_registrations(self):
         # A client that connects and never speaks holds only its own
-        # request thread (bounded by io_timeout); a concurrent poll is
-        # served at once instead of queueing behind it.
+        # request thread (bounded by REGISTRY_IO_TIMEOUT); a concurrent
+        # poll is served at once instead of queueing behind it.
         registry = MeshRegistry("127.0.0.1", 0).start()
         silent = socket.create_connection(("127.0.0.1", registry.port))
         try:
@@ -261,7 +269,7 @@ class TestRegistry:
                 lambda: PeerRecord("A", "127.0.0.1", 4000, ()))
             started = time.monotonic()
             assert discovery.poll_once()
-            assert time.monotonic() - started < 0.5 < registry.io_timeout
+            assert time.monotonic() - started < 0.5 < REGISTRY_IO_TIMEOUT
         finally:
             silent.close()
             registry.stop()

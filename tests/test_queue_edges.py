@@ -265,17 +265,56 @@ class TestBracketCompletion:
         player_a.play(flat(client, 160, 7))
         loud.start_queue()
         step(server, client, 2)
-        # The Delay becomes eligible where the warm-up ended, at 160.
+        # The Delay arrives at 320, after the warm-up ended at 160: it
+        # counts from its arrival.
         loud.delay(100)
         player_a.play(flat(client, 400, 1000))
         loud.delay_end()
         player_b.play(flat(client, 300, 40))
-        played = step(server, client, 12)
-        assert not np.any(played[160:960])
-        assert np.array_equal(played[960:1360], np.full(400, 1000))
-        assert np.array_equal(played[1360:1660], np.full(300, 40))
-        assert not np.any(played[1660:])
+        played = step(server, client, 13)
+        assert not np.any(played[160:1120])
+        assert np.array_equal(played[1120:1520], np.full(400, 1000))
+        assert np.array_equal(played[1520:1820], np.full(300, 40))
+        assert not np.any(played[1820:])
         assert loud.query_queue().pending == 0
+
+    def test_delay_on_a_long_dry_queue_counts_from_its_arrival(
+            self, stepped):
+        server, client = stepped
+        loud, player_a, _player_b = build_pair(client)
+        player_a.play(flat(client, 160, 7))
+        loud.start_queue()
+        step(server, client, 15)        # dry since 160, now at 2400
+        loud.delay(100)
+        player_a.play(flat(client, 400, 1000))
+        loud.delay_end()
+        played = step(server, client, 10)
+        assert not np.any(played[160:3200])
+        assert np.array_equal(played[3200:3600], np.full(400, 1000))
+        assert not np.any(played[3600:])
+        assert loud.query_queue().pending == 0
+
+    def test_work_issued_to_a_paused_dry_queue_counts_from_the_resume(
+            self, stepped):
+        server, client = stepped
+        loud, player_a, player_b = build_pair(client)
+        player_a.play(flat(client, 160, 7))
+        loud.start_queue()
+        step(server, client, 2)         # dry since 160, now at 320
+        loud.pause_queue()
+        step(server, client, 5)
+        player_b.play(flat(client, 160, 40))
+        loud.delay(100)
+        player_a.play(flat(client, 400, 1000))
+        loud.delay_end()
+        step(server, client, 5)
+        loud.resume_queue()             # at 1920
+        played = step(server, client, 12)
+        assert not np.any(played[160:1920])
+        assert np.array_equal(played[1920:2080], np.full(160, 40))
+        assert not np.any(played[2080:2880])
+        assert np.array_equal(played[2880:3280], np.full(400, 1000))
+        assert not np.any(played[3280:])
 
     def test_predecessor_ending_inside_an_open_cobegin(self, stepped):
         server, client = stepped
@@ -314,9 +353,10 @@ class TestBracketCompletion:
 
 
 class TestRetainedMemory:
-    def test_queue_memory_stays_bounded(self):
-        """A long-lived queue keeps only its unfinished work: thousands of
-        finished one-block Plays retain nothing of theirs."""
+    @staticmethod
+    def growth_over_plays(snapshot):
+        """``src/repro`` allocation growth over 3,000 one-block Plays on
+        one queue, after 500 to warm up; ``snapshot()`` takes each side."""
         server = AudioServer(HardwareConfig(capture_output=False))
         server.start(start_hub=False)
         client = AudioClient(port=server.port, client_name="soak")
@@ -326,13 +366,6 @@ class TestRetainedMemory:
             beep = flat(client, 160, 1000)
             loud.start_queue()
 
-            def retained():
-                # Finished leaves and their handles form reference
-                # cycles: count what is reachable, not what awaits the
-                # cycle collector.
-                gc.collect()
-                return tracemalloc.take_snapshot().filter_traces(SOURCE)
-
             def plays(count, batch=100):
                 for _ in range(count // batch):
                     for _ in range(batch):
@@ -340,14 +373,38 @@ class TestRetainedMemory:
                     step(server, client, batch)
 
             plays(500)
-            before = retained()
+            before = snapshot()
             plays(3000)
-            after = retained()
+            after = snapshot()
             assert loud.query_queue().completed == 3500
         finally:
             tracemalloc.stop()
             client.close()
             server.stop()
-        growth = sum(stat.size_diff
-                     for stat in after.compare_to(before, "filename"))
+        return sum(stat.size_diff
+                   for stat in after.compare_to(before, "filename"))
+
+    def test_queue_memory_stays_bounded(self):
+        """A long-lived queue keeps only its unfinished work: thousands of
+        finished one-block Plays retain nothing of theirs."""
+
+        def retained():
+            # Count what is reachable, not what awaits the cycle
+            # collector.
+            gc.collect()
+            return tracemalloc.take_snapshot().filter_traces(SOURCE)
+
+        assert self.growth_over_plays(retained) < 256 * 1024
+
+    def test_finished_commands_need_no_cycle_collector(self):
+        """A finished command and its device handle do not point at
+        each other, so reference counting alone frees them."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            growth = self.growth_over_plays(
+                lambda: tracemalloc.take_snapshot().filter_traces(SOURCE))
+        finally:
+            if enabled:
+                gc.enable()
         assert growth < 256 * 1024

@@ -37,8 +37,10 @@ from repro.trunk import (
     parse_route,
     read_frame,
 )
+from repro.trunk.gateway import HANDSHAKE_TIMEOUT, _REDIAL_BACKOFF
 
 from conftest import wait_for
+from manual_clock import ManualClock
 
 RATE = 8000
 BLOCK = 160
@@ -852,6 +854,92 @@ class TestTrunkSupervision:
         assert first.name != second.name
 
 
+def _connector_threads_join():
+    """Wait for every dial in flight to finish (they run on threads)."""
+    for thread in threading.enumerate():
+        if thread.name.startswith("trunk-connect-"):
+            thread.join(5.0)
+
+
+class TestDeadlinesOnManualClock:
+    """Keepalive and redial deadlines, on a clock the test moves."""
+
+    def test_silent_link_closes_past_three_keepalives(self):
+        clock = ManualClock()
+        listener = socket.create_server(("127.0.0.1", 0))
+        exchange = TelephoneExchange(RATE)
+        gateway = TrunkGateway(exchange, name="A",
+                               metrics=MetricsRegistry(), clock=clock)
+        gateway.add_route("2", "127.0.0.1", listener.getsockname()[1])
+        listener.settimeout(5.0)
+        peer = None
+        try:
+            gateway.start()
+            # The peer answers the handshake and then says nothing.
+            peer, _addr = listener.accept()
+            peer.settimeout(5.0)
+            Handshake.read_from(peer)
+            peer.sendall(Handshake("B").encode())
+            assert gateway.wait_connected(5.0)
+            link = gateway.routes[0].link
+            alice = exchange.add_line("100")
+            events = _listener(alice)
+            alice.off_hook()
+            alice.dial("200")
+            assert gateway._leg_count() == 1
+            # A failed redial must not leave a handshake waiting.
+            listener.close()
+
+            clock.time = link.last_rx + 3 * link.keepalive_interval
+            gateway.tick(BLOCK)
+            assert link.alive
+            assert events["failed"] == []
+
+            clock.advance(0.001)
+            gateway.tick(BLOCK)
+            assert not link.alive
+            assert events["failed"] == ["trunk down"]
+            assert gateway._leg_count() == 0
+        finally:
+            gateway.stop()
+            _connector_threads_join()
+            listener.close()
+            if peer is not None:
+                peer.close()
+
+    def test_redial_waits_out_the_backoff(self):
+        clock = ManualClock()
+        placeholder = socket.socket()
+        placeholder.bind(("127.0.0.1", 0))
+        dead_port = placeholder.getsockname()[1]
+        placeholder.close()
+        gateway = TrunkGateway(TelephoneExchange(RATE), name="A",
+                               metrics=MetricsRegistry(), clock=clock)
+        route = gateway.add_route("2", "127.0.0.1", dead_port)
+        try:
+            gateway.start()
+            _connector_threads_join()
+            assert route.attempt == 1 and not route.connecting
+            # The first redial waits the base delay plus its jitter.
+            delay = route.next_attempt_at - clock.time
+            base = _REDIAL_BACKOFF.base_delay
+            assert base <= delay <= base * (1 + _REDIAL_BACKOFF.jitter)
+
+            clock.time = route.next_attempt_at - 0.001
+            gateway.tick(BLOCK)
+            assert not route.connecting
+            _connector_threads_join()
+            assert route.attempt == 1
+
+            clock.time = route.next_attempt_at
+            gateway.tick(BLOCK)
+            _connector_threads_join()
+            assert route.attempt == 2
+        finally:
+            gateway.stop()
+            _connector_threads_join()
+
+
 class TestGatewayLifecycle:
     def test_stop_is_prompt_and_joins_the_accept_thread(self, pair):
         assert pair.pump_until(lambda: pair.gw_b._accepted)
@@ -864,8 +952,7 @@ class TestGatewayLifecycle:
 
     def test_silent_peer_does_not_delay_the_next_link(self):
         exchange_b = TelephoneExchange(RATE)
-        gw_b = TrunkGateway(exchange_b, name="B", metrics=MetricsRegistry(),
-                            connect_timeout=2.0)
+        gw_b = TrunkGateway(exchange_b, name="B", metrics=MetricsRegistry())
         gw_b.listen("127.0.0.1", 0)
         gw_b.start()
         # Connects and never sends its handshake preamble.
@@ -876,8 +963,8 @@ class TestGatewayLifecycle:
         try:
             started = time.monotonic()
             gw_a.start()
-            assert gw_a.wait_connected(gw_b.connect_timeout)
-            assert time.monotonic() - started < gw_b.connect_timeout / 2
+            assert gw_a.wait_connected(HANDSHAKE_TIMEOUT)
+            assert time.monotonic() - started < HANDSHAKE_TIMEOUT / 2
         finally:
             silent.close()
             gw_a.stop()

@@ -10,8 +10,6 @@ one side of the trunk at 1x, which is what the jitter buffer is designed
 against (free-running virtual pacers would shear the two clocks apart).
 """
 
-import time
-
 import pytest
 
 from repro.alib import AudioClient
@@ -29,7 +27,7 @@ from repro.protocol.types import (
     PCM16_8K,
     RecordTermination,
 )
-from repro.server import AudioServer
+from repro.server import AudioServer, ServerConfig
 from repro.telephony import (
     HangUp,
     SendDtmfSignaled,
@@ -49,15 +47,14 @@ REMOTE_NUMBER = "5550200"
 @pytest.fixture
 def federation():
     """Server B (homes 5550200) <- chaos proxy <- server A's trunk."""
-    server_b = AudioServer(HardwareConfig(), realtime=True,
-                           trunk_listen=("127.0.0.1", 0),
-                           trunk_name="server-b")
+    server_b = AudioServer(HardwareConfig(), ServerConfig(
+        realtime=True, trunk_listen=("127.0.0.1", 0),
+        trunk_name="server-b"))
     server_b.start()
     proxy = ChaosProxy(("127.0.0.1", server_b.trunk.port)).start()
-    server_a = AudioServer(HardwareConfig(), realtime=True,
-                           trunk_routes=[("55502", "127.0.0.1",
-                                          proxy.port)],
-                           trunk_name="server-a")
+    server_a = AudioServer(HardwareConfig(), ServerConfig(
+        realtime=True, trunk_routes=(("55502", "127.0.0.1", proxy.port),),
+        trunk_name="server-a"))
     server_a.start()
     assert server_a.trunk.wait_connected(10.0), "trunk never connected"
     yield server_a, server_b, proxy
