@@ -6,7 +6,7 @@ paper-vs-measured table that EXPERIMENTS.md records, and the server-side
 stats snapshots captured by every rig are written to BENCH_STATS.json.
 
 ``REPRO_BENCH_FAST=1`` switches the whole suite to smoke mode: rigs and
-workloads shrink via :func:`repro.bench.harness.scaled`, and the
+workloads shrink via :func:`testkit.rig.scaled`, and the
 pytest-benchmark calibration loop is clamped to a minimum here.
 """
 
@@ -15,8 +15,8 @@ import os
 
 import pytest
 
-from repro.bench import harness
-from repro.leakguard import no_leaked_threads_or_fds  # noqa: F401
+from testkit import rig
+from testkit.leakguard import no_leaked_threads_or_fds  # noqa: F401
 
 _ROWS: list[str] = []
 
@@ -42,13 +42,13 @@ def report():
 @pytest.fixture(autouse=True)
 def _label_rig_stats(request):
     """Attribute rig stats snapshots to the running experiment."""
-    harness.CURRENT_LABEL = request.node.nodeid
+    rig.CURRENT_LABEL = request.node.nodeid
     yield
-    harness.CURRENT_LABEL = None
+    rig.CURRENT_LABEL = None
 
 
 def pytest_configure(config):
-    if not harness.FAST:
+    if not rig.FAST:
         return
     # Smoke mode: stop pytest-benchmark from calibrating/looping; one
     # quick round per bench is enough to prove the path works.
@@ -61,7 +61,7 @@ def pytest_configure(config):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    for filename, results in harness.RESULT_SINKS.items():
+    for filename, results in rig.RESULT_SINKS.items():
         if not results:
             continue
         path = os.path.join(str(session.config.rootdir), filename)
@@ -77,20 +77,20 @@ def pytest_sessionfinish(session, exitstatus):
             pass
         try:
             with open(path, "w") as handle:
-                json.dump({"fast_mode": harness.FAST,
+                json.dump({"fast_mode": rig.FAST,
                            "results": merged}, handle, indent=2)
             print("\n%d result(s) written to %s (%d from this run)"
                   % (len(merged), path, len(results)))
         except OSError as exc:
             print("\ncould not write %s: %s" % (path, exc))
-    if harness.SESSION_STATS:
+    if rig.SESSION_STATS:
         path = os.path.join(str(session.config.rootdir), "BENCH_STATS.json")
         try:
             with open(path, "w") as handle:
-                json.dump({"fast_mode": harness.FAST,
-                           "runs": harness.SESSION_STATS}, handle, indent=2)
+                json.dump({"fast_mode": rig.FAST,
+                           "runs": rig.SESSION_STATS}, handle, indent=2)
             print("\nserver stats for %d rig(s) written to %s"
-                  % (len(harness.SESSION_STATS), path))
+                  % (len(rig.SESSION_STATS), path))
         except OSError as exc:
             print("\ncould not write %s: %s" % (path, exc))
     if not _ROWS:

@@ -1,7 +1,7 @@
 """E15 -- C10k soak: massive concurrent sessions on the I/O shards.
 
-The selector load generator (src/repro/bench/loadgen.py) holds hundreds
-(fast mode) to a thousand (full mode) concurrent protocol sessions
+The selector load generator (testkit/loadgen.py) holds hundreds (fast
+mode) to a thousand (full mode) concurrent protocol sessions
 against a live real-time server, mixing connect churn, pure queries and
 real playback LOUDs.  The run is gated on health -- zero protocol
 errors, zero unexpected disconnects, zero connect failures, zero
@@ -9,10 +9,9 @@ timeouts -- and on the number of sessions actually held at peak.
 Results land in BENCH_C10K.json via the harness result sink.
 """
 
-from repro.bench import scaled
-from repro.bench.harness import record_perf
-from repro.bench.loadgen import run_load
 from repro.server import AudioServer, ServerConfig
+from testkit.loadgen import run_load
+from testkit.rig import record_perf, scaled
 
 #: Concurrent sessions the soak opens.
 SESSIONS = scaled(1000, 200)

@@ -1,6 +1,6 @@
 """E12 -- chaos proxy overhead: fault injection must not be the fault.
 
-The chaos harness (src/repro/chaos) interposes a userspace TCP proxy
+The chaos harness (testkit/chaos) interposes a userspace TCP proxy
 between Alib and the server.  For its clean-passthrough configuration to
 be a usable default in tests, the proxy must cost little relative to the
 protocol work it carries: round trips through the proxy should stay the
@@ -13,9 +13,9 @@ passthrough ChaosProxy, and reconnect turnaround after a severed link.
 import time
 
 from repro.alib import AudioClient
-from repro.bench import make_rig, scaled
-from repro.chaos import ChaosProxy
 from repro.protocol.requests import GetTime
+from testkit.chaos.proxy import ChaosProxy
+from testkit.rig import make_rig, scaled
 
 
 def test_proxy_passthrough_overhead(benchmark, report):

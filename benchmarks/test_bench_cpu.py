@@ -11,15 +11,15 @@ measurement is pure processing cost with no sleep time in it.
 """
 
 
-from repro.bench import (
+from repro.protocol.types import MULAW_8K, PCM16_CD, SoundType
+from testkit.rig import (
     CpuMeter,
     build_playback_loud,
     make_rig,
     scaled,
     wait_queue_empty,
 )
-from repro.bench.workloads import tone_seconds
-from repro.protocol.types import MULAW_8K, PCM16_CD, SoundType
+from testkit.workloads import tone_seconds
 
 
 def stream_seconds(rig, sound_type, seconds: float) -> CpuMeter:

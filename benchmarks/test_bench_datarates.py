@@ -14,9 +14,6 @@ stream path with DATA_REQUEST flow control.
 
 import pytest
 
-from repro.bench import build_playback_loud, make_rig, scaled, \
-    wait_queue_empty
-from repro.bench.workloads import tone_seconds
 from repro.dsp import encodings
 from repro.protocol.types import (
     ADPCM_8K,
@@ -26,6 +23,8 @@ from repro.protocol.types import (
     PCM16_8K,
     SoundType,
 )
+from testkit.rig import build_playback_loud, make_rig, scaled, wait_queue_empty
+from testkit.workloads import tone_seconds
 
 CASES = [
     ("mu-law 8k (8,000 B/s)", 8000, 160, MULAW_8K),

@@ -13,9 +13,6 @@ import time
 
 import numpy as np
 
-from repro.bench import build_playback_loud, make_rig, scaled, \
-    wait_queue_empty
-from repro.bench.workloads import tone_seconds
 from repro.dsp.dtmf import generate_digit
 from repro.protocol import events as ev
 from repro.protocol.types import (
@@ -25,6 +22,8 @@ from repro.protocol.types import (
     PCM16_8K,
 )
 from repro.telephony import SimulatedParty
+from testkit.rig import build_playback_loud, make_rig, scaled, wait_queue_empty
+from testkit.workloads import tone_seconds
 
 RATE = 8000
 

@@ -11,13 +11,7 @@ per command (the design the server-side queue replaces).
 
 import numpy as np
 
-from repro.bench import (
-    build_playback_loud,
-    count_gap_samples,
-    make_rig,
-    wait_queue_empty,
-)
-from repro.bench.workloads import marked_segments
+from repro.bench.harness import count_gap_samples
 from repro.protocol.types import (
     Command,
     DeviceClass,
@@ -26,6 +20,8 @@ from repro.protocol.types import (
     PCM16_8K,
     RecordTermination,
 )
+from testkit.rig import build_playback_loud, make_rig, wait_queue_empty
+from testkit.workloads import marked_segments
 
 RATE = 8000
 

@@ -17,9 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import build_playback_loud, make_rig
 from repro.dsp import tones
 from repro.protocol.types import PCM16_8K
+from testkit.rig import build_playback_loud, make_rig
 
 RATE = 8000
 ROUNDS = 5

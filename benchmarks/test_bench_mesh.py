@@ -24,13 +24,13 @@ import time
 
 import numpy as np
 
-from repro.bench import scaled
-from repro.bench.harness import record_perf
-from repro.chaos import ChaosProxy, FaultSchedule
 from repro.dsp.encodings import mulaw_decode, mulaw_encode
 from repro.obs import MetricsRegistry
 from repro.telephony import CallState, TelephoneExchange
 from repro.trunk import TrunkGateway
+from testkit.chaos.proxy import ChaosProxy
+from testkit.chaos.schedule import FaultSchedule
+from testkit.rig import record_perf, scaled
 
 RATE = 8000
 BLOCK = 160

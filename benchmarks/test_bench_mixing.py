@@ -10,10 +10,15 @@ grows (roughly linear is the expectation)."""
 import numpy as np
 import pytest
 
-from repro.bench import CpuMeter, build_playback_loud, make_rig, scaled, \
-    wait_queue_empty
-from repro.bench.workloads import tone_seconds
 from repro.protocol.types import PCM16_8K
+from testkit.rig import (
+    CpuMeter,
+    build_playback_loud,
+    make_rig,
+    scaled,
+    wait_queue_empty,
+)
+from testkit.workloads import tone_seconds
 
 RATE = 8000
 

@@ -1,4 +1,4 @@
-"""E9 -- the cost of watching: dispatcher metrics overhead.
+"""E18 -- the cost of watching: dispatcher metrics overhead.
 
 The observability layer meters every request on the dispatch path
 (per-opcode counter + latency histogram).  That instrumentation must be
@@ -10,9 +10,9 @@ throughput.
 
 import statistics
 
-from repro.bench import make_rig, scaled
 from repro.obs import MetricsRegistry
 from repro.protocol.requests import NoOperation
+from testkit.rig import make_rig, scaled
 
 BATCH = scaled(4000, 400)
 
@@ -57,11 +57,11 @@ def test_metrics_overhead_is_small(benchmark, report):
              for side, values in samples.items()}
     overhead = rates["off"] / rates["on"] - 1.0
     cost_us = (1.0 / rates["on"] - 1.0 / rates["off"]) * 1e6
-    report.row("E9", "request rate, metrics enabled",
+    report.row("E18", "request rate, metrics enabled",
                "%.0f /s" % rates["on"], "median of %d rounds" % ROUNDS)
-    report.row("E9", "request rate, metrics disabled",
+    report.row("E18", "request rate, metrics disabled",
                "%.0f /s" % rates["off"], "median of %d rounds" % ROUNDS)
-    report.row("E9", "dispatch metering overhead",
+    report.row("E18", "dispatch metering overhead",
                "%.1f%% (%.2f us/req)" % (overhead * 100.0, cost_us),
                "absolute cost, not ratio")
     # Assert the *absolute* per-request metering cost.  The zero-copy
@@ -83,7 +83,7 @@ def test_stats_request_reflects_traffic(benchmark, report):
             return rig.client.server_stats()
 
         reply = benchmark.pedantic(fetch, rounds=scaled(5, 1), iterations=1)
-        report.row("E9", "GET_SERVER_STATS round trip",
+        report.row("E18", "GET_SERVER_STATS round trip",
                    "%d counters" % len(reply.counters),
                    "one request returns the whole registry")
         assert reply.counter("requests.NO_OPERATION") >= 10

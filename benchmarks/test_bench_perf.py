@@ -1,24 +1,17 @@
-"""E7 -- block-cycle fast paths: codec tables, mixer, cache, wire.
+"""E10 -- block-cycle fast paths: codec tables, mixer, cache, wire.
 
 The perf work (table-driven G.711, int32 mixer, decoded-sound cache,
 precompiled render plan, zero-copy wire reads) is pure optimization:
 identical output, less CPU.  This experiment quantifies each piece and
 emits machine-readable throughput records to BENCH_PERF.json (via
-``repro.bench.record_perf``) so CI can track speedups across commits.
+``testkit.rig.record_perf``) so CI can track speedups across commits.
 """
 
 import time
 
 import numpy as np
 
-from repro.bench import (
-    CpuMeter,
-    build_playback_loud,
-    make_rig,
-    record_perf,
-    scaled,
-    wait_queue_empty,
-)
+from repro.bench.harness import find_signal
 from repro.dsp import encodings, tones
 from repro.dsp.encodings import (
     mulaw_decode,
@@ -29,6 +22,14 @@ from repro.dsp.encodings import (
 from repro.dsp.mixing import mix
 from repro.protocol.requests import GetTime
 from repro.protocol.types import MULAW_8K, PCM16_8K
+from testkit.rig import (
+    CpuMeter,
+    build_playback_loud,
+    make_rig,
+    record_perf,
+    scaled,
+    wait_queue_empty,
+)
 
 from tests.mix_oracle import mix_reference
 
@@ -64,7 +65,7 @@ def test_codec_tables_speedup(benchmark, report):
     record_perf("codec.mulaw_cycle_1s", 1.0 / fast,
                 reference_ops_per_sec=1.0 / reference,
                 speedup=round(speedup, 2))
-    report.row("E7", "mu-law encode+decode 1 s of audio",
+    report.row("E10", "mu-law encode+decode 1 s of audio",
                "%.0f /s (%.1fx ref)" % (1.0 / fast, speedup), ">= 3x")
     assert speedup >= 3.0, "codec speedup %.2fx below 3x" % speedup
     # And identical bytes, or the speed is meaningless.
@@ -89,7 +90,7 @@ def test_mix_fast_path_speedup(benchmark, report):
     record_perf("mix.four_blocks_1s", 1.0 / fast,
                 reference_ops_per_sec=1.0 / reference,
                 speedup=round(speedup, 2))
-    report.row("E7", "mix 4x 1 s int16 blocks",
+    report.row("E10", "mix 4x 1 s int16 blocks",
                "%.0f /s (%.1fx ref)" % (1.0 / fast, speedup), "> 1x")
     assert speedup > 1.0
     assert np.array_equal(mix(blocks), mix_reference(blocks))
@@ -129,7 +130,7 @@ def test_block_cycle_throughput_with_cache(benchmark, report):
                 "sounds.decode_cache.misses", 0),
             renderplan_rebuilds=counters.get("renderplan.rebuilds", 0),
             renderplan_ticks=counters.get("renderplan.ticks", 0))
-        report.row("E7", "audio seconds rendered per CPU second",
+        report.row("E10", "audio seconds rendered per CPU second",
                    "%.1f" % (audio_seconds / max(meter.cpu_seconds,
                                                  1e-9)),
                    "cache turns replays into lookups")
@@ -157,7 +158,7 @@ def test_protocol_round_trip_throughput(benchmark, report):
         mean = benchmark.stats.stats.mean
         record_perf("protocol.round_trip", 1.0 / mean,
                     mean_ms=round(mean * 1000.0, 4))
-        report.row("E7", "protocol round trips (zero-copy reads)",
+        report.row("E10", "protocol round trips (zero-copy reads)",
                    "%.0f /s" % (1.0 / mean), "> 200 /s")
         assert 1.0 / mean > 200
     finally:
@@ -190,11 +191,9 @@ def test_rendered_output_identical_with_fast_paths(report):
         loud.start_queue()
         wait_queue_empty(client, loud)
         expected = mix_reference([a, b])
-        from repro.bench import find_signal
-
         captured = rig.server.hub.speakers[0].capture.samples()
         assert find_signal(captured, expected) is not None
-        report.row("E7", "saturating mixed output vs float64 reference",
+        report.row("E10", "saturating mixed output vs float64 reference",
                    "identical", "bit-exact")
     finally:
         rig.close()

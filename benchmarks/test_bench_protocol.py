@@ -11,8 +11,8 @@ pipelined async requests per second; connection setup cost.
 
 
 from repro.alib import AudioClient
-from repro.bench import make_rig, scaled
 from repro.protocol.requests import GetTime, NoOperation
+from testkit.rig import make_rig, scaled
 
 
 def test_round_trips_per_second(benchmark, report):

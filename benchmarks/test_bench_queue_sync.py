@@ -12,8 +12,9 @@ otherwise)."""
 import numpy as np
 import pytest
 
-from repro.bench import find_signal, make_rig, wait_queue_empty
+from repro.bench.harness import find_signal
 from repro.protocol.types import DeviceClass, EventMask, PCM16_8K
+from testkit.rig import make_rig, wait_queue_empty
 
 RATE = 8000
 

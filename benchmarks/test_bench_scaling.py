@@ -1,6 +1,6 @@
-"""E8/E14 -- dispatch rate and the 16-LOUD block cycle.
+"""E11/E14 -- dispatch rate and the 16-LOUD block cycle.
 
-E8 measures the dispatch layer's pipelined request rate.  E14 records
+E11 measures the dispatch layer's pipelined request rate.  E14 records
 the serial block cycle's throughput at 16 playing LOUDs, the render
 path's headline number.
 """
@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from repro.alib import AudioClient
-from repro.bench import record_perf, scaled
-from repro.chaos.fixtures import raw_setup
 from repro.hardware import HardwareConfig
 from repro.protocol.requests import GetTime
 from repro.protocol.types import DeviceClass
 from repro.protocol.wire import Message, MessageKind, MessageStream
 from repro.server import AudioServer
+from testkit.chaos.fixtures import raw_setup
+from testkit.rig import record_perf, scaled
 
 RATE = 8000
 BLOCK = 160
@@ -92,7 +92,7 @@ def test_pipelined_dispatch_throughput(server_rig, report):
     mean_batch = histogram["sum"] / max(histogram["count"], 1)
     record_perf("dispatch.pipelined_get_time", rate,
                 mean_batch=round(mean_batch, 2))
-    report.row("E8", "pipelined GET_TIME round trips",
+    report.row("E11", "pipelined GET_TIME round trips",
                "%.0f req/s (batch mean %.1f)" % (rate, mean_batch),
                "batched reads amortize the lock")
     assert rate > 0

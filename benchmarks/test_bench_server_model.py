@@ -12,16 +12,16 @@ price of sharing, arbitration and device independence.
 """
 
 
-from repro.bench import (
+from repro.hardware import AudioHub, HardwareConfig
+from repro.protocol.types import PCM16_8K
+from testkit.rig import (
     CpuMeter,
     build_playback_loud,
     make_rig,
     scaled,
     wait_queue_empty,
 )
-from repro.bench.workloads import tone_seconds
-from repro.hardware import AudioHub, HardwareConfig
-from repro.protocol.types import PCM16_8K
+from testkit.workloads import tone_seconds
 
 RATE = 8000
 SECONDS = scaled(20.0, 2.0)

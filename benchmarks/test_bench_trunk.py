@@ -10,9 +10,6 @@ land in BENCH_TRUNK.json via the harness result sink.
 
 import time
 
-from repro.bench import scaled
-from repro.bench.harness import record_perf
-from repro.chaos import ChaosProxy, FaultSchedule
 from repro.dsp import tones
 from repro.hardware import HardwareConfig
 from repro.server import AudioServer, ServerConfig
@@ -24,6 +21,9 @@ from repro.telephony import (
     Wait,
     WaitForConnect,
 )
+from testkit.chaos.proxy import ChaosProxy
+from testkit.chaos.schedule import FaultSchedule
+from testkit.rig import record_perf, scaled
 
 RATE = 8000
 

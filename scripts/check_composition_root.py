@@ -5,8 +5,6 @@ The server is configured in one place: ``src/repro/server/config.py``
 builds a :class:`ServerConfig` from the command line and the two
 ``REPRO_*`` variables.  A read of ``os.environ`` or ``getenv``
 anywhere else under ``src/repro`` is a setting that bypasses it.
-``repro.bench`` is exempt: its ``REPRO_BENCH_FAST`` belongs to the
-benchmark rigs, not the server.
 
 Every keepalive, redial backoff, registry TTL and stall eviction in
 ``src/repro/server/`` and ``src/repro/trunk/`` reads an injected clock
@@ -27,8 +25,8 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src/repro"
 
-#: The one module that reads the environment, and the benchmark rigs.
-ENV_ALLOWED = (_SRC / "server" / "config.py", _SRC / "bench")
+#: The one module that reads the environment.
+ENV_ALLOWED = (_SRC / "server" / "config.py",)
 
 #: Packages whose deadlines must read the injected clock.
 CLOCK_SCANNED = (_SRC / "server", _SRC / "trunk")

@@ -66,7 +66,8 @@ class RetryPolicy:
 
     def __init__(self, attempts: int = 3, base_delay: float = 0.05,
                  max_delay: float = 1.0, multiplier: float = 2.0,
-                 jitter: float = 0.25, seed: int | None = None) -> None:
+                 jitter: float = 0.25,
+                 seed: int | str | None = None) -> None:
         if attempts < 1:
             raise ValueError("attempts must be >= 1")
         self.attempts = attempts

@@ -1,21 +1,1 @@
-"""Benchmark support: rigs, meters and workload generators."""
-
-from .harness import (
-    FAST,
-    CpuMeter,
-    Rig,
-    build_playback_loud,
-    count_gap_samples,
-    find_signal,
-    make_rig,
-    record_perf,
-    scaled,
-    wait_queue_empty,
-)
-from .workloads import marked_segments, speech_like, tone_seconds
-
-__all__ = [
-    "FAST", "CpuMeter", "Rig", "build_playback_loud", "count_gap_samples",
-    "find_signal", "make_rig", "marked_segments", "record_perf", "scaled",
-    "speech_like", "tone_seconds", "wait_queue_empty",
-]
+"""Capture analysis shared by the tests, the benchmarks and perfbench."""

@@ -83,8 +83,6 @@ from .wire import MAX_ADVERT_ENTRIES, UNREACHABLE_HOPS, FrameType, \
 
 log = logging.getLogger(__name__)
 
-#: Backoff between dials of an unreachable peer: 50 ms doubling to 2 s.
-_REDIAL_BACKOFF = RetryPolicy(attempts=1, base_delay=0.05, max_delay=2.0)
 #: Cap on the exponential backoff exponent (RetryPolicy caps the delay
 #: itself; this just keeps ``multiplier ** attempt`` bounded).
 _MAX_BACKOFF_EXPONENT = 16
@@ -379,6 +377,11 @@ class TrunkGateway:
         self.jitter_depth_seconds = jitter_depth_seconds
         #: Read by every stale-link, redial and registry-TTL decision.
         self.now = clock
+        #: Backoff between dials of an unreachable peer: 50 ms doubling
+        #: to 2 s.  Its jitter is seeded by the name, so the redial
+        #: schedule is this gateway's alone and the same on every run.
+        self._redial = RetryPolicy(attempts=1, base_delay=0.05,
+                                   max_delay=2.0, seed=self.name)
         self.host: str | None = None
         self.port: int | None = None
         self._routes: list[DialTarget] = []
@@ -811,7 +814,7 @@ class TrunkGateway:
 
     def _connect_failed(self, target: DialTarget, why: str) -> None:
         with self._state_lock:
-            delay = _REDIAL_BACKOFF.delay(
+            delay = self._redial.delay(
                 min(target.attempt, _MAX_BACKOFF_EXPONENT))
             target.attempt += 1
             target.next_attempt_at = self.now() + delay

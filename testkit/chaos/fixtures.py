@@ -3,7 +3,7 @@
 Importing these names in ``tests/conftest.py`` makes the chaos harness
 available everywhere::
 
-    from repro.chaos.fixtures import (          # noqa: F401
+    from testkit.chaos.fixtures import (        # noqa: F401
         chaos_client, chaos_proxy, make_chaos_proxy)
 
 ``chaos_proxy`` gives a clean-passthrough proxy in front of the standard
@@ -19,8 +19,8 @@ import socket
 
 import pytest
 
-from ..alib import AudioClient
-from ..protocol.setup import SetupRequest
+from repro.alib import AudioClient
+from repro.protocol.setup import SetupRequest
 from .proxy import ChaosProxy
 from .schedule import FaultSchedule
 

@@ -26,8 +26,8 @@ import socket
 import threading
 import time
 
-from ..listener import Listener
-from ..obs import MetricsRegistry, NULL_REGISTRY
+from repro.listener import Listener
+from repro.obs import MetricsRegistry, NULL_REGISTRY
 from .schedule import Decision, DOWN, FaultSchedule, UP
 
 _CHUNK = 65536

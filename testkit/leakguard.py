@@ -3,7 +3,7 @@
 Import :func:`no_leaked_threads_or_fds` into a ``conftest.py`` and it
 runs around every test there (it is autouse)::
 
-    from repro.leakguard import no_leaked_threads_or_fds  # noqa: F401
+    from testkit.leakguard import no_leaked_threads_or_fds  # noqa: F401
 
 A rig that is never stopped -- a virtual-paced hub spinning at CPU
 speed for the rest of the session, say -- then fails the test that

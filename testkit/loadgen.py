@@ -35,8 +35,8 @@ import socket
 import struct
 import time
 
-from ..protocol.attributes import AttributeList
-from ..protocol.requests import (
+from repro.protocol.attributes import AttributeList
+from repro.protocol.requests import (
     ControlQueue,
     CreateLoud,
     CreateVirtualDevice,
@@ -49,15 +49,15 @@ from ..protocol.requests import (
     Request,
     SelectEvents,
 )
-from ..protocol.setup import SetupRequest
-from ..protocol.types import (
+from repro.protocol.setup import SetupRequest
+from repro.protocol.types import (
     Command,
     CommandMode,
     DeviceClass,
     EventMask,
     QueueOp,
 )
-from ..protocol.wire import (
+from repro.protocol.wire import (
     ConnectionClosed,
     Message,
     MessageKind,
@@ -104,13 +104,6 @@ class LoadStats:
         if self.duration_seconds <= 0:
             return 0.0
         return self.replies / self.duration_seconds
-
-    @property
-    def healthy(self) -> bool:
-        """The soak gate: no errors, no surprise drops, no timeouts."""
-        return (self.protocol_errors == 0
-                and self.unexpected_disconnects == 0
-                and self.timeouts == 0)
 
     def as_record(self) -> dict:
         """The BENCH_C10K.json record for one run."""
@@ -497,8 +490,9 @@ class LoadGenerator:
     def _poll(self, now: float, deadline: float) -> None:
         next_deadline = deadline
         for session, _events in self._registered.items():
-            if session.next_action_at and session.next_action_at < next_deadline:
-                next_deadline = session.next_action_at
+            action_at = session.next_action_at
+            if action_at and action_at < next_deadline:
+                next_deadline = action_at
         timeout = max(0.0, min(next_deadline - now, 0.05))
         for key, mask in self._selector.select(timeout):
             session: _Session = key.data

@@ -1,17 +1,22 @@
 """Shared fixtures: a running audio server and connected clients."""
 
+import functools
+import socket
+
 import numpy as np
 import pytest
 
 from repro.alib import AudioClient
-from repro.chaos.fixtures import (  # noqa: F401
+from repro.hardware import HardwareConfig
+from repro.protocol.types import DeviceClass, EventMask
+from repro.server import AudioServer
+from testkit.chaos.fixtures import (  # noqa: F401
     chaos_client,
     chaos_proxy,
     make_chaos_proxy,
 )
-from repro.hardware import HardwareConfig
-from repro.leakguard import no_leaked_threads_or_fds  # noqa: F401
-from repro.server import AudioServer
+from testkit.leakguard import no_leaked_threads_or_fds  # noqa: F401
+from testkit.rig import wait_queue_empty as _wait_queue_empty
 
 RATE = 8000
 BLOCK = 160
@@ -66,6 +71,26 @@ def wait_for(predicate, timeout=10.0):
             return True
         time.sleep(0.002)
     return predicate()
+
+
+#: A LOUD's next QUEUE_EMPTY; on the virtual-paced ``server`` 15 s is a hang.
+wait_queue_empty = functools.partial(_wait_queue_empty, timeout=15.0)
+
+
+def dead_port() -> int:
+    """A loopback port nothing listens on."""
+    with socket.socket() as placeholder:
+        placeholder.bind(("127.0.0.1", 0))
+        return placeholder.getsockname()[1]
+
+
+def build_phone_loud(client, extra_events=EventMask.NONE):
+    """An unmapped LOUD with one TELEPHONE device and its events."""
+    loud = client.create_loud()
+    telephone = loud.create_device(DeviceClass.TELEPHONE)
+    loud.select_events(EventMask.QUEUE | EventMask.TELEPHONE
+                       | EventMask.DTMF | extra_events)
+    return loud, telephone
 
 
 def wait_blocks(server, blocks: int) -> None:

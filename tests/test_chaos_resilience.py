@@ -3,15 +3,15 @@
 The paper's premise is *distributed* audio -- applications and server on
 different machines -- so the network can and will fail mid-session.
 These tests route live Alib traffic through the in-process
-:class:`~repro.chaos.ChaosProxy` and check the resilience contracts of
-docs/RELIABILITY.md: seeded fault schedules replay deterministically, a
-``reconnect=True`` client survives a mid-playback connection reset by
-resuming its id range and replaying its session journal, and a storm of
-chaos-afflicted clients never disturbs a well-behaved one.
+:class:`~testkit.chaos.proxy.ChaosProxy` and check the resilience
+contracts of docs/RELIABILITY.md: seeded fault schedules replay
+deterministically, a ``reconnect=True`` client survives a mid-playback
+connection reset by resuming its id range and replaying its session
+journal, and a storm of chaos-afflicted clients never disturbs a
+well-behaved one.
 """
 
 import errno
-import os
 import threading
 
 import pytest
@@ -22,8 +22,6 @@ from repro.alib import (
     ConnectionError_,
     connection,
 )
-from repro.bench.harness import scaled
-from repro.chaos import FaultSchedule, UP
 from repro.dsp import tones
 from repro.dsp.mixing import rms
 from repro.obs import MetricsRegistry
@@ -34,6 +32,8 @@ from repro.protocol.types import (
     OpCode,
     PCM16_8K,
 )
+from testkit.chaos.schedule import UP, FaultSchedule
+from testkit.rig import FAST, scaled
 
 from conftest import wait_for
 
@@ -278,8 +278,7 @@ class TestChaosSoak:
         finally:
             clean.close()
 
-    @pytest.mark.skipif(os.environ.get("REPRO_BENCH_FAST", "") == "1",
-                        reason="latency soak skipped in fast mode")
+    @pytest.mark.skipif(FAST, reason="latency soak skipped in fast mode")
     def test_throttled_link_still_completes(self, server, make_chaos_proxy):
         """A slow, jittery link delays but never corrupts a session."""
         proxy = make_chaos_proxy(

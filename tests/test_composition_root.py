@@ -82,9 +82,8 @@ def test_clock_rule_only_where_asked(tmp_path):
     """) == []
 
 
-def test_only_the_config_module_and_bench_read_the_environment():
-    assert lint._SRC / "server" / "config.py" in lint.ENV_ALLOWED
-    assert lint._SRC / "bench" in lint.ENV_ALLOWED
+def test_only_the_config_module_reads_the_environment():
+    assert lint.ENV_ALLOWED == (lint._SRC / "server" / "config.py",)
     assert set(lint.CLOCK_SCANNED) == {lint._SRC / "server",
                                        lint._SRC / "trunk"}
 

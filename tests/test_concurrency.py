@@ -14,7 +14,6 @@ import threading
 
 import pytest
 
-from repro.chaos.fixtures import raw_setup
 from repro.protocol import requests as rq
 from repro.protocol.setup import SetupRequest
 from repro.protocol.wire import (
@@ -25,6 +24,7 @@ from repro.protocol.wire import (
 )
 from repro.server.locks import InstrumentedRLock, LockDisciplineError
 from repro.server.resources import FIRST_CLIENT_ID, ResourceTable
+from testkit.chaos.fixtures import raw_setup
 
 from conftest import wait_for
 

@@ -13,7 +13,6 @@ import struct
 
 
 from repro.alib import AudioClient
-from repro.chaos.fixtures import raw_setup
 from repro.dsp import tones
 from repro.dsp.mixing import rms
 from repro.protocol.types import (
@@ -23,6 +22,7 @@ from repro.protocol.types import (
     PCM16_8K,
 )
 from repro.protocol.wire import Message, MessageKind
+from testkit.chaos.fixtures import raw_setup
 
 from conftest import wait_for
 

@@ -27,8 +27,6 @@ import time
 from types import SimpleNamespace
 
 from repro.alib import AudioClient
-from repro.bench.loadgen import run_load
-from repro.chaos import ChaosProxy, FaultSchedule
 from repro.hardware import HardwareConfig
 from repro.obs import MetricsRegistry
 from repro.protocol import requests as rq
@@ -50,6 +48,9 @@ from repro.protocol.wire import (
 )
 from repro.server import AudioServer, ServerConfig, ioloop
 from repro.server.clients import ClientConnection
+from testkit.chaos.proxy import ChaosProxy
+from testkit.chaos.schedule import FaultSchedule
+from testkit.loadgen import run_load
 
 from conftest import wait_for
 from manual_clock import ManualClock

@@ -40,7 +40,7 @@ from repro.trunk.discovery import (
     encode_register,
 )
 
-from conftest import wait_for
+from conftest import dead_port, wait_for
 from manual_clock import ManualClock
 
 RATE = 8000
@@ -227,12 +227,8 @@ class TestRegistry:
             registry.stop()
 
     def test_poll_failure_counted_not_fatal(self):
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        dead_port = placeholder.getsockname()[1]
-        placeholder.close()
         discovery = MeshDiscovery(
-            ("127.0.0.1", dead_port),
+            ("127.0.0.1", dead_port()),
             lambda: PeerRecord("A", "127.0.0.1", 4000, ()))
         assert not discovery.poll_once()
         assert discovery.poll_failures == 1

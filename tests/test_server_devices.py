@@ -25,19 +25,13 @@ from repro.protocol.types import (
     PCM16_8K,
 )
 
-from conftest import wait_blocks, wait_for
+from conftest import wait_blocks, wait_for, wait_queue_empty
 
 RATE = 8000
 
 
 def captured(server):
     return server.hub.speakers[0].capture.samples()
-
-
-def wait_queue_empty(client, loud, timeout=15.0):
-    return client.wait_for_event(
-        lambda e: (e.code is EventCode.QUEUE_EMPTY
-                   and e.resource == loud.loud_id), timeout=timeout)
 
 
 class TestRecognizerDevice:

@@ -11,50 +11,15 @@ import socket
 
 import numpy as np
 
+from repro.bench.harness import find_signal
 from repro.dsp import encodings
-from repro.protocol.types import (
-    DeviceClass,
-    EventCode,
-    EventMask,
-    MULAW_8K,
-    PCM16_8K,
-)
+from repro.protocol.types import DeviceClass, MULAW_8K, PCM16_8K
 from repro.server.sounds import DecodeCache, Sound
+from testkit.rig import build_playback_loud
 
-from conftest import speaker_audio, wait_for
+from conftest import speaker_audio, wait_for, wait_queue_empty
 
 RATE = 8000
-
-
-def build_player(client):
-    loud = client.create_loud()
-    player = loud.create_device(DeviceClass.PLAYER)
-    output = loud.create_device(DeviceClass.OUTPUT)
-    loud.wire(player, 0, output, 0)
-    loud.select_events(EventMask.QUEUE)
-    loud.map()
-    return loud, player, output
-
-
-def wait_queue_empty(client, loud, timeout=15.0):
-    event = client.wait_for_event(
-        lambda e: (e.code is EventCode.QUEUE_EMPTY
-                   and e.resource == loud.loud_id), timeout=timeout)
-    assert event is not None, "queue never drained"
-
-
-def find_signal(buffer, reference):
-    nonzero = np.nonzero(reference)[0]
-    if len(nonzero) == 0:
-        return None
-    anchor = nonzero[0]
-    for start in np.nonzero(buffer == reference[anchor])[0]:
-        begin = int(start) - int(anchor)
-        if begin < 0 or begin + len(reference) > len(buffer):
-            continue
-        if np.array_equal(buffer[begin:begin + len(reference)], reference):
-            return begin
-    return None
 
 
 class TestDecodeCacheUnit:
@@ -136,7 +101,7 @@ class TestDecodeCacheUnit:
 
 class TestDecodeCacheEndToEnd:
     def test_replay_hits_the_cache(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         tone = np.full(1200, 4321, dtype=np.int16)
         sound = client.sound_from_samples(tone, PCM16_8K)
         player.play(sound)
@@ -148,7 +113,7 @@ class TestDecodeCacheEndToEnd:
         assert reply.counter("sounds.decode_cache.hits") >= 1
 
     def test_write_mid_playback_next_play_is_fresh(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         first = np.full(RATE, 1111, dtype=np.int16)     # 1 s
         sound = client.sound_from_samples(first, PCM16_8K)
         player.play(sound)
@@ -172,7 +137,7 @@ class TestDecodeCacheEndToEnd:
 
 class TestRenderPlan:
     def test_plan_rebuilds_are_metered(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         sound = client.sound_from_samples(
             np.full(800, 123, dtype=np.int16), PCM16_8K)
         player.play(sound)
@@ -187,7 +152,7 @@ class TestRenderPlan:
             < reply.counter("renderplan.ticks")
 
     def test_topology_change_invalidates_plan(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         client.sync()
         assert wait_for(lambda: server._render_plan is not None)
         before = server.metrics.counter("renderplan.invalidations").value
@@ -205,7 +170,7 @@ class TestRenderPlan:
                     for _queue, devices in server._render_plan))
 
     def test_unmap_empties_plan(self, server, client):
-        loud, _player, _output = build_player(client)
+        loud, _player, _output = build_playback_loud(client)
         client.sync()
         assert wait_for(lambda: server._render_plan is not None
                         and len(server._render_plan) == 1)
@@ -216,7 +181,7 @@ class TestRenderPlan:
 
     def test_playback_output_identical_through_plan(self, server, client):
         # The plan is pure bookkeeping: rendered samples stay exact.
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         pieces = [np.full(777, fill, dtype=np.int16)
                   for fill in (1000, 2000, 3000)]
         for piece in pieces:

@@ -8,6 +8,7 @@ mixing at a shared speaker (section 2).
 
 import numpy as np
 
+from repro.bench.harness import find_signal
 from repro.dsp import encodings, tones
 from repro.dsp.mixing import rms
 from repro.protocol.types import (
@@ -22,7 +23,7 @@ from repro.protocol.types import (
     QueueState,
 )
 
-from conftest import speaker_audio, wait_for
+from conftest import speaker_audio, wait_for, wait_queue_empty
 
 RATE = 8000
 
@@ -46,33 +47,6 @@ def build_player(client, sound_type=PCM16_8K):
 
 def captured(server):
     return speaker_audio(server)
-
-
-def wait_queue_empty(client, loud, timeout=15.0):
-    event = client.wait_for_event(
-        lambda e: (e.code is EventCode.QUEUE_EMPTY
-                   and e.resource == loud.loud_id), timeout=timeout)
-    assert event is not None, "queue never drained"
-    return event
-
-
-def find_signal(buffer, reference):
-    """Locate `reference` inside `buffer`; returns start index or None."""
-    if len(reference) == 0 or len(buffer) < len(reference):
-        return None
-    # Find candidate starts by matching the first nonzero sample.
-    nonzero = np.nonzero(reference)[0]
-    if len(nonzero) == 0:
-        return None
-    anchor = nonzero[0]
-    candidates = np.nonzero(buffer == reference[anchor])[0]
-    for start in candidates:
-        begin = start - anchor
-        if begin < 0 or begin + len(reference) > len(buffer):
-            continue
-        if np.array_equal(buffer[begin:begin + len(reference)], reference):
-            return int(begin)
-    return None
 
 
 class TestBasicPlayback:

@@ -32,7 +32,7 @@ from repro.telephony import (
     WaitForSilence,
 )
 
-from conftest import wait_for
+from conftest import build_phone_loud, wait_for
 
 RATE = 8000
 
@@ -44,14 +44,6 @@ def add_remote_party(server, number="5550111", answer_after_rings=1,
                            script=script)
     server.hub.exchange.add_party(party)
     return party
-
-
-def build_phone_loud(client, extra_events=EventMask.NONE):
-    loud = client.create_loud()
-    telephone = loud.create_device(DeviceClass.TELEPHONE)
-    loud.select_events(EventMask.QUEUE | EventMask.TELEPHONE
-                       | EventMask.DTMF | extra_events)
-    return loud, telephone
 
 
 class TestOutgoingCalls:

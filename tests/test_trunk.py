@@ -6,6 +6,7 @@ deterministic: each ``pump`` ticks both exchanges one block and yields
 briefly so the link pump threads can move frames.
 """
 
+import random
 import re
 import socket
 import sys
@@ -37,9 +38,9 @@ from repro.trunk import (
     parse_route,
     read_frame,
 )
-from repro.trunk.gateway import HANDSHAKE_TIMEOUT, _REDIAL_BACKOFF
+from repro.trunk.gateway import HANDSHAKE_TIMEOUT
 
-from conftest import wait_for
+from conftest import dead_port, wait_for
 from manual_clock import ManualClock
 
 RATE = 8000
@@ -607,12 +608,7 @@ class TestTrunkCalls:
     def test_unreachable_route_fails_fast(self):
         exchange = TelephoneExchange(RATE)
         gateway = TrunkGateway(exchange, name="A")
-        # Reserve a port and close it so nothing is listening there.
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        dead_port = placeholder.getsockname()[1]
-        placeholder.close()
-        gateway.add_route("2", "127.0.0.1", dead_port)
+        gateway.add_route("2", "127.0.0.1", dead_port())
         gateway.start()
         try:
             alice = exchange.add_line("100")
@@ -861,6 +857,15 @@ def _connector_threads_join():
             thread.join(5.0)
 
 
+def _redial_delays(name, count):
+    """The first ``count`` redial delays of a gateway called ``name``:
+    50 ms doubling, each stretched by up to a quarter by the next draw
+    of a jitter stream seeded with the name."""
+    draws = random.Random(name)
+    return [0.05 * 2 ** attempt * (1 + 0.25 * draws.random())
+            for attempt in range(count)]
+
+
 class TestDeadlinesOnManualClock:
     """Keepalive and redial deadlines, on a clock the test moves."""
 
@@ -909,34 +914,57 @@ class TestDeadlinesOnManualClock:
 
     def test_redial_waits_out_the_backoff(self):
         clock = ManualClock()
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        dead_port = placeholder.getsockname()[1]
-        placeholder.close()
         gateway = TrunkGateway(TelephoneExchange(RATE), name="A",
                                metrics=MetricsRegistry(), clock=clock)
-        route = gateway.add_route("2", "127.0.0.1", dead_port)
+        route = gateway.add_route("2", "127.0.0.1", dead_port())
         try:
             gateway.start()
             _connector_threads_join()
             assert route.attempt == 1 and not route.connecting
-            # The first redial waits the base delay plus its jitter.
-            delay = route.next_attempt_at - clock.time
-            base = _REDIAL_BACKOFF.base_delay
-            assert base <= delay <= base * (1 + _REDIAL_BACKOFF.jitter)
+            # The first redial waits the base delay plus the first draw
+            # of the gateway's own jitter.
+            due = clock.time + _redial_delays("A", 1)[0]
 
-            clock.time = route.next_attempt_at - 0.001
+            clock.time = due - 0.001
             gateway.tick(BLOCK)
             assert not route.connecting
             _connector_threads_join()
             assert route.attempt == 1
 
-            clock.time = route.next_attempt_at
+            clock.time = due
             gateway.tick(BLOCK)
             _connector_threads_join()
             assert route.attempt == 2
         finally:
             gateway.stop()
+            _connector_threads_join()
+
+    def test_other_gateways_dials_leave_the_redial_schedule_alone(self):
+        clock = ManualClock()
+        port = dead_port()
+        first, other = (TrunkGateway(TelephoneExchange(RATE), name=name,
+                                     metrics=MetricsRegistry(), clock=clock)
+                        for name in ("A", "B"))
+        route = first.add_route("2", "127.0.0.1", port)
+        noise = other.add_route("2", "127.0.0.1", port)
+        try:
+            other.start()
+            first.start()
+            _connector_threads_join()
+            for delay in _redial_delays("A", 3):
+                assert route.next_attempt_at == clock.time + delay
+                # B fails twice more before A dials again.
+                for _ in range(2):
+                    clock.time = max(clock.time, noise.next_attempt_at)
+                    other.tick(BLOCK)
+                    _connector_threads_join()
+                clock.time = max(clock.time, route.next_attempt_at)
+                first.tick(BLOCK)
+                _connector_threads_join()
+            assert (route.attempt, noise.attempt) == (4, 7)
+        finally:
+            first.stop()
+            other.stop()
             _connector_threads_join()
 
 

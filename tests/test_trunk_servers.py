@@ -13,7 +13,6 @@ against (free-running virtual pacers would shear the two clocks apart).
 import pytest
 
 from repro.alib import AudioClient
-from repro.chaos import ChaosProxy
 from repro.dsp import tones
 from repro.dsp.goertzel import goertzel_power
 from repro.hardware import HardwareConfig
@@ -37,8 +36,9 @@ from repro.telephony import (
     WaitForConnect,
     WaitForSilence,
 )
+from testkit.chaos.proxy import ChaosProxy
 
-from conftest import wait_for
+from conftest import build_phone_loud, wait_for
 
 RATE = 8000
 REMOTE_NUMBER = "5550200"
@@ -70,14 +70,6 @@ def add_remote_party(server_b, script=None, answer_after_rings=1):
                            script=script)
     server_b.hub.exchange.add_party(party)
     return line, party
-
-
-def build_phone_loud(client, extra_events=EventMask.NONE):
-    loud = client.create_loud()
-    telephone = loud.create_device(DeviceClass.TELEPHONE)
-    loud.select_events(EventMask.QUEUE | EventMask.TELEPHONE
-                       | EventMask.DTMF | extra_events)
-    return loud, telephone
 
 
 class TestCrossServerCalls:
