@@ -14,6 +14,13 @@ time can reach.  The one allowed spelling is a parameter default, the
 seam itself: ``clock=time.monotonic``.  ``time.perf_counter`` is
 metering, not a deadline, and stays allowed.
 
+Timers there are deadlines too: the gateway's tick checks each against
+``now()``.  A ``.wait(...)`` or ``.wait_for(...)`` given a timeout, or a
+``.get(timeout=...)``, is a timer that only wall time can fire.  The one
+allowed is ``TrunkGateway.wait_connected``, whose timeout is its
+caller's wall-clock budget.  A bounded ``join(timeout=...)`` on stop is
+not a timer and stays allowed.
+
 Exit status is nonzero if any violation is found, so CI can gate on it.
 """
 
@@ -34,6 +41,9 @@ CLOCK_SCANNED = (_SRC / "server", _SRC / "trunk")
 #: ``time`` functions that read or wait on wall time.
 WALL_CLOCK = frozenset({"monotonic", "time", "sleep"})
 
+#: ``Class.method``s whose timed wait is a caller's budget, not a timer.
+TIMED_WAIT_ALLOWED = frozenset({"TrunkGateway.wait_connected"})
+
 
 def _defaults(tree: ast.AST) -> set[int]:
     """ids of every node inside a parameter default."""
@@ -47,15 +57,53 @@ def _defaults(tree: ast.AST) -> set[int]:
     return inside
 
 
+def _allowed_waits(tree: ast.AST) -> set[int]:
+    """ids of every node inside a :data:`TIMED_WAIT_ALLOWED` method."""
+    inside: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+                        and "%s.%s" % (node.name, item.name)
+                        in TIMED_WAIT_ALLOWED):
+                    inside.update(id(sub) for sub in ast.walk(item))
+    return inside
+
+
+def _timed_wait(call: ast.Call) -> str | None:
+    """The method a call waits in with a timeout, or None."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    timeout = any(keyword.arg == "timeout" for keyword in call.keywords)
+    if func.attr == "wait":
+        timeout = timeout or bool(call.args)
+    elif func.attr == "wait_for":
+        timeout = timeout or len(call.args) > 1
+    elif func.attr != "get":
+        return None
+    return func.attr if timeout else None
+
+
 def check_file(path: Path, *, env: bool = True,
                clock: bool = False) -> list[tuple[Path, int, str]]:
     """Violations in one module: environment reads when ``env``,
-    wall-clock calls when ``clock``."""
+    wall-clock calls and timed waits when ``clock``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     seam = _defaults(tree)
+    budgets = _allowed_waits(tree) if clock else set()
     violations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value,
+        if (clock and isinstance(node, ast.Call)
+                and id(node) not in budgets):
+            wait = _timed_wait(node)
+            if wait is not None:
+                violations.append(
+                    (path, node.lineno,
+                     "timed .%s() instead of a deadline on the "
+                     "injected clock" % wait))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value,
                                                           ast.Name):
             owner, attr = node.value.id, node.attr
             if env and owner == "os" and attr in ("environ", "getenv"):

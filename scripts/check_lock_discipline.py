@@ -87,13 +87,12 @@ IMPLICIT_LOCK_FILES = {
     # function is implicitly under the topology lock -- and none may do
     # socket I/O at all (it is plain data).
     "trunk/routing.py": frozenset(),
-    # Discovery does real socket I/O, but only on its own threads; the
-    # gateway's tick merely reads snapshots.
+    # Discovery does real socket I/O, but only off the tick: the
+    # gateway's tick merely starts poll threads and reads snapshots.
     "trunk/discovery.py": frozenset({
         "_serve",           # one request, on its connection thread
         "_handle",          # that request's I/O, same thread
-        "_poll_loop",       # the discovery client's timer thread
-        "poll_once",        # one round trip, poll thread (and tests)
+        "poll_once",        # one round trip, on a poll thread (and tests)
     }),
 }
 

@@ -416,11 +416,12 @@ class MessageStream(BufferedStream):
 
         Receives only while nothing complete is buffered, so a burst of
         small messages costs one ``recv_into``, and a large message is
-        read until it is complete or the socket would block.  Raises :class:`ConnectionClosed` on EOF once
-        nothing complete is left, and :class:`WireFormatError` on an
-        unframeable stream.  A ``limit`` leaves the messages past it in
-        the buffer for the next call, where no selector sees them, so a
-        selector-driven caller passes none.
+        read until it is complete or the socket would block.  Raises
+        :class:`ConnectionClosed` on EOF once nothing complete is left,
+        and :class:`WireFormatError` on an unframeable stream.  A
+        ``limit`` leaves the messages past it in the buffer for the next
+        call, where no selector sees them, so a selector-driven caller
+        passes none.
         """
         try:
             return self.read_burst(limit)

@@ -61,7 +61,7 @@ class TelephoneExchange:
         self.attach_metrics(metrics if metrics is not None
                             else NULL_REGISTRY)
 
-    # -- observability ---------------------------------------------------------
+    # -- observability --------------------------------------------------------
 
     def attach_metrics(self, registry) -> None:
         """Bind (or re-bind) this exchange's instruments to a registry.
@@ -126,7 +126,7 @@ class TelephoneExchange:
             return line
         return self._trunk_endpoint(number)
 
-    # -- call-table bookkeeping ------------------------------------------------
+    # -- call-table bookkeeping -----------------------------------------------
 
     @property
     def calls(self) -> list[Call]:

@@ -3,11 +3,12 @@
 Hand-wiring ``--trunk-route PREFIX=host:port`` pairs does not scale past
 a lab bench.  The mesh replaces it with one well-known *registry*
 endpoint (served by any node via ``--mesh-registry``): every gateway
-periodically registers ``(name, trunk listen address, owned prefixes)``
-and receives the full list of live peers in the same round trip.  From
-that list the gateway auto-establishes trunk links (its neighbor policy
-permitting) and the ROUTE_ADVERT plane (trunk/routing.py) does the
-rest; the registry itself never sees a route or a call.
+registers ``(name, trunk listen address, owned prefixes)`` once per
+poll interval and receives the full list of live peers in the same
+round trip.  From that list the gateway auto-establishes trunk links
+(its neighbor policy permitting) and the ROUTE_ADVERT plane
+(trunk/routing.py) does the rest; the registry itself never sees a
+route or a call.
 
 The wire format mirrors the trunk's: a fixed magic+version preamble,
 then one length-prefixed frame each way per connection --
@@ -27,10 +28,11 @@ raises :class:`RegistryProtocolError` and costs the offender only its
 own connection.
 
 Threading: :class:`MeshRegistry` serves each request on its own
-connection thread (``repro.listener``) and :class:`MeshDiscovery` polls
-from its own timer thread; the gateway's tick only ever reads their
-latest snapshots.  Those threads are the lock-discipline exemptions for
-this file.
+connection thread (``repro.listener``).  :class:`MeshDiscovery` keeps no
+thread and no timer: the gateway's tick starts each poll on a
+short-lived thread when its clock says one is due, and otherwise only
+reads the latest snapshot.  Those threads are the lock-discipline
+exemptions for this file.
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ REGISTRY_TTL = 5.0
 
 #: Seconds one registry request or poll may spend on its socket.
 REGISTRY_IO_TIMEOUT = 2.0
-
-#: Seconds between a node's register/poll round trips.
-DEFAULT_POLL_INTERVAL = 0.5
 
 _LENGTH = struct.Struct("<I")
 _PREAMBLE = struct.Struct("<4sH")
@@ -268,40 +267,22 @@ class MeshDiscovery:
 
     ``record_fn`` is called per poll so the registration always carries
     the listener's *resolved* port (ephemeral listeners bind during
-    gateway start).  The poll thread owns all socket I/O; the gateway's
-    tick reads :meth:`peers` -- a dict copy under a flick of a lock.
+    gateway start).  :meth:`poll_once` owns all socket I/O and runs off
+    the tick; the tick reads :meth:`peers` -- a dict copy under a flick
+    of a lock.
     """
 
-    def __init__(self, registry: tuple[str, int], record_fn, *,
-                 interval: float = DEFAULT_POLL_INTERVAL) -> None:
+    def __init__(self, registry: tuple[str, int], record_fn) -> None:
         self.registry = registry
         self.record_fn = record_fn
-        self.interval = interval
         self._lock = threading.Lock()
         self._peers: dict[str, PeerRecord] = {}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         # Plain tallies; the gateway folds them into mesh.discovery.*.
         self.polls = 0
         self.poll_failures = 0
         #: Bumped per successful poll; lets the gateway distinguish "no
         #: peers yet" from "registry unreachable".
         self.generation = 0
-
-    def start(self) -> "MeshDiscovery":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._poll_loop,
-                                        name="mesh-discovery", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
 
     def peers(self) -> dict[str, PeerRecord]:
         with self._lock:
@@ -310,8 +291,8 @@ class MeshDiscovery:
     def poll_once(self) -> bool:
         """One register/poll round trip; True on success.
 
-        Called from the poll thread (and directly by tests); never from
-        the gateway's tick.
+        Called on a poll thread the gateway's tick starts (and directly
+        by tests); never on the tick itself.
         """
         record = self.record_fn()
         try:
@@ -333,8 +314,3 @@ class MeshDiscovery:
         self.polls += 1
         self.generation += 1
         return True
-
-    def _poll_loop(self) -> None:
-        while not self._stop.is_set():
-            self.poll_once()
-            self._stop.wait(self.interval)

@@ -66,17 +66,13 @@ from ..protocol.wire import ConnectionClosed
 from ..telephony.call import CallState
 from ..telephony.line import HookState, Line
 from .discovery import (
-    DEFAULT_POLL_INTERVAL,
+    REGISTRY_IO_TIMEOUT,
     MeshDiscovery,
     MeshRegistry,
     PeerRecord,
 )
 from .jitter import JitterBuffer
-from .link import (
-    DEFAULT_KEEPALIVE_INTERVAL,
-    DEFAULT_OUTBOUND_BOUND,
-    TrunkLink,
-)
+from .link import DEFAULT_OUTBOUND_BOUND, TrunkLink
 from .routing import RouteTable
 from .wire import MAX_ADVERT_ENTRIES, UNREACHABLE_HOPS, FrameType, \
     Handshake, TrunkFrame, TrunkProtocolError
@@ -90,6 +86,15 @@ _MAX_BACKOFF_EXPONENT = 16
 #: Seconds that bound a dial's connect and handshake, and an accepted
 #: peer's handshake.
 HANDSHAKE_TIMEOUT = 2.0
+
+#: Seconds a link may queue nothing before the tick queues a PING.
+DEFAULT_KEEPALIVE_INTERVAL = 1.0
+
+#: Missed-keepalive multiple after which the tick calls a link dead.
+KEEPALIVE_TIMEOUT_FACTOR = 3.0
+
+#: Seconds from the start of one registry poll to the next.
+DEFAULT_POLL_INTERVAL = 0.5
 
 #: RELEASE reasons that mean "this *path* failed", not "the callee
 #: declined": a still-ringing outbound leg retries its next candidate
@@ -375,7 +380,8 @@ class TrunkGateway:
         self.keepalive_interval = keepalive_interval
         self.outbound_bound = outbound_bound
         self.jitter_depth_seconds = jitter_depth_seconds
-        #: Read by every stale-link, redial and registry-TTL decision.
+        #: Read by every keepalive, stale-link, redial, registry-TTL and
+        #: discovery-poll decision.
         self.now = clock
         #: Backoff between dials of an unreachable peer: 50 ms doubling
         #: to 2 s.  Its jitter is seeded by the name, so the redial
@@ -397,6 +403,11 @@ class TrunkGateway:
         self._registry: MeshRegistry | None = None
         self._discovery: MeshDiscovery | None = None
         self._seen_generation = 0
+        self._poll_interval = DEFAULT_POLL_INTERVAL
+        self._next_poll_at = 0.0
+        #: The registry round trip in flight, on its own short-lived
+        #: thread (None before the first).
+        self._poll: threading.Thread | None = None
         #: link -> _AdvertState: what each mesh link was last told.
         self._advertised: dict[TrunkLink, _AdvertState] = {}
         #: link -> {call_id -> leg}; mutated on the tick thread under
@@ -513,8 +524,8 @@ class TrunkGateway:
             self._registry = MeshRegistry(*serve_registry, clock=self.now)
         if registry or serve_registry:
             self._discovery = MeshDiscovery(registry or serve_registry,
-                                            self._mesh_record,
-                                            interval=poll_interval)
+                                            self._mesh_record)
+        self._poll_interval = poll_interval
         if self.host is None:
             # A mesh node must accept trunks from its peers; pick an
             # ephemeral listener unless one was configured explicitly.
@@ -523,7 +534,7 @@ class TrunkGateway:
             self._start_mesh()
 
     def _mesh_record(self) -> PeerRecord:
-        """This node's registration (called by the discovery poller)."""
+        """This node's registration (called on the poll thread)."""
         if self._mesh_advertise is not None:
             host, port = self._mesh_advertise
         else:
@@ -540,8 +551,6 @@ class TrunkGateway:
                 # ephemeral port is only known now.
                 self._discovery.registry = (self._registry.host,
                                             self._registry.port)
-        if self._discovery is not None:
-            self._discovery.start()
 
     def build_jitter(self) -> JitterBuffer:
         """A leg's buffer, counting its tallies into ``trunk.jitter.*``
@@ -570,10 +579,12 @@ class TrunkGateway:
         return self
 
     def stop(self) -> None:
-        self._running = False
+        with self._state_lock:
+            self._running = False
+            poll = self._poll
         self._started = False
-        if self._discovery is not None:
-            self._discovery.stop()
+        if poll is not None:
+            poll.join(timeout=REGISTRY_IO_TIMEOUT)
         if self._registry is not None:
             self._registry.stop()
         if self._listener is not None:
@@ -727,6 +738,12 @@ class TrunkGateway:
         self._flush_staged()
         if self.mesh_enabled:
             self._flush_adverts(links)
+        # PING each link that queued nothing for an interval.  A PING is
+        # an enqueue too, so an undrained link gets one per interval.
+        for link in links:
+            if now - link.last_queued > self.keepalive_interval:
+                # lock-ok: TrunkLink.send is a queue handoff, not socket I/O
+                link.send(TrunkFrame(FrameType.PING))
         self._update_gauges(links)
 
     def _all_links(self) -> list[TrunkLink]:
@@ -741,8 +758,9 @@ class TrunkGateway:
         """Close stale links and release the calls of dead ones; the
         links still alive."""
         links = self._all_links()
+        timeout = KEEPALIVE_TIMEOUT_FACTOR * self.keepalive_interval
         for link in links:
-            if link.alive and now - link.last_rx > link.keepalive_timeout:
+            if link.alive and now - link.last_rx > timeout:
                 log.warning("trunk link %s stale (%.1fs silent): closing",
                             link.name, now - link.last_rx)
                 link.close()
@@ -824,9 +842,26 @@ class TrunkGateway:
 
     # -- mesh: discovery-driven links + route adverts (tick thread) -----------
 
+    def _kick_poll(self, discovery: MeshDiscovery, now: float) -> None:
+        """Start one registry round trip on its own thread when one is
+        due and none is in flight; the next is due ``poll_interval``
+        after this one starts."""
+        with self._state_lock:
+            poll = self._poll
+            if (not self._running or now < self._next_poll_at
+                    or (poll is not None and poll.is_alive())):
+                return
+            self._next_poll_at = now + self._poll_interval
+            self._poll = threading.Thread(target=discovery.poll_once,
+                                          name="mesh-poll", daemon=True)
+            self._poll.start()
+
     def _mesh_tick(self, now: float) -> None:
-        """Fold the latest discovery snapshot into peer links."""
+        """Poll the registry when due, and fold the latest discovery
+        snapshot into peer links."""
         discovery = self._discovery
+        if discovery is not None:
+            self._kick_poll(discovery, now)
         if (discovery is not None
                 and discovery.generation != self._seen_generation):
             self._seen_generation = discovery.generation
@@ -955,7 +990,6 @@ class TrunkGateway:
             if self._running:
                 link = TrunkLink(
                     sock, peer, initiated=target is not None,
-                    keepalive_interval=self.keepalive_interval,
                     outbound_bound=self.outbound_bound, clock=self.now)
                 link.on_bearer = self._bearer_arrived
                 link.start()

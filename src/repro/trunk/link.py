@@ -1,4 +1,4 @@
-"""One live trunk connection: socket, pump threads, keepalives.
+"""One live trunk connection: a socket and its two pump threads.
 
 A :class:`TrunkLink` owns an already-handshaken socket and two threads:
 
@@ -14,15 +14,17 @@ A :class:`TrunkLink` owns an already-handshaken socket and two threads:
 * the **writer** drains the outbound queue in *sweeps* -- one blocking
   ``get`` plus a ``get_nowait`` run -- encodes the whole sweep into one
   reused buffer (consecutive bearer batches collapse into a single
-  ``AUDIO_BATCH``), and emits one ``sendall`` per sweep.  PING
-  keepalives go out when the queue idles.
+  ``AUDIO_BATCH``), and emits one ``sendall`` per sweep.  It only
+  writes what was queued: the gateway's tick queues a PING on a link
+  that has queued nothing for a keepalive interval, and the reader
+  answers a peer's PING with a PONG.
 
 The gateway's tick thread runs inside the audio block cycle, under the
 server's topology lock -- so the link never does socket I/O on behalf of
 a caller: ``send`` is an enqueue, and a peer that stops reading costs at
 most the bounded outbound queue (bearer audio is shed; signaling is
-never dropped).  Liveness is the reader's last-received
-timestamp; the gateway declares the link dead when it goes stale.
+never dropped).  Liveness is the reader's last-received timestamp and
+idleness the last-queued one; the gateway reads both on its tick.
 """
 
 from __future__ import annotations
@@ -52,18 +54,9 @@ log = logging.getLogger(__name__)
 #: link's in-flight window.
 DEFAULT_OUTBOUND_BOUND = 256
 
-#: Seconds of writer idleness between PING keepalives.
-DEFAULT_KEEPALIVE_INTERVAL = 1.0
-
-#: Missed-keepalive multiple after which the gateway calls a link dead.
-KEEPALIVE_TIMEOUT_FACTOR = 3.0
-
 #: Upper bound on frames drained per writer sweep; keeps one sweep's
 #: encode buffer (and the latency of whatever queued behind it) bounded.
 MAX_WRITE_SWEEP = 512
-
-#: Keepalive bytes, prebuilt once (token 0 is fine for liveness).
-_PING_BYTES = TrunkFrame(FrameType.PING).encode()
 
 
 class TrunkLink:
@@ -71,19 +64,17 @@ class TrunkLink:
 
     def __init__(self, sock: socket.socket, peer: Handshake, *,
                  initiated: bool,
-                 keepalive_interval: float = DEFAULT_KEEPALIVE_INTERVAL,
                  outbound_bound: int = DEFAULT_OUTBOUND_BOUND,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.sock = sock
         self.name = peer.name
-        self.keepalive_interval = keepalive_interval
-        self.keepalive_timeout = (KEEPALIVE_TIMEOUT_FACTOR
-                                  * keepalive_interval)
         self.outbound_bound = outbound_bound
         self.alive = True
-        #: The gateway's clock, which stamps ``last_rx``.
+        #: The gateway's clock; it stamps ``last_rx`` and ``last_queued``.
         self.now = clock
         self.last_rx = clock()
+        #: When ``send`` or ``send_batch`` last accepted a frame.
+        self.last_queued = self.last_rx
         # The endpoint that opened the TCP connection allocates odd call
         # ids, the acceptor even, so calls originated simultaneously at
         # both ends can never collide (see trunk/wire.py).
@@ -136,6 +127,7 @@ class TrunkLink:
         if not self.alive:
             return False
         self._outbound.put(frame)
+        self.last_queued = self.now()
         return True
 
     def send_batch(self, entries) -> int:
@@ -159,6 +151,7 @@ class TrunkLink:
             self._audio_queued += count
             self._outbound.put(TrunkFrame(FrameType.AUDIO_BATCH,
                                           entries=tuple(entries)))
+        self.last_queued = self.now()
         return count
 
     # -- pump threads ---------------------------------------------------------
@@ -194,13 +187,7 @@ class TrunkLink:
         out = bytearray()
         try:
             while self.alive:
-                try:
-                    frame = self._outbound.get(
-                        timeout=self.keepalive_interval)
-                except queue.Empty:
-                    self.sock.sendall(_PING_BYTES)
-                    self.sendalls += 1
-                    continue
+                frame = self._outbound.get()
                 if frame is None:
                     break
                 # Sweep: drain whatever queued behind the first frame so

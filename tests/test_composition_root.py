@@ -82,6 +82,82 @@ def test_clock_rule_only_where_asked(tmp_path):
     """) == []
 
 
+def test_timed_waits_are_flagged(tmp_path):
+    violations = _check(tmp_path, """\
+        def pump(self):
+            self._stop.wait(0.5)
+            self._stop.wait(timeout=0.5)
+            self._cond.wait_for(self.ready, 0.5)
+            item = self._outbound.get(timeout=0.5)
+            self._stop.wait()
+            self._cond.wait_for(self.ready)
+            item = self._outbound.get()
+            value = self._table.get("key", None)
+            self._thread.join(timeout=2.0)
+    """, clock=True)
+    assert [line for line, _reason in violations] == [2, 3, 4, 5]
+    assert violations[0][1] == (
+        "timed .wait() instead of a deadline on the injected clock")
+
+
+def test_only_the_named_budget_may_wait_with_a_timeout(tmp_path):
+    violations = _check(tmp_path, """\
+        class TrunkGateway:
+            def wait_connected(self, timeout=5.0):
+                return self._link_up.wait_for(self.connected, timeout)
+
+        class Other:
+            def wait_connected(self, timeout=5.0):
+                return self._link_up.wait_for(self.connected, timeout)
+    """, clock=True)
+    assert violations == [
+        (7, "timed .wait_for() instead of a deadline on the injected "
+            "clock")]
+
+
+def test_names_exactly_the_two_trunk_timers_in_their_old_spelling(
+        tmp_path):
+    """The link writer's PING timer and the discovery poll loop, as
+    they were written before the gateway's tick took them over; the
+    stop-time join and the wall-clock budget beside them pass."""
+    link = tmp_path / "link.py"
+    link.write_text(textwrap.dedent("""\
+        class TrunkLink:
+            def _write_loop(self):
+                while self.alive:
+                    try:
+                        frame = self._outbound.get(
+                            timeout=self.keepalive_interval)
+                    except queue.Empty:
+                        self.sock.sendall(_PING_BYTES)
+                        continue
+                    extra = self._outbound.get_nowait()
+    """))
+    discovery = tmp_path / "discovery.py"
+    discovery.write_text(textwrap.dedent("""\
+        class MeshDiscovery:
+            def stop(self):
+                self._stop.set()
+                if self._thread is not None:
+                    self._thread.join(timeout=2.0)
+
+            def _poll_loop(self):
+                while not self._stop.is_set():
+                    self.poll_once()
+                    self._stop.wait(self.interval)
+    """))
+    gateway = tmp_path / "gateway.py"
+    gateway.write_text(textwrap.dedent("""\
+        class TrunkGateway:
+            def wait_connected(self, timeout=5.0):
+                with self._link_up:
+                    return self._link_up.wait_for(self.connected, timeout)
+    """))
+    found = [(path.name, line) for module in (link, discovery, gateway)
+             for path, line, _reason in lint.check_file(module, clock=True)]
+    assert found == [("link.py", 5), ("discovery.py", 10)]
+
+
 def test_only_the_config_module_reads_the_environment():
     assert lint.ENV_ALLOWED == (lint._SRC / "server" / "config.py",)
     assert set(lint.CLOCK_SCANNED) == {lint._SRC / "server",

@@ -47,6 +47,8 @@ def stepped():
 
 
 def _player_loud(client, loud=None):
+    # Not testkit's build_playback_loud: this selects no events and can
+    # add a player to an existing LOUD.
     loud = loud or client.create_loud()
     player = loud.create_device(DeviceClass.PLAYER)
     output = loud.create_device(DeviceClass.OUTPUT)

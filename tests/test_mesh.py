@@ -8,6 +8,7 @@ tests/test_trunk.py.
 """
 
 import io
+import select
 import socket
 import time
 
@@ -527,13 +528,14 @@ class TestTandemRefusals:
         Handshake.read_from(sock)
         return sock
 
-    def _await_release(self, exchange, sock, blocks=200):
+    def _await_release(self, exchange, sock, blocks=500):
+        # The gateway PINGs only from its tick, so keep ticking while
+        # the socket is quiet instead of blocking on it.
         for _ in range(blocks):
             exchange.tick(BLOCK)
-            try:
-                frame = read_frame(sock)
-            except socket.timeout:
+            if not select.select([sock], [], [], 0.01)[0]:
                 continue
+            frame = read_frame(sock)
             if frame.type is FrameType.RELEASE:
                 return frame
         raise AssertionError("no RELEASE received")

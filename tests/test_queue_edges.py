@@ -21,6 +21,7 @@ from repro.protocol.types import (
     QueueState,
 )
 from repro.server import AudioServer
+from testkit.rig import build_playback_loud
 
 from conftest import wait_for
 
@@ -29,19 +30,9 @@ RATE = 8000
 SOURCE = [tracemalloc.Filter(True, str(Path(repro.__file__).parent / "*"))]
 
 
-def build_player(client):
-    loud = client.create_loud()
-    player = loud.create_device(DeviceClass.PLAYER)
-    output = loud.create_device(DeviceClass.OUTPUT)
-    loud.wire(player, 0, output, 0)
-    loud.select_events(EventMask.QUEUE)
-    loud.map()
-    return loud, player
-
-
 class TestQueueEdgeCases:
     def test_empty_cobegin_is_a_noop(self, server, client):
-        loud, player = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         marker = np.full(400, 1234, dtype=np.int16)
         sound = client.sound_from_samples(marker, PCM16_8K)
         loud.co_begin()
@@ -54,7 +45,7 @@ class TestQueueEdgeCases:
         assert np.any(played == 1234)
 
     def test_zero_length_sound_completes(self, server, client):
-        loud, player = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         empty = client.create_sound(PCM16_8K)
         player.play(empty)
         loud.start_queue()
@@ -64,7 +55,7 @@ class TestQueueEdgeCases:
         assert done.detail == 0
 
     def test_zero_delay(self, server, client):
-        loud, player = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         marker = np.full(400, 777, dtype=np.int16)
         sound = client.sound_from_samples(marker, PCM16_8K)
         loud.delay(0)
@@ -77,7 +68,7 @@ class TestQueueEdgeCases:
 
     def test_stop_then_restart_continues_with_new_work(self, server,
                                                        client):
-        loud, player = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         sound = client.sound_from_samples(
             tones.sine(440.0, 3.0, RATE), PCM16_8K)
         player.play(sound)
@@ -98,13 +89,13 @@ class TestQueueEdgeCases:
         assert np.any(server.hub.speakers[0].capture.samples() == 3333)
 
     def test_pause_of_stopped_queue_is_noop(self, server, client):
-        loud, _player = build_player(client)
+        loud, _player, _output = build_playback_loud(client)
         loud.pause_queue()
         client.sync()
         assert loud.query_queue().state is QueueState.STOPPED
 
     def test_double_start_is_idempotent(self, server, client):
-        loud, _player = build_player(client)
+        loud, _player, _output = build_playback_loud(client)
         loud.start_queue()
         loud.start_queue()
         client.sync()
@@ -113,7 +104,7 @@ class TestQueueEdgeCases:
         assert len(started) == 1
 
     def test_command_serials_increase(self, server, client):
-        loud, player = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         sound = client.sound_from_samples(
             np.full(100, 5, dtype=np.int16), PCM16_8K)
         for _ in range(3):
@@ -128,7 +119,7 @@ class TestQueueEdgeCases:
         assert serials == sorted(serials)
 
     def test_completed_counter_accumulates(self, server, client):
-        loud, player = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         sound = client.sound_from_samples(
             np.full(100, 5, dtype=np.int16), PCM16_8K)
         player.play(sound)
@@ -177,7 +168,7 @@ class TestQueueEdgeCases:
 
 class TestImmediatePauseResume:
     def test_device_pause_resume_mid_play(self, server, client):
-        loud, player = build_player(client)
+        loud, player, _output = build_playback_loud(client)
         ramp = np.arange(1, 12001, dtype=np.int16)
         sound = client.sound_from_samples(ramp, PCM16_8K)
         player.play(sound)

@@ -23,26 +23,19 @@ from repro.protocol.types import (
     QueueState,
 )
 
+from testkit.rig import build_playback_loud
+
 from conftest import speaker_audio, wait_for, wait_queue_empty
 
 RATE = 8000
+#: What the playback LOUDs here select.
+EVENTS = (EventMask.QUEUE | EventMask.LIFECYCLE | EventMask.PLAYER
+          | EventMask.SYNC)
 
 
 def lossless(samples):
     """What mu-law storage turns these samples into (for comparisons)."""
     return encodings.mulaw_decode(encodings.mulaw_encode(samples))
-
-
-def build_player(client, sound_type=PCM16_8K):
-    """A mapped player->output LOUD with queue events selected."""
-    loud = client.create_loud()
-    player = loud.create_device(DeviceClass.PLAYER)
-    output = loud.create_device(DeviceClass.OUTPUT)
-    loud.wire(player, 0, output, 0)
-    loud.select_events(EventMask.QUEUE | EventMask.LIFECYCLE
-                       | EventMask.PLAYER | EventMask.SYNC)
-    loud.map()
-    return loud, player, output
 
 
 def captured(server):
@@ -51,7 +44,7 @@ def captured(server):
 
 class TestBasicPlayback:
     def test_pcm16_playback_is_sample_exact(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         tone = tones.sine(440.0, 0.25, RATE)
         sound = client.sound_from_samples(tone, PCM16_8K)
         player.play(sound)
@@ -60,7 +53,7 @@ class TestBasicPlayback:
         assert find_signal(captured(server), tone) is not None
 
     def test_mulaw_playback_decodes(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         tone = tones.sine(440.0, 0.25, RATE)
         sound = client.sound_from_samples(tone, MULAW_8K)
         player.play(sound)
@@ -69,7 +62,7 @@ class TestBasicPlayback:
         assert find_signal(captured(server), lossless(tone)) is not None
 
     def test_cd_rate_sound_resampled_to_device_rate(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         tone = tones.sine(440.0, 0.25, 44100)
         sound = client.sound_from_samples(tone, PCM16_CD)
         player.play(sound)
@@ -86,7 +79,7 @@ class TestBasicPlayback:
         assert goertzel_power(signal, 440.0, RATE) > 1e4
 
     def test_play_emits_play_started_and_command_done(self, client, server):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         sound = client.sound_from_samples(tones.sine(300, 0.1, RATE),
                                           PCM16_8K)
         player.play(sound)
@@ -116,7 +109,7 @@ class TestBasicPlayback:
         assert rms(tail) == 0
 
     def test_change_gain_scales_output(self, server, client):
-        loud, player, output = build_player(client)
+        loud, player, output = build_playback_loud(client, EVENTS)
         tone = np.full(RATE // 4, 10000, dtype=np.int16)
         sound = client.sound_from_samples(tone, PCM16_8K)
         output.change_gain(50, mode=CommandMode.IMMEDIATE)
@@ -132,7 +125,7 @@ class TestGaplessQueue:
     """Paper section 6.2: zero dropped or inserted samples."""
 
     def test_back_to_back_plays_are_seamless(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         pieces = [np.full(777, fill, dtype=np.int16)
                   for fill in (1000, 2000, 3000)]
         sounds = [client.sound_from_samples(piece, PCM16_8K)
@@ -146,7 +139,7 @@ class TestGaplessQueue:
 
     def test_many_tiny_sounds_in_one_block(self, server, client):
         # Sounds shorter than a block chain within a single block.
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         pieces = [np.full(37, 100 * (index + 1), dtype=np.int16)
                   for index in range(20)]
         for piece in pieces:
@@ -158,7 +151,7 @@ class TestGaplessQueue:
 
     def test_queue_preloaded_before_start(self, server, client):
         # "The queue commands can be preloaded" (paper section 5.9).
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         a = np.full(500, 123, dtype=np.int16)
         b = np.full(500, -321, dtype=np.int16)
         player.play(client.sound_from_samples(a, PCM16_8K))
@@ -280,7 +273,7 @@ class TestCoBeginDelay:
 
 class TestQueueControl:
     def test_queue_states(self, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         assert loud.query_queue().state is QueueState.STOPPED
         loud.start_queue()
         assert loud.query_queue().state is QueueState.STARTED
@@ -292,7 +285,7 @@ class TestQueueControl:
         assert loud.query_queue().state is QueueState.STOPPED
 
     def test_queue_events(self, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         loud.start_queue()
         assert client.wait_for_event(
             lambda e: e.code is EventCode.QUEUE_STARTED, timeout=5)
@@ -307,7 +300,7 @@ class TestQueueControl:
             lambda e: e.code is EventCode.QUEUE_STOPPED, timeout=5)
 
     def test_pause_silences_resume_continues_exactly(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         ramp = np.arange(1, 8001, dtype=np.int16)   # distinguishable
         sound = client.sound_from_samples(ramp, PCM16_8K)
         player.play(sound)
@@ -329,7 +322,7 @@ class TestQueueControl:
         assert np.array_equal(nonzero, ramp)
 
     def test_stop_queue_cancels_play(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         long_tone = tones.sine(440.0, 5.0, RATE)
         sound = client.sound_from_samples(long_tone, PCM16_8K)
         player.play(sound)
@@ -342,7 +335,7 @@ class TestQueueControl:
         assert done.detail == 1     # stopped, not completed
 
     def test_immediate_stop_device(self, server, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         sound = client.sound_from_samples(tones.sine(440, 5.0, RATE),
                                           PCM16_8K)
         player.play(sound)
@@ -357,7 +350,7 @@ class TestQueueControl:
         assert done.detail == 1
 
     def test_flush_discards_pending(self, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         sound = client.sound_from_samples(tones.sine(440, 0.5, RATE),
                                           PCM16_8K)
         player.play(sound)
@@ -370,7 +363,7 @@ class TestQueueControl:
 
     def test_queued_change_gain_between_plays(self, server, client):
         # The paper's footnote 4: Play, queued ChangeGain, Play.
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         tone = np.full(600, 8000, dtype=np.int16)
         sound = client.sound_from_samples(tone, PCM16_8K)
         player.play(sound)
@@ -389,8 +382,8 @@ class TestMixing:
                                            second_client):
         """The core desktop-audio scenario: two applications, one
         speaker, simultaneous output (paper section 2)."""
-        loud_a, player_a, _out_a = build_player(client)
-        loud_b, player_b, _out_b = build_player(second_client)
+        loud_a, player_a, _out_a = build_playback_loud(client, EVENTS)
+        loud_b, player_b, _out_b = build_playback_loud(second_client, EVENTS)
         tone_a = np.full(4000, 2000, dtype=np.int16)
         tone_b = np.full(4000, 300, dtype=np.int16)
         sound_a = client.sound_from_samples(tone_a, PCM16_8K)
@@ -435,7 +428,7 @@ class TestMixing:
 
 class TestSyncEvents:
     def test_sync_events_track_progress(self, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         tone = tones.sine(440.0, 1.0, RATE)
         sound = client.sound_from_samples(tone, PCM16_8K)
         player.play(sound, sync_interval_ms=100)
@@ -449,7 +442,7 @@ class TestSyncEvents:
         assert progress[-1] == len(tone)
 
     def test_sync_events_carry_totals(self, client):
-        loud, player, _output = build_player(client)
+        loud, player, _output = build_playback_loud(client, EVENTS)
         tone = tones.sine(440.0, 0.5, RATE)
         sound = client.sound_from_samples(tone, PCM16_8K)
         player.play(sound, sync_interval_ms=100)

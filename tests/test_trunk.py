@@ -6,6 +6,7 @@ deterministic: each ``pump`` ticks both exchanges one block and yields
 briefly so the link pump threads can move frames.
 """
 
+import contextlib
 import random
 import re
 import socket
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.dsp.dtmf import DtmfDetector
 from repro.dsp.encodings import mulaw_decode, mulaw_encode
 from repro.obs import MetricsRegistry
-from repro.protocol.wire import Writer
+from repro.protocol.wire import Writer, recv_exact
 from repro.telephony import CallState, TelephoneExchange
 from repro.trunk import (
     TRUNK_MAJOR,
@@ -850,11 +851,53 @@ class TestTrunkSupervision:
         assert first.name != second.name
 
 
-def _connector_threads_join():
-    """Wait for every dial in flight to finish (they run on threads)."""
+def _tick_threads_join():
+    """Wait for every dial and registry poll in flight to finish (the
+    tick starts each on a short-lived thread)."""
     for thread in threading.enumerate():
-        if thread.name.startswith("trunk-connect-"):
+        if (thread.name.startswith("trunk-connect-")
+                or thread.name == "mesh-poll"):
             thread.join(5.0)
+            assert not thread.is_alive(), thread.name
+
+
+@contextlib.contextmanager
+def _silent_peer(clock):
+    """Gateway "A" on ``clock``, linked to a peer that answers the
+    handshake and then neither reads nor writes.
+
+    Yields ``(gateway, link, peer, listener)``.  The peer's receive
+    buffer is small, so a few kilobytes fill the path to it.
+    """
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    listener.settimeout(5.0)
+    gateway = TrunkGateway(TelephoneExchange(RATE), name="A",
+                           metrics=MetricsRegistry(), clock=clock)
+    gateway.add_route("2", "127.0.0.1", listener.getsockname()[1])
+    peer = None
+    try:
+        gateway.start()
+        peer, _addr = listener.accept()
+        peer.settimeout(5.0)
+        Handshake.read_from(peer)
+        peer.sendall(Handshake("B").encode())
+        assert gateway.wait_connected(5.0)
+        yield gateway, gateway.routes[0].link, peer, listener
+    finally:
+        gateway.stop()
+        _tick_threads_join()
+        listener.close()
+        if peer is not None:
+            peer.close()
+
+
+def _queued_pings(link):
+    with link._outbound.mutex:
+        return sum(frame is not None and frame.type is FrameType.PING
+                   for frame in link._outbound.queue)
 
 
 def _redial_delays(name, count):
@@ -871,23 +914,8 @@ class TestDeadlinesOnManualClock:
 
     def test_silent_link_closes_past_three_keepalives(self):
         clock = ManualClock()
-        listener = socket.create_server(("127.0.0.1", 0))
-        exchange = TelephoneExchange(RATE)
-        gateway = TrunkGateway(exchange, name="A",
-                               metrics=MetricsRegistry(), clock=clock)
-        gateway.add_route("2", "127.0.0.1", listener.getsockname()[1])
-        listener.settimeout(5.0)
-        peer = None
-        try:
-            gateway.start()
-            # The peer answers the handshake and then says nothing.
-            peer, _addr = listener.accept()
-            peer.settimeout(5.0)
-            Handshake.read_from(peer)
-            peer.sendall(Handshake("B").encode())
-            assert gateway.wait_connected(5.0)
-            link = gateway.routes[0].link
-            alice = exchange.add_line("100")
+        with _silent_peer(clock) as (gateway, link, _peer, listener):
+            alice = gateway.exchange.add_line("100")
             events = _listener(alice)
             alice.off_hook()
             alice.dial("200")
@@ -895,7 +923,7 @@ class TestDeadlinesOnManualClock:
             # A failed redial must not leave a handshake waiting.
             listener.close()
 
-            clock.time = link.last_rx + 3 * link.keepalive_interval
+            clock.time = link.last_rx + 3 * gateway.keepalive_interval
             gateway.tick(BLOCK)
             assert link.alive
             assert events["failed"] == []
@@ -905,12 +933,103 @@ class TestDeadlinesOnManualClock:
             assert not link.alive
             assert events["failed"] == ["trunk down"]
             assert gateway._leg_count() == 0
+
+    def test_idle_link_pinged_on_the_tick_past_the_interval(self):
+        clock = ManualClock()
+        with _silent_peer(clock) as (gateway, link, peer, _listener):
+            queued = []
+            send = link.send
+            link.send = lambda frame: queued.append(frame.type) or send(
+                frame)
+
+            clock.time = link.last_queued + gateway.keepalive_interval
+            gateway.tick(BLOCK)
+            assert queued == []
+
+            clock.advance(0.001)
+            gateway.tick(BLOCK)
+            assert queued == [FrameType.PING]
+            ping = TrunkFrame(FrameType.PING).encode()
+            assert recv_exact(peer, len(ping)) == ping
+
+    def test_undrained_link_holds_one_ping_per_interval(self):
+        clock = ManualClock()
+        with _silent_peer(clock) as (gateway, link, _peer, _listener):
+            link.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            # Bearer until the outbound bound sheds, and still sheds once
+            # the writer has had time to drain: it is stuck in sendall.
+            entries = [(1, seq, bytes(BLOCK)) for seq in range(64)]
+            deadline = time.monotonic() + 10.0
+            while True:
+                while link.send_batch(entries):
+                    pass
+                time.sleep(0.05)
+                if not link.send_batch(entries):
+                    break
+                assert time.monotonic() < deadline, "writer kept draining"
+            started = clock.time
+            interval = gateway.keepalive_interval
+            for _ in range(50):
+                clock.advance(7 / 128)      # 2.73 intervals in 50 ticks
+                gateway.tick(BLOCK)
+                assert link.alive
+                assert _queued_pings(link) <= (clock.time
+                                               - started) // interval
+            assert _queued_pings(link) == 2
+
+    def test_discovery_polls_on_the_tick_one_at_a_time(self):
+        clock = ManualClock()
+        gateway = TrunkGateway(TelephoneExchange(RATE), name="A",
+                               metrics=MetricsRegistry(), clock=clock)
+        gateway.enable_mesh(registry=("127.0.0.1", dead_port()),
+                            poll_interval=0.5)
+        polls = []
+        finish = threading.Semaphore(0)
+
+        def poll_once():
+            polls.append(clock.time)
+            return finish.acquire(timeout=5.0)
+
+        gateway._discovery.poll_once = poll_once
+
+        def poll_threads():
+            return [thread for thread in threading.enumerate()
+                    if thread.name in ("mesh-poll", "mesh-discovery")]
+
+        try:
+            gateway.start()
+            assert polls == [] and poll_threads() == []
+            clock.advance(0.25)
+            gateway.tick(BLOCK)
+            assert wait_for(lambda: len(polls) == 1)
+            first = polls[0]
+            assert first == clock.time
+            finish.release()
+            _tick_threads_join()
+
+            clock.time = first + 0.5 - 0.001
+            gateway.tick(BLOCK)
+            assert poll_threads() == []
+            clock.time = first + 0.5
+            gateway.tick(BLOCK)
+            assert wait_for(lambda: len(polls) == 2)
+            assert polls[1] == first + 0.5
+
+            # Overdue ticks start nothing while that poll is in flight.
+            for _ in range(3):
+                clock.advance(0.5)
+                gateway.tick(BLOCK)
+            assert len(poll_threads()) == 1 and len(polls) == 2
+            finish.release()
+            _tick_threads_join()
+            gateway.tick(BLOCK)
+            assert wait_for(lambda: len(polls) == 3)
+            assert polls[2] == clock.time
         finally:
+            for _ in range(3):
+                finish.release()
             gateway.stop()
-            _connector_threads_join()
-            listener.close()
-            if peer is not None:
-                peer.close()
+            _tick_threads_join()
 
     def test_redial_waits_out_the_backoff(self):
         clock = ManualClock()
@@ -919,7 +1038,7 @@ class TestDeadlinesOnManualClock:
         route = gateway.add_route("2", "127.0.0.1", dead_port())
         try:
             gateway.start()
-            _connector_threads_join()
+            _tick_threads_join()
             assert route.attempt == 1 and not route.connecting
             # The first redial waits the base delay plus the first draw
             # of the gateway's own jitter.
@@ -928,16 +1047,16 @@ class TestDeadlinesOnManualClock:
             clock.time = due - 0.001
             gateway.tick(BLOCK)
             assert not route.connecting
-            _connector_threads_join()
+            _tick_threads_join()
             assert route.attempt == 1
 
             clock.time = due
             gateway.tick(BLOCK)
-            _connector_threads_join()
+            _tick_threads_join()
             assert route.attempt == 2
         finally:
             gateway.stop()
-            _connector_threads_join()
+            _tick_threads_join()
 
     def test_other_gateways_dials_leave_the_redial_schedule_alone(self):
         clock = ManualClock()
@@ -950,22 +1069,22 @@ class TestDeadlinesOnManualClock:
         try:
             other.start()
             first.start()
-            _connector_threads_join()
+            _tick_threads_join()
             for delay in _redial_delays("A", 3):
                 assert route.next_attempt_at == clock.time + delay
                 # B fails twice more before A dials again.
                 for _ in range(2):
                     clock.time = max(clock.time, noise.next_attempt_at)
                     other.tick(BLOCK)
-                    _connector_threads_join()
+                    _tick_threads_join()
                 clock.time = max(clock.time, route.next_attempt_at)
                 first.tick(BLOCK)
-                _connector_threads_join()
+                _tick_threads_join()
             assert (route.attempt, noise.attempt) == (4, 7)
         finally:
             first.stop()
             other.stop()
-            _connector_threads_join()
+            _tick_threads_join()
 
 
 class TestGatewayLifecycle:
