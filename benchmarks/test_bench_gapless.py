@@ -4,14 +4,19 @@
 inserted sample."
 
 Measured: exact gap samples between N back-to-back queued sounds (must
-be 0), the play->record boundary, and the DESIGN.md ablation -- what the
+be 0), the play->record boundary, the DESIGN.md ablation -- what the
 gap becomes when the client sequences commands itself with a round trip
-per command (the design the server-side queue replaces).
+per command (the design the server-side queue replaces) -- and what one
+gapless clip boundary costs the hub (recorded, not bounded).
 """
+
+import time
 
 import numpy as np
 
+from repro.alib import AudioClient
 from repro.bench.harness import count_gap_samples
+from repro.hardware import HardwareConfig
 from repro.protocol.types import (
     Command,
     DeviceClass,
@@ -20,7 +25,8 @@ from repro.protocol.types import (
     PCM16_8K,
     RecordTermination,
 )
-from testkit.rig import build_playback_loud, make_rig, wait_queue_empty
+from repro.server import AudioServer
+from testkit.rig import build_playback_loud, make_rig, scaled, wait_queue_empty
 from testkit.workloads import marked_segments
 
 RATE = 8000
@@ -136,3 +142,75 @@ def test_play_record_boundary(benchmark, report):
     report.row("E2", "play->record boundary misalignment",
                "%d samples" % misalignment, "0 samples")
     assert misalignment == 0
+
+
+class _SteppedQueues:
+    """16 LOUDs on a stepped hub, each playing one clip length back to
+    back with QUEUE events selected, as perfbench's gapless does."""
+
+    LOUDS = 16
+    WARMUP = 20
+
+    def __init__(self, clip_frames: int, blocks: int) -> None:
+        self.server = AudioServer(HardwareConfig())
+        self.server.start(start_hub=False)
+        self.client = AudioClient(port=self.server.port,
+                                  client_name="e2-boundary")
+        clip = self.client.sound_from_samples(
+            np.full(clip_frames, 900, dtype=np.int16), PCM16_8K)
+        plays = (self.WARMUP + blocks) * 160 // clip_frames + 2
+        for _ in range(self.LOUDS):
+            loud, player, _output = build_playback_loud(self.client)
+            for _ in range(plays):
+                player.play(clip)
+            loud.start_queue()
+        self.client.sync()
+        self.server.hub.step(self.WARMUP)
+        self.blocks = 0
+        self.done_before = self._completed()
+
+    def _completed(self) -> int:
+        return self.server.stats_snapshot()["counters"]["commands.completed"]
+
+    def step(self, blocks: int) -> float:
+        """Step ``blocks`` blocks; the hub thread's (this one's) CPU per
+        block over them, in us."""
+        cpu = 0.0
+        for _ in range(blocks):
+            started = time.thread_time()
+            self.server.hub.step(1)
+            cpu += time.thread_time() - started
+            self.client.pending_events()
+        self.blocks += blocks
+        return cpu / blocks * 1e6
+
+    def finish(self) -> float:
+        """Clip boundaries per block."""
+        boundaries = self._completed() - self.done_before
+        self.client.close()
+        self.server.stop()
+        return boundaries / self.blocks
+
+
+def test_marginal_hub_cpu_per_clip_boundary(report):
+    """The hub CPU one gapless boundary (pre-issue, play start,
+    COMMAND_DONE) costs: CPU per block on short clips minus that on long
+    clips, over the difference in boundaries per block.  The two runs
+    alternate in 50-block slices and the difference is the median over
+    slice pairs, so a burst of load from outside moves it little."""
+    blocks = scaled(3000, 200)
+    differences = []
+    short = _SteppedQueues(800, blocks)
+    try:
+        long = _SteppedQueues(16000, blocks)
+        try:
+            for _ in range(blocks // 50):
+                differences.append(short.step(50) - long.step(50))
+        finally:
+            long_rate = long.finish()
+    finally:
+        short_rate = short.finish()
+    assert short_rate > 2 and long_rate < 0.5
+    marginal = float(np.median(differences)) / (short_rate - long_rate)
+    report.row("E2", "hub CPU per gapless clip boundary (16 LOUDs)",
+               "%.1f us" % marginal, "recorded, no bound")

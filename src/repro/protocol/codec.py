@@ -25,7 +25,9 @@ The kinds, by annotation:
 
 Each run of consecutive fixed-width fields (integers, enums, bools,
 floats) moves with one ``struct`` call, which keeps the generic walk as
-fast as the hand-written code it replaced.
+fast as the hand-written code it replaced.  The attribute list and the
+event body, which every event and command carries, are marshalled
+straight-line instead (:func:`attribute_bytes`, :func:`event_bytes`).
 
 A body whose layout depends on another field's value overrides
 ``write_payload``/``read_payload`` by hand (``HistogramStat``,
@@ -220,12 +222,124 @@ def _take_value(reader: Reader):
 #: One type-tagged attribute value: a u8 :class:`ValueType`, then the
 #: value in that type's kind.
 ATTRIBUTE_VALUE = Kind("attribute value", _put_value, _take_value)
-_ITEMS = _dict_of(PLAIN_KINDS[str], ATTRIBUTE_VALUE)
+
+# An attribute list is a u32 count of (name, tagged value) pairs.  Events
+# and command arguments carry one on every message, so it is marshalled
+# straight-line rather than by the kind walk: the encoded names are
+# cached, integers and strings are packed and parsed inline, and every
+# other value goes through ATTRIBUTE_VALUE.
+
+_U32 = struct.Struct("<I")
+_TAG_I64 = struct.Struct("<Bq")
+_TAG_U32 = struct.Struct("<BI")
+_I64 = struct.Struct("<q")
+_INTEGER, _STRING = int(ValueType.INTEGER), int(ValueType.STRING)
+#: name -> its encoded u32 length and UTF-8 bytes.  Names come from a
+#: small well-known set; the bound keeps client-chosen ones from
+#: growing it without limit.
+_NAMES: dict[str, bytes] = {}
+_NAMES_BOUND = 512
+
+
+def _name_bytes(name: str) -> bytes:
+    raw = name.encode("utf-8")
+    encoded = _U32.pack(len(raw)) + raw
+    if len(_NAMES) < _NAMES_BOUND:
+        _NAMES[name] = encoded
+    return encoded
+
+
+def attribute_bytes(items: dict) -> bytes:
+    """The wire form of an attribute list's ``items``."""
+    parts = [_U32.pack(len(items))]
+    append = parts.append
+    for name, value in items.items():
+        append(_NAMES.get(name) or _name_bytes(name))
+        kind = type(value)
+        if kind is int:
+            append(_TAG_I64.pack(_INTEGER, value))
+        elif kind is str:
+            raw = value.encode("utf-8")
+            append(_TAG_U32.pack(_STRING, len(raw)))
+            append(raw)
+        else:
+            writer = Writer()
+            _put_value(writer, value)
+            append(writer.getvalue())
+    return b"".join(parts)
+
+
+def take_attributes(reader: Reader) -> AttributeList:
+    """Parse one attribute list at ``reader``'s cursor.
+
+    Fails as the kind walk does: truncation raises
+    :class:`WireFormatError`, an unknown tag ``ValueError`` and invalid
+    UTF-8 ``UnicodeDecodeError`` (which :func:`decode` turns into
+    WireFormatError).
+    """
+    data, pos = reader._data, reader._pos
+    size = len(data)
+    items = {}
+    try:
+        (count,) = _U32.unpack_from(data, pos)
+        pos += 4
+        for _ in range(count):
+            (length,) = _U32.unpack_from(data, pos)
+            pos += 4
+            end = pos + length
+            if end > size:
+                raise IndexError
+            name = str(data[pos:end], "utf-8")
+            tag = data[end]
+            pos = end + 1
+            if tag == _INTEGER:
+                (value,) = _I64.unpack_from(data, pos)
+                pos += 8
+            elif tag == _STRING:
+                (length,) = _U32.unpack_from(data, pos)
+                pos += 4
+                end = pos + length
+                if end > size:
+                    raise IndexError
+                value = str(data[pos:end], "utf-8")
+                pos = end
+            else:
+                reader._pos = pos
+                value = _VALUE_KINDS[ValueType(tag)].take(reader)
+                pos = reader._pos
+            items[name] = value
+    except (struct.error, IndexError):
+        raise WireFormatError(
+            "truncated payload: attribute list ends at offset %d of %d"
+            % (pos, size)) from None
+    reader._pos = pos
+    return AttributeList(items)
+
+
 #: An attribute list: a u32 count of (name, tagged value) pairs.
 ATTRIBUTE_LIST = Kind(
     "attribute list",
-    lambda writer, attributes: _ITEMS.put(writer, attributes.items),
-    lambda reader: AttributeList(_ITEMS.take(reader)))
+    lambda writer, attributes: writer.raw(attribute_bytes(attributes.items)),
+    take_attributes)
+
+_NO_ITEMS = _U32.pack(0)
+#: An event body's fixed run: resource u32, detail i32, sample time u64;
+#: its attribute list follows (:class:`~.events.Event`).
+_EVENT_FIXED = struct.Struct("<IiQ")
+
+
+def event_bytes(resource: int, detail: int, sample_time: int,
+                attributes: AttributeList | None) -> bytes:
+    """An event body, straight-line: one struct, then the list (an
+    empty one for None)."""
+    return _EVENT_FIXED.pack(resource, detail, sample_time) + (
+        attribute_bytes(attributes.items) if attributes else _NO_ITEMS)
+
+
+def take_event_fields(reader: Reader) -> tuple:
+    """``(resource, detail, sample_time, args)`` of an event body."""
+    resource, detail, sample_time = reader.unpack(_EVENT_FIXED)
+    return resource, detail, sample_time, take_attributes(reader)
 
 
 # -- bodies -----------------------------------------------------------------

@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 from .attributes import AttributeList
-from .codec import HEADER, decode, read_fields, write_fields
+from .codec import HEADER, decode, event_bytes, take_event_fields
 from .types import EventCode
-from .wire import I32, U32, U64, Message, MessageKind, Writer
+from .wire import I32, U32, U64, Message, MessageKind
+
+#: Wire code -> EventCode, without the enum constructor's cost.
+_CODES = {int(code): code for code in EventCode}
 
 
 @dataclass
@@ -36,16 +39,19 @@ class Event:
     sequence: Annotated[int, HEADER] = 0
 
     def encode(self) -> Message:
-        writer = Writer()
-        write_fields(self, writer)
-        return Message(MessageKind.EVENT, int(self.code),
-                       self.sequence, writer.getvalue())
+        return Message(MessageKind.EVENT, int(self.code), self.sequence,
+                       event_bytes(self.resource, self.detail,
+                                   self.sample_time, self.args))
 
     @classmethod
     def decode(cls, message: Message) -> "Event":
-        return decode(lambda reader: cls(
-            EventCode(message.code), *read_fields(cls, reader),
-            message.sequence), message.payload, "event")
+        def parse(reader):
+            code = _CODES.get(message.code)
+            if code is None:
+                code = EventCode(message.code)  # raises: not an event
+            return cls(code, *take_event_fields(reader), message.sequence)
+
+        return decode(parse, message.payload, "event")
 
 
 # Well-known argument keys used inside event attribute lists.

@@ -72,16 +72,13 @@ class Message:
     payload: bytes
 
     def encode(self) -> bytes:
-        """Serialize header + payload to raw bytes (one buffer, no
-        intermediate concatenation)."""
-        if len(self.payload) > MAX_PAYLOAD:
+        """Serialize header + payload to raw bytes (one concatenation)."""
+        payload = self.payload
+        if len(payload) > MAX_PAYLOAD:
             raise WireFormatError(
-                "payload of %d bytes exceeds maximum" % len(self.payload))
-        buffer = bytearray(HEADER_SIZE + len(self.payload))
-        HEADER.pack_into(buffer, 0, int(self.kind), self.code,
-                         self.sequence & 0xFFFF, len(self.payload))
-        buffer[HEADER_SIZE:] = self.payload
-        return bytes(buffer)
+                "payload of %d bytes exceeds maximum" % len(payload))
+        return HEADER.pack(self.kind, self.code, self.sequence & 0xFFFF,
+                           len(payload)) + payload
 
 
 # Precompiled marshalling structs, shared by Writer and Reader.

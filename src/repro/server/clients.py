@@ -29,7 +29,6 @@ import socket
 import threading
 
 from ..protocol.errors import ProtocolError
-from ..protocol.events import Event
 from ..protocol.requests import Reply
 from ..protocol.types import EventMask
 # write_message is unused here, but the benchmark tracer
@@ -158,23 +157,22 @@ class ClientConnection:
 
     # -- outbound -------------------------------------------------------------
 
-    def send_event(self, event: Event) -> None:
+    def send_event(self, event: Message) -> None:
         if not self.closed:
             self._m_events_sent.inc()
             before = self._outbound.dropped
-            self._outbound.put(event.encode(), droppable=True)
+            self._outbound.put(event, droppable=True)
             shed = self._outbound.dropped - before
             if shed:
                 self._m_dropped_events.inc(shed)
 
-    def send_events(self, batched: list[Event]) -> None:
+    def send_events(self, batched: list[Message]) -> None:
         """Enqueue a tick's coalesced events: one append, one wakeup."""
         if self.closed or not batched:
             return
         self._m_events_sent.inc(len(batched))
         before = self._outbound.dropped
-        self._outbound.put_many([event.encode() for event in batched],
-                                droppable=True)
+        self._outbound.put_many(batched, droppable=True)
         shed = self._outbound.dropped - before
         if shed:
             self._m_dropped_events.inc(shed)

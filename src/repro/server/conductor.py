@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from operator import attrgetter
 
 from ..protocol import events as ev
 from ..protocol.attributes import AttributeList
@@ -50,6 +51,9 @@ from .qprogram import Leaf, QueueProgram
 
 #: ``next_wake`` of a queue nothing will wake but a mutation or a finish.
 NEVER = math.inf
+
+#: Program order of leaves: a tree's leaves are created in walk order.
+_SERIAL = attrgetter("serial")
 
 
 class WakeHeap:
@@ -77,9 +81,10 @@ class WakeHeap:
         if at != NEVER:
             heapq.heappush(self._heap, (at, next(self._order), queue))
 
-    def report(self, queue: "CommandQueue", now: int) -> None:
+    def report(self, queue: "CommandQueue") -> None:
+        """``queue`` runs its post phase in the current block, or in the
+        next one when the finish came between blocks."""
         self._reported.append(queue)
-        self.wake(queue, now)
 
     def due(self, block_end: int) -> list["CommandQueue"]:
         """Pop every queue whose wake falls before ``block_end``."""
@@ -130,6 +135,9 @@ class CommandQueue:
         #: A handle of this queue's LOUD finished since the last post
         #: phase, so tick_post must collect.
         self._finished = False
+        #: ``(block_end, wake)`` left by this block's pre-phase pass,
+        #: until the post phase sees an end the pass did not predict.
+        self._pass_wake: tuple | None = None
 
     def _wake_now(self) -> None:
         """A mutation: visit this queue in the next block."""
@@ -140,7 +148,7 @@ class CommandQueue:
         """A command handle of this LOUD tree just finished."""
         self._finished = True
         if self.server is not None:
-            self.server.wakes.report(self, self.server.hub.sample_time)
+            self.server.wakes.report(self)
 
     # -- issuing --------------------------------------------------------------
 
@@ -274,36 +282,69 @@ class CommandQueue:
     # -- the block cycle ------------------------------------------------------
 
     def tick_pre(self, now: int, frames: int) -> None:
-        """Start eligible commands; pre-issue predictable successors."""
+        """Start eligible commands; pre-issue predictable successors.
+
+        One pass lists the ready and running leaves once.  It goes in
+        rounds: start the due ready leaves in program order, then ask
+        every running leaf for its expected end and pre-issue those
+        ending inside this block.  The leaves a failed start or a
+        pre-issue makes ready (``program.fresh``) are the next round's
+        ready leaves.  What the pass leaves behind gives the queue's
+        next wake (:meth:`wake_after`).
+        """
         if self.state is not QueueState.STARTED:
             return
         block_end = now + frames
-        progressed = True
-        while progressed:
-            progressed = False
-            for leaf in self.program.ready_leaves():
-                # Leaves scheduled beyond this block (Delay brackets)
-                # stay READY until their time: that keeps them under the
-                # queue's control, so a client pause shifts them rather
-                # than leaving them pre-armed inside a device.
-                if leaf.not_before >= block_end:
-                    continue
-                if self._start_leaf(leaf, now):
-                    progressed = True
-            for leaf in self.program.running_leaves():
-                if leaf.advanced:
-                    continue
-                handle = getattr(leaf, "handle", None)
-                if handle is None:
-                    continue
-                end = handle.expected_end(now)
-                if end is not None and end <= block_end:
-                    # Pre-issue: successors become eligible at the exact
-                    # sample this command will finish.
-                    leaf.complete(end)
-                    progressed = True
+        program = self.program
+        ready = program.ready_leaves()
+        running = program.running_leaves()
+        program.fresh = fresh = []
+        wake = NEVER
+        ends = []
+        check = True
+        try:
+            while True:
+                for leaf in ready:
+                    # Leaves scheduled beyond this block (Delay brackets)
+                    # stay READY until their time: that keeps them under
+                    # the queue's control, so a client pause shifts them
+                    # rather than leaving them pre-armed inside a device.
+                    if leaf.not_before >= block_end:
+                        wake = min(wake, leaf.not_before)
+                        continue
+                    check = True
+                    if self._start_leaf(leaf, now):
+                        running.append(leaf)
+                if check:
+                    # A start can move another command's end (a queued
+                    # Resume), so after any start every running leaf is
+                    # asked again.
+                    check = False
+                    ends = []
+                    for leaf in running:
+                        if leaf.advanced:
+                            continue
+                        end = leaf.handle.expected_end(now)
+                        if end is not None and end <= block_end:
+                            # Pre-issue: successors become eligible at
+                            # the exact sample this command will finish.
+                            leaf.complete(end)
+                        else:
+                            ends.append((leaf, end))
+                    running = [leaf for leaf, _end in ends]
+                if not fresh:
+                    break
+                ready = sorted(fresh, key=_SERIAL)
+                fresh.clear()
+        finally:
+            program.fresh = None
+        for _leaf, end in ends:
+            if end is not None:
+                wake = min(wake, end - 1)
+        self._pass_wake = (block_end, wake)
 
     def _start_leaf(self, leaf: Leaf, now: int) -> bool:
+        """Start ``leaf`` on its device; False if the start failed."""
         start_time = max(now, leaf.not_before)
         try:
             device = self.loud.find_device(leaf.device_id)
@@ -314,7 +355,7 @@ class CommandQueue:
             leaf.failed_error = error
             leaf.complete(start_time)
             self._report_failure(leaf, error, start_time)
-            return True
+            return False
         leaf.handle = handle
         leaf.mark_running()
         self._m_started.inc()
@@ -355,18 +396,20 @@ class CommandQueue:
         for device in devices:
             for handle in device.collect_finished():
                 leaf = handle.leaf
-                if not getattr(leaf, "queued", True):
+                if not leaf.queued:
                     continue    # immediate-mode command; no queue events
-                if not leaf.advanced:
+                if handle.status or not leaf.advanced:
+                    # An end the pass did not predict: its wake is stale.
+                    # (Completing a leaf already advanced changes nothing.)
+                    self._pass_wake = None
                     leaf.complete(handle.finish_time
                                   if handle.finish_time is not None else now)
                 self.completed += 1
                 self._m_completed.inc()
                 self._emit(EventCode.COMMAND_DONE,
-                           handle.finish_time or now,
-                           detail=handle.status,
-                           args=AttributeList({
-                               ev.ARG_COMMAND_SERIAL: int(leaf.serial),
+                           handle.finish_time or now, handle.status,
+                           AttributeList({
+                               ev.ARG_COMMAND_SERIAL: leaf.serial,
                                ev.ARG_COMMAND: int(leaf.command),
                            }))
 
@@ -381,9 +424,19 @@ class CommandQueue:
         reaches its handle's expected end.  Rendering never runs ahead
         of the sample clock, so an expected end only moves later until
         something wakes the queue.
+
+        That is also why this block's pre-phase pass can give the wake:
+        the ends it read before rendering are no later than the ones
+        rendering leaves.  The post phase drops the pass's wake when a
+        command ended other than as predicted (a completion it had to
+        make, a stopped or failed command); then the leaves are listed
+        again here.
         """
         if self.state is not QueueState.STARTED:
             return NEVER
+        passed, self._pass_wake = self._pass_wake, None
+        if passed is not None and passed[0] == block_end:
+            return passed[1]
         wake = NEVER
         for leaf in self.program.ready_leaves():
             if leaf.not_before < wake:
@@ -401,9 +454,8 @@ class CommandQueue:
 
     def _emit(self, code: EventCode, sample_time: int, detail: int = 0,
               args: AttributeList | None = None) -> None:
-        self.server.events.emit(code, self.loud.loud_id, detail=detail,
-                                sample_time=sample_time,
-                                args=args or AttributeList())
+        self.server.events.emit(code, self.loud.loud_id, detail,
+                                sample_time, args)
 
     def describe(self) -> tuple[QueueState, int, int, int]:
         return (self.state, self.program.pending_count(),

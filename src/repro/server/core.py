@@ -100,6 +100,7 @@ class AudioServer:
         self._m_plan_invalidations = metrics.counter(
             "renderplan.invalidations")
         self._m_plan_ticks = metrics.counter("renderplan.ticks")
+        self._m_retained = metrics.gauge("commands.retained")
         self._m_clients = metrics.gauge("clients.connected")
         self._m_accepted = metrics.counter("clients.accepted")
         self._m_setup_refused = metrics.counter("clients.setup_refused")
@@ -560,6 +561,12 @@ class AudioServer:
         SIGUSR1/shutdown dump, and the benchmark harness's per-run
         collection -- one snapshot, three consumers.
         """
+        # Counted here, not kept current by the block cycle.
+        self._m_retained.set(sum(
+            resource.queue.program.pending_count()
+            + resource.queue.program.running_count()
+            for _id, resource in self.resources.all_items()
+            if isinstance(resource, Loud) and resource.queue is not None))
         snapshot = self.metrics.snapshot()
         clients = self.clients_snapshot()
         snapshot["server"] = {

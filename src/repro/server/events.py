@@ -16,7 +16,10 @@ The table is the one record of selections.  It changes only under the
 topology lock (SelectEvents, resource removal, client teardown), so a
 selection dies with its resource and with its client, and an id reused
 later hears nothing until it is selected again.  Each entry is replaced,
-never mutated, so :meth:`EventRouter.emit` reads it with no lock.
+never mutated, so :meth:`EventRouter.emit` reads it with no lock.  Beside
+it the router keeps the or of every selected mask, so an event of a kind
+no client selected anywhere (PLAY_STARTED when applications select only
+QUEUE events) is counted and dropped before any table lookup.
 
 **Tick batching** (docs/PERFORMANCE.md, "Concurrency model"):
 ``begin_tick_batch``/``flush_tick_batch`` bracket the block cycle;
@@ -33,11 +36,18 @@ import threading
 
 from ..protocol import events as ev
 from ..protocol.attributes import AttributeList
-from ..protocol.events import Event
+from ..protocol.codec import event_bytes
 from ..protocol.types import EVENT_MASK_FOR_CODE, EventCode, EventMask
+from ..protocol.wire import Message, MessageKind
 
 #: The mask bits each event code needs, as plain ints.
 _NEEDED = {code: int(mask) for code, mask in EVENT_MASK_FOR_CODE.items()}
+
+
+def _message(client, code: EventCode, payload: bytes) -> Message:
+    """One client's copy of an event: its own sequence number."""
+    return Message(MessageKind.EVENT, code, client.sequence & 0xFFFF,
+                   payload)
 
 
 def _merged(first: tuple, second: tuple) -> tuple:
@@ -60,7 +70,12 @@ class EventRouter:
         self._stream_lock = threading.Lock()
         #: resource id -> ((client, int mask), ...) in connection order.
         self._interest: dict[int, tuple] = {}
-        #: client -> [Event], while a tick batch is open; else None.
+        #: int mask -> how many interest entries hold it; ``_selected``
+        #: is the or of its keys.
+        self._mask_uses: dict[int, int] = {}
+        self._selected = 0
+        #: client -> [event Message], while a tick batch is open; else
+        #: None.
         self._tick_batch: dict | None = None
         metrics = server.metrics
         self._m_emitted = {
@@ -83,31 +98,50 @@ class EventRouter:
         batch, self._tick_batch = self._tick_batch, None
         if not batch:
             return
+        delivered = 0
         for client, batched in batch.items():
+            delivered += len(batched)
             client.send_events(batched)
+        self._m_delivered.inc(delivered)
+        self._m_coalesced.inc(delivered)
         self._m_batch_flushes.inc()
 
-    def _deliver(self, client, event: Event) -> None:
-        self._m_delivered.inc()
+    def _deliver(self, client, event: Message) -> None:
         batch = self._tick_batch
         if batch is not None:
+            # Counted as delivered and coalesced when the batch flushes.
             batch.setdefault(client, []).append(event)
-            self._m_coalesced.inc()
         else:
+            self._m_delivered.inc()
             client.send_event(event)
 
     # -- the interest table (topology lock held) -----------------------------
 
     def select(self, client, resource: int, mask: EventMask) -> None:
         """SelectEvents: ``client``'s mask on ``resource`` (NONE drops it)."""
-        entries = tuple(entry for entry in self._interest.get(resource, ())
-                        if entry[0] is not client)
+        old = self._interest.get(resource, ())
+        entries = tuple(entry for entry in old if entry[0] is not client)
         if mask != EventMask.NONE and not client.closed:
             entries = _merged(entries, ((client, int(mask)),))
         if entries:
             self._interest[resource] = entries
         else:
             self._interest.pop(resource, None)
+        self._count_masks(old, entries)
+
+    def _count_masks(self, removed: tuple, added: tuple) -> None:
+        uses = self._mask_uses
+        for entries, step in ((removed, -1), (added, 1)):
+            for _client, mask in entries:
+                count = uses.get(mask, 0) + step
+                if count:
+                    uses[mask] = count
+                else:
+                    del uses[mask]
+        selected = 0
+        for mask in uses:
+            selected |= mask
+        self._selected = selected
 
     def selection_for(self, client, resource: int) -> EventMask:
         for selector, mask in self._interest.get(resource, ()):
@@ -117,7 +151,7 @@ class EventRouter:
 
     def forget_resource(self, resource: int) -> None:
         """The resource is gone: so are its selections and stream edges."""
-        self._interest.pop(resource, None)
+        self._count_masks(self._interest.pop(resource, ()), ())
         with self._stream_lock:
             self._hungry_streams.discard(resource)
             self._announced_streams.discard(resource)
@@ -147,8 +181,12 @@ class EventRouter:
         self._m_emitted_total.inc()
         if only_client is not None:
             if only_client in self.server.clients_snapshot():
-                self._deliver(only_client, self._event(
-                    only_client, code, resource, detail, sample_time, args))
+                self._deliver(only_client, _message(
+                    only_client, code, event_bytes(
+                        resource, detail, sample_time, args)))
+            return
+        needed = _NEEDED[code]
+        if not self._selected & needed:
             return
         interest = self._interest
         entries = interest.get(resource, ())
@@ -156,29 +194,25 @@ class EventRouter:
             more = interest.get(match_id)
             if more:
                 entries = _merged(entries, more) if entries else more
-        if not entries:
-            return
-        needed = _NEEDED[code]
+        payload = None
         for client, mask in entries:
             if mask & needed:
-                self._deliver(client, self._event(
-                    client, code, resource, detail, sample_time, args))
-
-    @staticmethod
-    def _event(client, code: EventCode, resource: int, detail: int,
-               sample_time: int, args: AttributeList | None) -> Event:
-        return Event(code, resource=resource, detail=detail,
-                     sample_time=sample_time, args=args or AttributeList(),
-                     sequence=client.sequence & 0xFFFF)
+                if payload is None:     # one encode for every client
+                    payload = event_bytes(resource, detail, sample_time,
+                                          args)
+                self._deliver(client, _message(client, code, payload))
 
     def emit_device(self, vdevice, code: EventCode, detail: int = 0,
                     sample_time: int = 0,
                     args: AttributeList | None = None) -> None:
-        """Emit a device event, matching the device and its root LOUD."""
-        root_id = vdevice.loud.root().loud_id if vdevice.loud else 0
-        self.emit(code, vdevice.device_id, detail=detail,
-                  sample_time=sample_time, args=args,
-                  also_match=(root_id,))
+        """Emit a device event, matching the device and its root LOUD
+        (found only if some client selected this kind of event)."""
+        loud = vdevice.loud
+        also_match = ()
+        if self._selected & _NEEDED[code]:
+            also_match = (loud.root().loud_id if loud else 0,)
+        self.emit(code, vdevice.device_id, detail, sample_time, args,
+                  also_match)
 
     def emit_stream_hungry(self, sound) -> None:
         """DATA_REQUEST flow control, edge-triggered per low-water dip."""

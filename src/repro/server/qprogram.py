@@ -97,6 +97,9 @@ class Leaf(Node):
         self.not_before = time
         if self.state is LeafState.WAITING:
             self.state = LeafState.READY
+            program = self.program
+            if program is not None and program.fresh is not None:
+                program.fresh.append(self)
 
     def _move(self, state: LeafState) -> None:
         if self.program is not None:
@@ -238,6 +241,9 @@ class QueueProgram:
         self._open: list[Container] = [self.root]
         self._pending = 0
         self._running: dict[int, Leaf] = {}
+        #: While the conductor's pass is open, the leaves that became
+        #: READY since it last looked; None outside a pass.
+        self.fresh: list[Leaf] | None = None
 
     @property
     def _top(self) -> Container:

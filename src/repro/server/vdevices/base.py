@@ -273,9 +273,12 @@ class VirtualDevice:
 
     def collect_finished(self) -> list[CommandHandle]:
         """Handles that finished since last collection (conductor post)."""
+        if not self.handles:
+            return []
         finished = [handle for handle in self.handles if handle.finished]
-        self.handles = [handle for handle in self.handles
-                        if not handle.finished]
+        if finished:
+            self.handles = [handle for handle in self.handles
+                            if not handle.finished]
         return finished
 
     # -- immediate-mode operations --------------------------------------------

@@ -43,11 +43,6 @@ class PlaybackHandle(CommandHandle):
             return len(self.samples)
         return None
 
-    def remaining_frames(self) -> int | None:
-        if self.samples is not None:
-            return len(self.samples) - self.cursor
-        return None
-
     def expected_end(self, block_start: int) -> int | None:
         return self.device.program_predict_end(self, block_start)
 
@@ -114,11 +109,10 @@ class PlaybackProgram:
         for item in self.program:
             if item.paused:
                 return None
-            start = max(cursor_time, item.not_before)
-            remaining = item.remaining_frames()
-            if remaining is None:
-                return None
-            end = start + remaining
+            if item.samples is None:
+                return None     # a live stream: its length is unknown
+            end = (max(cursor_time, item.not_before)
+                   + len(item.samples) - item.cursor)
             if item is handle:
                 return end
             cursor_time = end

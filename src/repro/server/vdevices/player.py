@@ -85,11 +85,9 @@ class PlayerDevice(VirtualDevice, PlaybackProgram):
             handle = PlaybackHandle(self, leaf, at_time,
                                     np.asarray(samples, dtype=np.int16),
                                     sync_interval_frames=sync_frames)
-        handle.not_before = at_time
         self.enqueue_playback(handle)
-        self.server.events.emit_device(
-            self, EventCode.PLAY_STARTED, detail=int(leaf.serial),
-            sample_time=at_time)
+        self.server.events.emit_device(self, EventCode.PLAY_STARTED,
+                                       leaf.serial, at_time)
         return handle
 
     # -- rendering ------------------------------------------------------------

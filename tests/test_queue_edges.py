@@ -1,5 +1,6 @@
 """Edge cases of queue semantics over the protocol."""
 
+import collections
 import gc
 import tracemalloc
 from pathlib import Path
@@ -21,6 +22,8 @@ from repro.protocol.types import (
     QueueState,
 )
 from repro.server import AudioServer
+from repro.server.qprogram import QueueProgram
+from repro.server.vdevices.playback import PlaybackHandle
 from testkit.rig import build_playback_loud
 
 from conftest import wait_for
@@ -399,3 +402,55 @@ class TestRetainedMemory:
             if enabled:
                 gc.enable()
         assert growth < 256 * 1024
+
+
+class TestRetainedGauge:
+    def test_counts_unfinished_commands_until_they_finish(self, stepped):
+        """``commands.retained`` in GET_SERVER_STATS: each queue's
+        pending plus running commands, read when the stats are taken."""
+        server, client = stepped
+        loud, player, _other = build_pair(client)
+        beep = flat(client, 160, 1000)
+        for _ in range(5):
+            player.play(beep)
+        client.sync()
+        assert client.server_stats().gauges["commands.retained"] == 5
+        loud.start_queue()
+        # A one-block Play is pre-issued in the block it plays in.
+        step(server, client, 2)
+        assert client.server_stats().gauges["commands.retained"] == 3
+        step(server, client, 3)
+        assert loud.query_queue().completed == 5
+        assert client.server_stats().gauges["commands.retained"] == 0
+
+
+class TestBoundaryScans:
+    def test_play_to_play_boundary_lists_leaves_once_per_phase(
+            self, stepped, monkeypatch):
+        """The pre phase lists the ready and running leaves once and
+        starts what a pre-issue makes ready in the same pass; the wake
+        comes from what that pass leaves running.  A gapless Play->Play
+        boundary then asks each of these at most twice (a re-scan after
+        every start or pre-issue asked four times)."""
+        server, client = stepped
+        loud, player, _other = build_pair(client)
+        player.play(flat(client, 400, 3))   # ends inside block 2
+        player.play(flat(client, 800, 5))
+        loud.start_queue()
+        step(server, client, 2)
+        calls = collections.Counter()
+        for cls, name in ((QueueProgram, "ready_leaves"),
+                          (QueueProgram, "running_leaves"),
+                          (PlaybackHandle, "expected_end")):
+            original = getattr(cls, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        played = step(server, client, 1)
+        assert list(played[398:402]) == [3, 3, 5, 5]
+        assert set(calls) == {"ready_leaves", "running_leaves",
+                              "expected_end"}
+        assert max(calls.values()) <= 2, dict(calls)
