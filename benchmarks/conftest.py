@@ -12,6 +12,7 @@ pytest-benchmark calibration loop is clamped to a minimum here.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -37,6 +38,23 @@ class Report:
 @pytest.fixture
 def report():
     return Report()
+
+
+@pytest.fixture
+def mean_seconds(benchmark):
+    """``mean_seconds(function, **pedantic) -> (result, seconds)``: run
+    ``function`` under ``benchmark`` (``benchmark.pedantic`` when rounds
+    are given) and return its last result and mean seconds per call.
+    Under ``--benchmark-disable`` pytest-benchmark calls it once and
+    keeps no stats, so that one call is timed here instead."""
+    def run(function, **pedantic):
+        started = time.perf_counter()
+        result = (benchmark.pedantic(function, **pedantic) if pedantic
+                  else benchmark(function))
+        if benchmark.stats is None:
+            return result, time.perf_counter() - started
+        return result, benchmark.stats.stats.mean
+    return run
 
 
 @pytest.fixture(autouse=True)

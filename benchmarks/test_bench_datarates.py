@@ -36,7 +36,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("label,rate,block,sound_type", CASES)
-def test_cached_streaming_speed(benchmark, report, label, rate, block,
+def test_cached_streaming_speed(mean_seconds, report, label, rate, block,
                                 sound_type):
     rig = make_rig(sample_rate=rate, block_frames=block)
     try:
@@ -51,8 +51,7 @@ def test_cached_streaming_speed(benchmark, report, label, rate, block,
             loud.start_queue()
             wait_queue_empty(rig.client, loud, timeout=300)
 
-        benchmark.pedantic(run, rounds=scaled(3, 1), iterations=1)
-        wall = benchmark.stats.stats.mean
+        _, wall = mean_seconds(run, rounds=scaled(3, 1), iterations=1)
         speedup = seconds / wall
         data_rate = sound_type.bytes_per_second() * speedup
         report.row("E4", "cached streaming, %s" % label,
@@ -64,7 +63,7 @@ def test_cached_streaming_speed(benchmark, report, label, rate, block,
         rig.close()
 
 
-def test_client_supplied_realtime_stream(benchmark, report):
+def test_client_supplied_realtime_stream(mean_seconds, report):
     """The harder path: the client feeds data against DATA_REQUEST
     flow-control events while the player drains the stream."""
     rig = make_rig()
@@ -106,9 +105,8 @@ def test_client_supplied_realtime_stream(benchmark, report):
             loud.unmap()
             return delivered
 
-        delivered = benchmark.pedantic(run, rounds=scaled(3, 1),
+        delivered, wall = mean_seconds(run, rounds=scaled(3, 1),
                                        iterations=1)
-        wall = benchmark.stats.stats.mean
         report.row("E4", "client-supplied real-time stream (5 s fed)",
                    "%.0f B/s over the wire" % (delivered / wall),
                    ">= 8,000 B/s to sustain telephone quality")

@@ -28,7 +28,7 @@ from testkit.workloads import tone_seconds
 RATE = 8000
 
 
-def test_dtmf_event_latency(benchmark, report):
+def test_dtmf_event_latency(mean_seconds, report):
     """Tone-on-the-line to client notification, against the wall clock."""
     rig = make_rig(realtime=True)
     try:
@@ -60,9 +60,9 @@ def test_dtmf_event_latency(benchmark, report):
             time.sleep(0.1)     # inter-digit gap so the detector re-arms
             return latency
 
-        latency = benchmark.pedantic(one_digit, rounds=scaled(8, 3),
+        latency, mean = mean_seconds(one_digit, rounds=scaled(8, 3),
                                      iterations=1)
-        mean_ms = benchmark.stats.stats.mean * 1000.0
+        mean_ms = mean * 1000.0
         report.row("E7", "DTMF on line -> client event",
                    "%.0f ms" % mean_ms,
                    "'little latency' (tone itself is 80 ms)")

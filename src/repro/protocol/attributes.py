@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .types import SoundType
-from .wire import WireFormatError
+from .wire import I64, WireFormatError
 
 # ---------------------------------------------------------------------------
 # Well-known attribute names
@@ -71,6 +71,19 @@ class ValueType(enum.IntEnum):
 
 
 AttrValue = int | str | bool | float | SoundType | list | bytes
+
+#: The layout each tag's value travels in, after its u8 tag
+#: (:mod:`repro.protocol.codec` emits the one value codec from it).
+VALUE_LAYOUTS = {
+    ValueType.INTEGER: I64,
+    ValueType.STRING: str,
+    ValueType.BOOLEAN: bool,
+    ValueType.FLOAT: float,
+    ValueType.SOUND_TYPE: SoundType,
+    ValueType.INT_LIST: list[I64],
+    ValueType.STRING_LIST: list[str],
+    ValueType.BYTES: bytes,
+}
 
 
 def value_type(value: AttrValue) -> ValueType:

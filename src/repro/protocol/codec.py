@@ -2,9 +2,11 @@
 
 Every message body -- request, reply, event, error, and the records
 nested in them -- is a dataclass whose field annotations declare each
-field's wire kind.  This module reads those declarations once per class
-and walks them: one encoder and one decoder for the whole protocol, so a
-body's layout is written down exactly once.
+field's wire kind.  :func:`plan` reads those declarations once per class
+and writes that class's encoder and decoder as Python source, the way
+the stdlib ``dataclasses`` module writes ``__init__``: straight-line
+code, so a body's layout is written down exactly once and no per-field
+dispatch runs when it moves.
 
 The kinds, by annotation:
 
@@ -14,20 +16,22 @@ The kinds, by annotation:
 * ``Annotated[SomeEnum, U8]`` -- an enum carried at that width; with
   ``SomeEnum | int`` an unknown code decodes to the raw integer instead
   of failing (extension device classes);
-* a dataclass -- a nested record, its own fields in order (``SoundType``);
+* a dataclass -- a nested record, its own fields in order (``SoundType``;
+  :class:`~.attributes.AttributeList` is one, a ``dict[str, AttrValue]``);
   ``X | None`` -- a bool presence flag, then ``X`` if present;
-* :class:`~.attributes.AttributeList` and :data:`~.attributes.AttrValue`
-  (a type-tagged attribute value);
+* :data:`~.attributes.AttrValue` -- a u8 :class:`~.attributes.ValueType`,
+  then the value in that tag's :data:`~.attributes.VALUE_LAYOUTS` layout;
 * ``list[X]``, ``dict[K, V]`` -- a u32 count, then the items (key, value);
   ``tuple[X, Y, ...]`` -- the items in order, no count;
 * ``Annotated[dict, JSON]`` -- one JSON string, empty for an empty dict;
 * ``Annotated[X, HEADER]`` -- carried in the message header, not the body.
 
-Each run of consecutive fixed-width fields (integers, enums, bools,
-floats) moves with one ``struct`` call, which keeps the generic walk as
-fast as the hand-written code it replaced.  The attribute list and the
-event body, which every event and command carries, are marshalled
-straight-line instead (:func:`attribute_bytes`, :func:`event_bytes`).
+Each run of fixed-width values -- integers, enums, bools, floats, and
+the u32 lengths, counts and presence flags among them -- moves with one
+``struct`` call; strings and blobs are sliced and joined inline; a
+nested record calls its own class's pair.  The source is built only
+from the classes' field names and declared kinds: structs and
+converters are bound through the exec namespace, never written into it.
 
 A body whose layout depends on another field's value overrides
 ``write_payload``/``read_payload`` by hand (``HistogramStat``,
@@ -37,6 +41,7 @@ callers that want that call ``Reader.expect_end`` themselves.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -45,96 +50,32 @@ import json
 import struct
 import types
 import typing
-from operator import attrgetter
-from typing import Annotated, Union
+from typing import Annotated, Callable, NamedTuple, Union
 
-from .attributes import AttributeList, AttrValue, ValueType, value_type
-from .types import SoundType
-from .wire import (
-    I64,
-    PLAIN_KINDS,
-    Kind,
-    Reader,
-    WireFormatError,
-    Writer,
-)
+from .attributes import VALUE_LAYOUTS, AttrValue, value_type
+from .wire import Kind, Reader, WireFormatError, Writer
 
 #: Marks a field the message header carries (an event's code, an
 #: error's sequence number): the body codec skips it.
-HEADER = Kind("header", None, None)
+HEADER = Kind("header")
+#: A JSON-encoded dict travelling as one string.
+JSON = Kind("json")
+
+#: Format characters of the plain annotations of fixed width.
+_PLAIN_FORMATS = {bool: "?", float: "d"}
 
 
-def _put_json(writer: Writer, value: dict) -> None:
-    writer.string(json.dumps(value) if value else "")
+def _json_text(value: dict) -> str:
+    return json.dumps(value) if value else ""
 
 
-def _take_json(reader: Reader) -> dict:
-    text = reader.string()
+def _json_value(text: str) -> dict:
     return json.loads(text) if text else {}
 
 
-#: A JSON-encoded dict travelling as one string.
-JSON = Kind("json", _put_json, _take_json)
-
-
-def _list_of(item: Kind) -> Kind:
-    put_item, take_item = item.put, item.take
-
-    def put(writer: Writer, values) -> None:
-        writer.u32(len(values))
-        for value in values:
-            put_item(writer, value)
-
-    def take(reader: Reader) -> list:
-        return [take_item(reader) for _ in range(reader.u32())]
-
-    return Kind("list[%s]" % item.name, put, take)
-
-
-def _dict_of(key: Kind, item: Kind) -> Kind:
-    put_key, take_key = key.put, key.take
-    put_item, take_item = item.put, item.take
-
-    def put(writer: Writer, mapping: dict) -> None:
-        writer.u32(len(mapping))
-        for name, value in mapping.items():
-            put_key(writer, name)
-            put_item(writer, value)
-
-    def take(reader: Reader) -> dict:
-        mapping = {}
-        for _ in range(reader.u32()):
-            name = take_key(reader)
-            mapping[name] = take_item(reader)
-        return mapping
-
-    return Kind("dict[%s, %s]" % (key.name, item.name), put, take)
-
-
-def _tuple_of(items: list[Kind]) -> Kind:
-    def put(writer: Writer, values: tuple) -> None:
-        for item, value in zip(items, values):
-            item.put(writer, value)
-
-    def take(reader: Reader) -> tuple:
-        return tuple(item.take(reader) for item in items)
-
-    return Kind("tuple", put, take)
-
-
-def _optional(inner: Kind) -> Kind:
-    def put(writer: Writer, value) -> None:
-        writer.boolean(value is not None)
-        if value is not None:
-            inner.put(writer, value)
-
-    def take(reader: Reader):
-        return inner.take(reader) if reader.boolean() else None
-
-    return Kind("optional[%s]" % inner.name, put, take)
-
-
-def _enum_of(cls: type, width: Kind, open_codes: bool) -> Kind:
+def _enum_converter(cls: type, open_codes: bool):
+    """Wire code -> ``cls`` member; with ``open_codes`` an unknown code
+    stays a raw integer instead of raising ``ValueError``."""
     members = {member.value: member for member in cls}
 
     def convert(code: int):
@@ -148,261 +89,310 @@ def _enum_of(cls: type, width: Kind, open_codes: bool) -> Kind:
                 member = code
         return member
 
-    take_code = width.take
-    return Kind("%s:%s" % (cls.__name__, width.name), width.put,
-                lambda reader: convert(take_code(reader)), width.fmt,
-                convert)
+    return convert
 
 
-def _record(cls: type) -> Kind:
-    if issubclass(cls, Body):
-        return Kind(cls.__name__, lambda writer, value:
-                    value.write_payload(writer), cls.read_payload)
-    return Kind(cls.__name__, lambda writer, value:
-                write_fields(value, writer),
-                lambda reader: cls(*read_fields(cls, reader)))
+def _truncated(data: bytes, pos: int) -> WireFormatError:
+    return WireFormatError("truncated payload: field at offset %d runs "
+                           "past its end (%d bytes)" % (pos, len(data)))
 
 
-def _metadata_kind(marker) -> Kind:
-    """The kind an ``Annotated`` marker names (a Kind, or an alias such
-    as ``U8`` wrapping one)."""
-    if typing.get_origin(marker) is Annotated:
-        marker = marker.__metadata__[0]
-    if not isinstance(marker, Kind):
-        raise TypeError("%r is not a wire kind" % (marker,))
-    return marker
+def _unknown_tag(tag: int):
+    raise ValueError("unknown attribute value tag %d" % tag)
 
 
-def kind_of(hint) -> Kind:
-    """The wire kind a resolved field annotation declares."""
+def _shape(hint) -> tuple:
+    """What a resolved annotation declares: ``(shape, detail)``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
-        base, kind = args[0], _metadata_kind(args[1])
-        if kind is HEADER:
-            return HEADER
-        base_args = typing.get_args(base)
-        open_codes = int in base_args
+        base, kind = args[0], args[1]
+        if typing.get_origin(kind) is Annotated:    # an alias such as U8
+            kind = kind.__metadata__[0]
+        if kind is JSON:
+            return "json", None
+        codes = [arg for arg in typing.get_args(base) if arg is not int]
+        open_codes = len(codes) == 1 and int in typing.get_args(base)
         if open_codes:
-            (base,) = [arg for arg in base_args if arg is not int]
-        if isinstance(base, type) and issubclass(base, enum.Enum):
-            return _enum_of(base, kind, open_codes)
-        return kind
-    if hint in PLAIN_KINDS:
-        return PLAIN_KINDS[hint]
-    if hint is AttributeList:
-        return ATTRIBUTE_LIST
-    if hint == AttrValue:
-        return ATTRIBUTE_VALUE
-    if origin in (Union, types.UnionType) and type(None) in args:
-        (inner,) = [arg for arg in args if arg is not type(None)]
-        return _optional(kind_of(inner))
-    if origin is list:
-        return _list_of(kind_of(args[0]))
-    if origin is dict:
-        return _dict_of(kind_of(args[0]), kind_of(args[1]))
-    if origin is tuple:
-        return _tuple_of([kind_of(arg) for arg in args])
-    if dataclasses.is_dataclass(hint):
-        return _record(hint)
+            base = codes[0]
+        fmt = getattr(kind, "fmt", None)
+        if fmt and isinstance(base, type) and issubclass(base, enum.Enum):
+            return "fixed", (fmt, _enum_converter(base, open_codes))
+        if fmt and base is int:
+            return "fixed", (fmt, None)
+    elif hint in _PLAIN_FORMATS:
+        return "fixed", (_PLAIN_FORMATS[hint], None)
+    elif hint is str or hint is bytes:
+        return hint.__name__, None
+    elif hint == AttrValue:
+        return "value", None
+    elif origin in (Union, types.UnionType):
+        inner = [arg for arg in args if arg is not type(None)]
+        if len(inner) == 1 and len(args) == 2:
+            return "optional", inner[0]
+    elif origin in (list, dict, tuple):
+        return origin.__name__, args
+    elif dataclasses.is_dataclass(hint):
+        return "record", hint
     raise TypeError("no wire kind declared for %r" % (hint,))
 
 
-# -- attribute values -------------------------------------------------------
+class _Lines:
+    """One emitted function's statements, and its pending run of
+    fixed-width values, which one struct moves."""
 
-def _put_value(writer: Writer, value) -> None:
-    tag = value_type(value)
-    writer.u8(tag)
-    _VALUE_KINDS[tag].put(writer, value)
+    def __init__(self, bind, depth: int) -> None:
+        self.bind = bind
+        self.depth = depth
+        self.lines: list[str] = []
+        self.run: list[tuple] = []      # (format character, name, ...)
 
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
 
-def _take_value(reader: Reader):
-    return _VALUE_KINDS[ValueType(reader.u8())].take(reader)
+    def struct(self) -> tuple[str, int]:
+        fmt = struct.Struct("<" + "".join(item[0] for item in self.run))
+        return self.bind(fmt), fmt.size
 
-
-#: One type-tagged attribute value: a u8 :class:`ValueType`, then the
-#: value in that type's kind.
-ATTRIBUTE_VALUE = Kind("attribute value", _put_value, _take_value)
-
-# An attribute list is a u32 count of (name, tagged value) pairs.  Events
-# and command arguments carry one on every message, so it is marshalled
-# straight-line rather than by the kind walk: the encoded names are
-# cached, integers and strings are packed and parsed inline, and every
-# other value goes through ATTRIBUTE_VALUE.
-
-_U32 = struct.Struct("<I")
-_TAG_I64 = struct.Struct("<Bq")
-_TAG_U32 = struct.Struct("<BI")
-_I64 = struct.Struct("<q")
-_INTEGER, _STRING = int(ValueType.INTEGER), int(ValueType.STRING)
-#: name -> its encoded u32 length and UTF-8 bytes.  Names come from a
-#: small well-known set; the bound keeps client-chosen ones from
-#: growing it without limit.
-_NAMES: dict[str, bytes] = {}
-_NAMES_BOUND = 512
+    @contextlib.contextmanager
+    def block(self, header: str):
+        self.flush()
+        self.line(header)
+        self.depth += 1
+        yield
+        self.flush()
+        self.depth -= 1
 
 
-def _name_bytes(name: str) -> bytes:
-    raw = name.encode("utf-8")
-    encoded = _U32.pack(len(raw)) + raw
-    if len(_NAMES) < _NAMES_BOUND:
-        _NAMES[name] = encoded
-    return encoded
+class _Encoder(_Lines):
+    """Writes the body's bytes in wire order.  With no loop or condition
+    the function returns their concatenation; otherwise each piece is
+    appended to ``_parts`` as it is made."""
+
+    def __init__(self, bind) -> None:
+        super().__init__(bind, 1)
+        self.pieces: list[str] = []     # bytes expressions not yet added
+        self.appends = False
+
+    def piece(self, expr: str | None = None) -> None:
+        """Close the pending run; then bytes ``expr`` follow."""
+        if self.run:
+            fmt, _ = self.struct()
+            self.pieces.append("%s.pack(%s)" % (
+                fmt, ", ".join(expr for _, expr in self.run)))
+            self.run = []
+        if expr is not None:
+            self.pieces.append(expr)
+
+    def flush(self) -> None:
+        self.piece()
+        if self.pieces:
+            self.line("_add(%s)" % " + ".join(self.pieces))
+        self.pieces, self.appends = [], True
+
+    def body(self) -> list[str]:
+        self.piece()
+        if not self.appends:
+            return self.lines + ["    return " + (" + ".join(self.pieces)
+                                                  or "b''")]
+        self.flush()
+        return ["    _parts = []", "    _add = _parts.append", *self.lines,
+                "    return _join(_parts)"]
 
 
-def attribute_bytes(items: dict) -> bytes:
-    """The wire form of an attribute list's ``items``."""
-    parts = [_U32.pack(len(items))]
-    append = parts.append
-    for name, value in items.items():
-        append(_NAMES.get(name) or _name_bytes(name))
-        kind = type(value)
-        if kind is int:
-            append(_TAG_I64.pack(_INTEGER, value))
-        elif kind is str:
-            raw = value.encode("utf-8")
-            append(_TAG_U32.pack(_STRING, len(raw)))
-            append(raw)
-        else:
-            writer = Writer()
-            _put_value(writer, value)
-            append(writer.getvalue())
-    return b"".join(parts)
+class _Decoder(_Lines):
+    """Reads the body at ``_pos`` in ``_data``: one ``unpack_from`` per
+    run, then the run's enum conversions."""
+
+    def __init__(self, bind) -> None:
+        super().__init__(bind, 2)       # inside the function's try
+
+    def line(self, text: str) -> None:
+        self.flush()
+        super().line(text)
+
+    def flush(self) -> None:
+        if not self.run:
+            return
+        (fmt, size), run, self.run = self.struct(), self.run, []
+        self.line("%s, = %s.unpack_from(_data, _pos)" % (
+            ", ".join(name for _, name, _ in run), fmt))
+        self.line("_pos += %d" % size)
+        for _, name, convert in run:
+            if convert is not None:
+                self.line("%s = %s(%s)" % (name, self.bind(convert), name))
+
+    def body(self, result: str) -> list[str]:
+        self.flush()
+        return ["    _size = _len(_data)", "    try:",
+                *(self.lines or ["        pass"]),
+                "    except _error:",
+                "        raise _truncated(_data, _pos) from None",
+                "    return %s, _pos" % result]
 
 
-def take_attributes(reader: Reader) -> AttributeList:
-    """Parse one attribute list at ``reader``'s cursor.
+class _Pair:
+    """Emits an encoder and its decoder side by side, field by field.
+    Each field is a local name: the encoder writes its value, and the
+    decoder leaves the value it reads in it."""
 
-    Fails as the kind walk does: truncation raises
-    :class:`WireFormatError`, an unknown tag ``ValueError`` and invalid
-    UTF-8 ``UnicodeDecodeError`` (which :func:`decode` turns into
-    WireFormatError).
-    """
-    data, pos = reader._data, reader._pos
-    size = len(data)
-    items = {}
-    try:
-        (count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        for _ in range(count):
-            (length,) = _U32.unpack_from(data, pos)
-            pos += 4
-            end = pos + length
-            if end > size:
-                raise IndexError
-            name = str(data[pos:end], "utf-8")
-            tag = data[end]
-            pos = end + 1
-            if tag == _INTEGER:
-                (value,) = _I64.unpack_from(data, pos)
-                pos += 8
-            elif tag == _STRING:
-                (length,) = _U32.unpack_from(data, pos)
-                pos += 4
-                end = pos + length
-                if end > size:
-                    raise IndexError
-                value = str(data[pos:end], "utf-8")
-                pos = end
-            else:
-                reader._pos = pos
-                value = _VALUE_KINDS[ValueType(tag)].take(reader)
-                pos = reader._pos
-            items[name] = value
-    except (struct.error, IndexError):
-        raise WireFormatError(
-            "truncated payload: attribute list ends at offset %d of %d"
-            % (pos, size)) from None
+    def __init__(self) -> None:
+        self.constants: dict = {}
+        self.enc, self.dec = _Encoder(self.bind), _Decoder(self.bind)
+        self.temps = itertools.count()
+
+    def bind(self, value) -> str:
+        """The name ``value`` has in the exec namespace."""
+        name = "_k%d" % len(self.constants)
+        self.constants[name] = value
+        return name
+
+    def temp(self) -> str:
+        return "_t%d" % next(self.temps)
+
+    def field(self, name: str, hint) -> None:
+        enc, dec = self.enc, self.dec
+        shape, detail = _shape(hint)
+        if shape == "fixed":
+            enc.run.append((detail[0], name))
+            dec.run.append((detail[0], name, detail[1]))
+        elif shape in ("str", "bytes", "json"):
+            raw, text, length = name, name, self.temp()
+            if shape == "json":
+                text = "%s(%s)" % (self.bind(_json_text), name)
+            if shape != "bytes":
+                raw = self.temp()
+                enc.line("%s = %s.encode('utf-8')" % (raw, text))
+            enc.run.append(("I", "_len(%s)" % raw))
+            enc.piece(raw)
+            dec.run.append(("I", length, None))
+            dec.line("_end = _pos + %s" % length)
+            dec.line("if _end > _size: raise _error")
+            value = "_data[_pos:_end]"
+            if shape != "bytes":
+                value = "_str(%s, 'utf-8')" % value
+            if shape == "json":
+                value = "%s(%s)" % (self.bind(_json_value), value)
+            dec.line("%s = %s" % (name, value))
+            dec.line("_pos = _end")
+        elif shape == "value":
+            self.value(name)
+        elif shape == "record":
+            other = plan(detail)
+            enc.piece("%s(%s)" % (self.bind(other.encode), name))
+            dec.line("%s, _pos = %s(_data, _pos)" % (name,
+                                                     self.bind(other.take)))
+        elif shape == "optional":
+            present = self.temp()
+            enc.run.append(("?", "%s is not None" % name))
+            dec.run.append(("?", present, None))
+            dec.line("%s = None" % name)
+            with enc.block("if %s is not None:" % name), \
+                    dec.block("if %s:" % present):
+                self.field(name, detail)
+        elif shape in ("list", "dict"):
+            count, key, item = self.temp(), self.temp(), self.temp()
+            enc.run.append(("I", "_len(%s)" % name))
+            dec.run.append(("I", count, None))
+            dec.line("%s = %s" % (name, "[]" if shape == "list" else "{}"))
+            loop = ("for %s in %s:" % (item, name) if shape == "list" else
+                    "for %s, %s in %s.items():" % (key, item, name))
+            with enc.block(loop), dec.block("for _ in _range(%s):" % count):
+                if shape == "dict":
+                    self.field(key, detail[0])
+                self.field(item, detail[-1])
+                dec.line("%s.append(%s)" % (name, item) if shape == "list"
+                         else "%s[%s] = %s" % (name, key, item))
+        else:   # a tuple
+            items = [self.temp() for _ in detail]
+            enc.line("%s, = %s" % (", ".join(items), name))
+            for item, arg in zip(items, detail):
+                self.field(item, arg)
+            dec.line("%s = (%s,)" % (name, ", ".join(items)))
+
+    def value(self, name: str) -> None:
+        """An attribute value: its u8 tag, then that tag's layout."""
+        enc, dec = self.enc, self.dec
+        tag = self.temp()
+        enc.line("%s = %s(%s)" % (tag, self.bind(value_type), name))
+        dec.run.append(("B", tag, None))
+        for index, (code, hint) in enumerate(VALUE_LAYOUTS.items()):
+            test = "%s %s %%s %s:" % ("elif" if index else "if", tag,
+                                      self.bind(code))
+            with enc.block(test % "is"), dec.block(test % "=="):
+                enc.run.append(("B", tag))
+                self.field(name, hint)
+        with dec.block("else:"):
+            dec.line("%s(%s)" % (self.bind(_unknown_tag), tag))
+
+    def compile(self, params: list, headers: list, result: str,
+                *more: str) -> dict:
+        """Exec ``_put(*params)`` and ``_take(_data, _pos, *headers)``
+        (which returns ``(result, _pos)``), and any ``more`` source."""
+        source = ["def _put(%s):" % ", ".join(params), *self.enc.body(),
+                  "def _take(%s):" % ", ".join(["_data", "_pos", *headers]),
+                  *self.dec.body(result), *more]
+        namespace = {"_len": len, "_str": str, "_range": range,
+                     "_join": b"".join, "_error": struct.error,
+                     "_truncated": _truncated, **self.constants}
+        exec("\n".join(source), namespace)
+        return namespace
+
+
+class Plan(NamedTuple):
+    """One body class's emitted codec."""
+
+    #: The body's field values (header fields left out) -> its bytes.
+    put: Callable | None
+    #: A body -> its bytes.
+    encode: Callable
+    #: ``(data, pos, *header field values) -> (body, pos after it)``.
+    take: Callable
+
+
+def _written(body) -> bytes:
+    writer = Writer()
+    body.write_payload(writer)
+    return writer.getvalue()
+
+
+def _read_by_hand(cls: type, data: bytes, pos: int) -> tuple:
+    reader = Reader(data)
     reader._pos = pos
-    return AttributeList(items)
-
-
-#: An attribute list: a u32 count of (name, tagged value) pairs.
-ATTRIBUTE_LIST = Kind(
-    "attribute list",
-    lambda writer, attributes: writer.raw(attribute_bytes(attributes.items)),
-    take_attributes)
-
-_NO_ITEMS = _U32.pack(0)
-#: An event body's fixed run: resource u32, detail i32, sample time u64;
-#: its attribute list follows (:class:`~.events.Event`).
-_EVENT_FIXED = struct.Struct("<IiQ")
-
-
-def event_bytes(resource: int, detail: int, sample_time: int,
-                attributes: AttributeList | None) -> bytes:
-    """An event body, straight-line: one struct, then the list (an
-    empty one for None)."""
-    return _EVENT_FIXED.pack(resource, detail, sample_time) + (
-        attribute_bytes(attributes.items) if attributes else _NO_ITEMS)
-
-
-def take_event_fields(reader: Reader) -> tuple:
-    """``(resource, detail, sample_time, args)`` of an event body."""
-    resource, detail, sample_time = reader.unpack(_EVENT_FIXED)
-    return resource, detail, sample_time, take_attributes(reader)
-
-
-# -- bodies -----------------------------------------------------------------
-
-def _fixed_run(kinds: list[Kind]):
-    """Put and take for consecutive fixed-width fields: one struct."""
-    fmt = struct.Struct("<" + "".join(kind.fmt for kind in kinds))
-    converts = [(index, kind.convert) for index, kind in enumerate(kinds)
-                if kind.convert is not None]
-
-    def put(writer: Writer, values: tuple) -> None:
-        writer.pack(fmt, values)
-
-    def take(reader: Reader):
-        values = reader.unpack(fmt)
-        if converts:
-            values = list(values)
-            for index, convert in converts:
-                values[index] = convert(values[index])
-        return values
-
-    return put, take
+    return cls.read_payload(reader), reader._pos
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[tuple, tuple]:
-    """``cls``'s marshalling plan, read off its declarations once:
-    ``((getter, put), ...)`` and ``((take, is_run), ...)``.  A run of
-    fixed-width fields is one step; its getter returns a tuple and its
-    take a sequence of values."""
+def plan(cls: type) -> Plan:
+    """``cls``'s codec, emitted from its declarations on first use; a
+    body with its own ``write_payload``/``read_payload`` keeps them.
+
+    Raises ``TypeError`` naming ``Class.field`` for a field whose
+    annotation declares no wire kind.
+    """
+    if getattr(cls, "write_payload", Body.write_payload) \
+            is not Body.write_payload:
+        return Plan(None, _written, functools.partial(_read_by_hand, cls))
+    pair = _Pair()
     hints = typing.get_type_hints(cls, include_extras=True)
-    fields = [(field.name, kind_of(hints[field.name]))
-              for field in dataclasses.fields(cls)]
-    puts, takes = [], []
-    for fixed, group in itertools.groupby(
-            [(name, kind) for name, kind in fields if kind is not HEADER],
-            key=lambda field: field[1].fmt is not None):
-        group = list(group)
-        if fixed and len(group) > 1:
-            put, take = _fixed_run([kind for _, kind in group])
-            puts.append((attrgetter(*[name for name, _ in group]), put))
-            takes.append((take, True))
-        else:
-            puts += [(attrgetter(name), kind.put) for name, kind in group]
-            takes += [(kind.take, False) for _, kind in group]
-    return tuple(puts), tuple(takes)
-
-
-def write_fields(obj, writer: Writer) -> None:
-    """Marshal ``obj``'s body fields in declaration order."""
-    for get, put in _plan(type(obj))[0]:
-        put(writer, get(obj))
-
-
-def read_fields(cls: type, reader: Reader) -> list:
-    """Unmarshal ``cls``'s body fields, in declaration order."""
-    values = []
-    for take, is_run in _plan(cls)[1]:
-        if is_run:
-            values += take(reader)
-        else:
-            values.append(take(reader))
-    return values
+    params, headers, getters = [], [], []
+    for index, field in enumerate(dataclasses.fields(cls)):
+        name, hint = "_f%d" % index, hints[field.name]
+        if typing.get_origin(hint) is Annotated \
+                and HEADER in hint.__metadata__:
+            headers.append(name)
+            continue
+        params.append(name)
+        getters.append("_body." + field.name)
+        try:
+            pair.field(name, hint)
+        except TypeError as exc:
+            raise TypeError("%s.%s: %s" % (cls.__name__, field.name,
+                                           exc)) from None
+    namespace = pair.compile(
+        params, headers, "%s(%s)" % (pair.bind(cls), ", ".join(
+            "_f%d" % index for index in range(len(params) + len(headers)))),
+        "def _encode(_body):", "    return _put(%s)" % ", ".join(getters))
+    return Plan(namespace["_put"], namespace["_encode"], namespace["_take"])
 
 
 def decode(parse, payload: bytes, what: str):
@@ -421,29 +411,27 @@ def decode(parse, payload: bytes, what: str):
 
 
 class Body:
-    """Base of every body dataclass: marshalling walks its declarations."""
+    """Base of every body dataclass: its :func:`plan` marshals it."""
 
-    write_payload = write_fields
+    def encode(self) -> bytes:
+        return plan(type(self)).encode(self)
+
+    def write_payload(self, writer: Writer) -> None:
+        writer.raw(self.encode())
 
     @classmethod
     def read_payload(cls, reader: Reader):
-        return cls(*read_fields(cls, reader))
-
-    def encode(self) -> bytes:
-        writer = Writer()
-        self.write_payload(writer)
-        return writer.getvalue()
+        return reader.parse(plan(cls).take)
 
 
-_INT64 = kind_of(I64)
-#: The kind each attribute value type travels as.
-_VALUE_KINDS = {
-    ValueType.INTEGER: _INT64,
-    ValueType.STRING: PLAIN_KINDS[str],
-    ValueType.BOOLEAN: PLAIN_KINDS[bool],
-    ValueType.FLOAT: PLAIN_KINDS[float],
-    ValueType.SOUND_TYPE: kind_of(SoundType),
-    ValueType.INT_LIST: _list_of(_INT64),
-    ValueType.STRING_LIST: _list_of(PLAIN_KINDS[str]),
-    ValueType.BYTES: PLAIN_KINDS[bytes],
-}
+def _value_pair() -> tuple:
+    pair = _Pair()
+    pair.field("_value", AttrValue)
+    namespace = pair.compile(["_value"], [], "_value")
+    return namespace["_put"], namespace["_take"]
+
+
+#: ``value_bytes(value) -> bytes`` and ``take_value(data, pos) ->
+#: (value, pos after it)``: one attribute value, as an ``AttrValue``
+#: field carries it (``GetPropertyReply`` marshals its value with them).
+value_bytes, take_value = _value_pair()

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Annotated
 
-from .codec import HEADER, decode, read_fields, write_fields
+from .codec import HEADER, decode, plan
 from .types import ErrorCode
-from .wire import U16, U32, Message, MessageKind, Writer
+from .wire import U16, U32, Message, MessageKind
 
 
 @dataclass
@@ -38,16 +38,14 @@ class ProtocolError(Exception):
         return text
 
     def encode(self) -> Message:
-        writer = Writer()
-        write_fields(self, writer)
         return Message(MessageKind.ERROR, int(self.code), self.sequence,
-                       writer.getvalue())
+                       plan(ProtocolError).encode(self))
 
     @classmethod
     def decode(cls, message: Message) -> "ProtocolError":
-        return decode(lambda reader: cls(
-            ErrorCode(message.code), message.sequence,
-            *read_fields(cls, reader)), message.payload, "error")
+        return decode(lambda reader: reader.parse(
+            plan(cls).take, ErrorCode(message.code), message.sequence),
+            message.payload, "error")
 
 
 def bad(code: ErrorCode, message: str = "",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 from .attributes import AttributeList
-from .codec import HEADER, decode, event_bytes, take_event_fields
+from .codec import HEADER, decode, plan
 from .types import EventCode
 from .wire import I32, U32, U64, Message, MessageKind
 
@@ -40,8 +40,7 @@ class Event:
 
     def encode(self) -> Message:
         return Message(MessageKind.EVENT, int(self.code), self.sequence,
-                       event_bytes(self.resource, self.detail,
-                                   self.sample_time, self.args))
+                       _PLAN.encode(self))
 
     @classmethod
     def decode(cls, message: Message) -> "Event":
@@ -49,9 +48,12 @@ class Event:
             code = _CODES.get(message.code)
             if code is None:
                 code = EventCode(message.code)  # raises: not an event
-            return cls(code, *take_event_fields(reader), message.sequence)
+            return reader.parse(_PLAN.take, code, message.sequence)
 
         return decode(parse, message.payload, "event")
+
+
+_PLAN = plan(Event)
 
 
 # Well-known argument keys used inside event attribute lists.

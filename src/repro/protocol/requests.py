@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 from .attributes import AttributeList, AttrValue
-from .codec import ATTRIBUTE_VALUE, JSON, Body, decode
+from .codec import JSON, Body, decode, take_value, value_bytes
 from .types import (
     Command,
     CommandMode,
@@ -421,12 +421,12 @@ class GetPropertyReply(Reply):
     def write_payload(self, writer: Writer) -> None:
         writer.boolean(self.exists)
         if self.exists:
-            ATTRIBUTE_VALUE.put(writer, self.value)
+            writer.raw(value_bytes(self.value))
 
     @classmethod
     def read_payload(cls, reader: Reader) -> "GetPropertyReply":
         exists = reader.boolean()
-        return cls(exists, ATTRIBUTE_VALUE.take(reader) if exists else None)
+        return cls(exists, reader.parse(take_value) if exists else None)
 
 
 @dataclass

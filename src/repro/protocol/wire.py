@@ -9,8 +9,8 @@ section 4.1).  This module implements that layer:
   a kind-specific *code* (opcode, event code or error code), a 16-bit
   sequence number, and the payload length,
 * :class:`Writer` and :class:`Reader` marshal the primitive types payloads
-  are built from, and :class:`Kind` names each one for the body
-  declarations (``U8`` ... ``I64`` and :data:`PLAIN_KINDS`).
+  are built from, and :class:`Kind` names the integer widths for the
+  body declarations (``U8`` ... ``I64``).
 
 All integers are little-endian on the wire.  The tight definition makes the
 protocol independent of operating system, transport and language.
@@ -148,11 +148,6 @@ class Writer:
         self._buffer += value
         return self
 
-    def pack(self, fmt: struct.Struct, values) -> "Writer":
-        """Several fixed-width values in one ``fmt``."""
-        self._buffer += fmt.pack(*values)
-        return self
-
     def getvalue(self) -> bytes:
         return bytes(self._buffer)
 
@@ -218,13 +213,11 @@ class Reader:
     def raw(self, size: int) -> bytes:
         return self._take(size)
 
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        """Several fixed-width values in one ``fmt``."""
-        pos = self._pos
-        if pos + fmt.size > len(self._data):
-            self._truncated(fmt.size)
-        self._pos = pos + fmt.size
-        return fmt.unpack_from(self._data, pos)
+    def parse(self, take, *headers):
+        """Run an emitted body decoder, ``take(data, pos, *headers) ->
+        (value, pos)``, at the cursor (:func:`repro.protocol.codec.plan`)."""
+        value, self._pos = take(self._data, self._pos, *headers)
+        return value
 
     def remaining(self) -> int:
         return len(self._data) - self._pos
@@ -239,41 +232,27 @@ class Reader:
 
 
 class Kind:
-    """One wire kind: how a value is put to a :class:`Writer` and taken
-    from a :class:`Reader`.  Body fields declare theirs in their
-    annotations (:mod:`repro.protocol.codec`).  Fixed-width kinds also
-    carry their struct format character, so the codec can move a run of
-    them with one ``struct`` call, and ``convert`` maps a raw unpacked
-    value to the field's type (an enum member)."""
+    """One declared wire kind.  Body fields name theirs in their
+    annotations (:mod:`repro.protocol.codec`); a fixed-width kind also
+    carries its struct format character, so the codec can move a run of
+    them with one ``struct`` call."""
 
-    __slots__ = ("name", "put", "take", "fmt", "convert")
+    __slots__ = ("name", "fmt")
 
-    def __init__(self, name: str, put, take, fmt: str | None = None,
-                 convert=None) -> None:
+    def __init__(self, name: str, fmt: str | None = None) -> None:
         self.name = name
-        self.put = put
-        self.take = take
         self.fmt = fmt
-        self.convert = convert
 
     def __repr__(self) -> str:
         return "Kind(%s)" % self.name
 
 
-U8 = Annotated[int, Kind("u8", Writer.u8, Reader.u8, "B")]
-U16 = Annotated[int, Kind("u16", Writer.u16, Reader.u16, "H")]
-U32 = Annotated[int, Kind("u32", Writer.u32, Reader.u32, "I")]
-U64 = Annotated[int, Kind("u64", Writer.u64, Reader.u64, "Q")]
-I32 = Annotated[int, Kind("i32", Writer.i32, Reader.i32, "i")]
-I64 = Annotated[int, Kind("i64", Writer.i64, Reader.i64, "q")]
-
-#: Kinds of the plain annotations that need no width.
-PLAIN_KINDS = {
-    bool: Kind("bool", Writer.boolean, Reader.boolean, "?"),
-    float: Kind("f64", Writer.f64, Reader.f64, "d"),
-    str: Kind("string", Writer.string, Reader.string),
-    bytes: Kind("blob", Writer.blob, Reader.blob),
-}
+U8 = Annotated[int, Kind("u8", "B")]
+U16 = Annotated[int, Kind("u16", "H")]
+U32 = Annotated[int, Kind("u32", "I")]
+U64 = Annotated[int, Kind("u64", "Q")]
+I32 = Annotated[int, Kind("i32", "i")]
+I64 = Annotated[int, Kind("i64", "q")]
 
 
 def recv_exact(sock: socket.socket, size: int) -> bytes:

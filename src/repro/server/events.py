@@ -36,9 +36,13 @@ import threading
 
 from ..protocol import events as ev
 from ..protocol.attributes import AttributeList
-from ..protocol.codec import event_bytes
+from ..protocol.codec import plan
 from ..protocol.types import EVENT_MASK_FOR_CODE, EventCode, EventMask
 from ..protocol.wire import Message, MessageKind
+
+#: An event body from its field values (the emitted encoder).
+_event_body = plan(ev.Event).put
+_NO_ARGS = AttributeList()
 
 #: The mask bits each event code needs, as plain ints.
 _NEEDED = {code: int(mask) for code, mask in EVENT_MASK_FOR_CODE.items()}
@@ -182,8 +186,8 @@ class EventRouter:
         if only_client is not None:
             if only_client in self.server.clients_snapshot():
                 self._deliver(only_client, _message(
-                    only_client, code, event_bytes(
-                        resource, detail, sample_time, args)))
+                    only_client, code, _event_body(
+                        resource, detail, sample_time, args or _NO_ARGS)))
             return
         needed = _NEEDED[code]
         if not self._selected & needed:
@@ -198,8 +202,8 @@ class EventRouter:
         for client, mask in entries:
             if mask & needed:
                 if payload is None:     # one encode for every client
-                    payload = event_bytes(resource, detail, sample_time,
-                                          args)
+                    payload = _event_body(resource, detail, sample_time,
+                                          args or _NO_ARGS)
                 self._deliver(client, _message(client, code, payload))
 
     def emit_device(self, vdevice, code: EventCode, detail: int = 0,

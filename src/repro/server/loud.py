@@ -75,9 +75,15 @@ class Loud(PropertyStore):
         return (self.queue, tuple(self.all_devices()))
 
     def find_device(self, device_id: int):
-        for device in self.all_devices():
-            if device.device_id == device_id:
-                return device
+        """The virtual device ``device_id`` in this subtree; the search
+        stops at the first match."""
+        pending = [self]
+        while pending:
+            loud = pending.pop()
+            for device in loud.devices:
+                if device.device_id == device_id:
+                    return device
+            pending += loud.children
         raise bad(ErrorCode.BAD_DEVICE,
                   "device %d is not in this LOUD tree" % device_id,
                   device_id)

@@ -142,8 +142,9 @@ class TestAttributes:
             raw=b"\x00\xff",
         )
         writer = Writer()
-        codec.ATTRIBUTE_LIST.put(writer, attrs)
-        back = codec.ATTRIBUTE_LIST.take(Reader(writer.getvalue()))
+        writer.raw(codec.plan(AttributeList).encode(attrs))
+        back = Reader(writer.getvalue()).parse(
+            codec.plan(AttributeList).take)
         assert back.items == attrs.items
 
     def test_of_converts_underscores(self):
@@ -161,21 +162,20 @@ class TestAttributes:
     def test_bool_is_not_int(self):
         attrs = AttributeList.of(flag=True, count=1)
         writer = Writer()
-        codec.ATTRIBUTE_LIST.put(writer, attrs)
-        back = codec.ATTRIBUTE_LIST.take(Reader(writer.getvalue()))
+        writer.raw(codec.plan(AttributeList).encode(attrs))
+        back = Reader(writer.getvalue()).parse(
+            codec.plan(AttributeList).take)
         assert back["flag"] is True
         assert back["count"] == 1
         assert not isinstance(back["count"], bool)
 
     def test_mixed_list_rejected(self):
-        writer = Writer()
         with pytest.raises(WireFormatError):
-            codec.ATTRIBUTE_VALUE.put(writer, [1, "two"])
+            codec.value_bytes([1, "two"])
 
     def test_unsupported_value_rejected(self):
-        writer = Writer()
         with pytest.raises(WireFormatError):
-            codec.ATTRIBUTE_VALUE.put(writer, object())
+            codec.value_bytes(object())
 
     @given(st.dictionaries(
         st.text(min_size=1, max_size=16),
@@ -192,8 +192,9 @@ class TestAttributes:
     def test_roundtrip_property(self, items):
         attrs = AttributeList(dict(items))
         writer = Writer()
-        codec.ATTRIBUTE_LIST.put(writer, attrs)
-        back = codec.ATTRIBUTE_LIST.take(Reader(writer.getvalue()))
+        writer.raw(codec.plan(AttributeList).encode(attrs))
+        back = Reader(writer.getvalue()).parse(
+            codec.plan(AttributeList).take)
         assert back.items == attrs.items
 
 

@@ -95,7 +95,8 @@ class TestDecodeRequestFuzz:
     @settings(max_examples=200, deadline=None)
     def test_attribute_list_decoder(self, payload):
         try:
-            codec.decode(codec.ATTRIBUTE_LIST.take, payload, "attributes")
+            codec.decode(lambda reader: reader.parse(
+                codec.plan(AttributeList).take), payload, "attributes")
         except WireFormatError:
             pass
 

@@ -8,6 +8,7 @@ from repro.protocol import requests as rq
 from repro.protocol.errors import ProtocolError
 from repro.protocol.types import (
     ADPCM_8K,
+    Command,
     DeviceClass,
     ErrorCode,
     EventMask,
@@ -196,6 +197,27 @@ class TestLoudTree:
         assert info.device_class is DeviceClass.TELEPHONE
         directions = [direction for _idx, direction, _t in info.ports]
         assert directions == [0, 1]  # source then sink
+
+    def test_queued_play_on_a_descendant_device_is_accepted(self, client):
+        root = client.create_loud()
+        root.create_child().create_device(DeviceClass.PLAYER)
+        player = root.create_child().create_child().create_device(
+            DeviceClass.PLAYER)
+        player.play(client.load_sound("beep"))
+        client.sync()
+        assert client.conn.errors == []
+
+    def test_queued_play_on_another_roots_device_is_bad_device(self, client):
+        root = client.create_loud()
+        root.create_child().create_device(DeviceClass.PLAYER)
+        foreign = client.create_loud().create_child().create_device(
+            DeviceClass.PLAYER)
+        root.issue(foreign, Command.PLAY,
+                   sound=client.load_sound("beep").sound_id)
+        client.sync()
+        assert [(error.code, error.resource)
+                for error in client.conn.errors] == [
+            (ErrorCode.BAD_DEVICE, foreign.device_id)]
 
     def test_mixer_port_count_from_attributes(self, client):
         loud = client.create_loud()

@@ -81,13 +81,20 @@ class TestRecognizerDevice:
         recognizer.issue(Command.LISTEN)
         loud.start_queue()
         client.sync()
-        _sound, spoken = self._training_sound(client, synth, "no")
-        server.hub.rooms["desktop"].inject(InjectedSource(np.concatenate(
-            [spoken, tones.silence(0.5, RATE)])))
-        event = client.wait_for_event(
-            lambda e: e.code is EventCode.RECOGNITION, timeout=8)
-        # Either nothing matched, or it matched the only allowed word.
-        assert event is None or event.args[ev.ARG_WORD] == "yes"
+        # "no" (trained, but outside the vocabulary), then "yes", each
+        # followed by more silence than ends an utterance.
+        spoken = [part for word in ("no", "yes") for part in (
+            self._training_sound(client, synth, word)[1],
+            tones.silence(0.5, RATE))]
+        server.hub.rooms["desktop"].inject(InjectedSource(
+            np.concatenate(spoken)))
+        first = client.wait_for_event(
+            lambda e: e.code is EventCode.RECOGNITION, timeout=20)
+        assert first is not None
+        heard = [first] + [event for event in client.pending_events()
+                           if event.code is EventCode.RECOGNITION]
+        assert [event.args[ev.ARG_WORD] for event in heard] \
+            == ["yes"] * len(heard)
 
     def test_save_vocabulary_to_sound(self, server, client):
         synth = FormantSynthesizer(RATE)
