@@ -24,6 +24,7 @@ stepped manually for deterministic unit tests.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import Callable
 
@@ -148,8 +149,6 @@ class AudioHub:
 
     def run_block(self) -> None:
         """Process exactly one block through the machine."""
-        import contextlib
-
         guard = (self.external_lock if self.external_lock is not None
                  else contextlib.nullcontext())
         with guard:

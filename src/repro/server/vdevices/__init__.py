@@ -17,7 +17,7 @@ from .mixer import CrossbarDevice, MixerDevice
 from .music import MusicDevice
 from .dspdev import DspDevice
 from .player import PlayerDevice
-from .playback import PlaybackHandle, PlaybackProgram
+from .playback import PlaybackHandle, PlaybackProgram, ProgramDevice
 from .recognizer import RecognizerDevice
 from .recorder import RecordHandle, RecorderDevice
 from .synthesizer import SynthesizerDevice
@@ -27,7 +27,7 @@ __all__ = [
     "CommandHandle", "CrossbarDevice", "DEVICE_CLASS_REGISTRY", "DspDevice",
     "InputDevice", "InstantHandle", "MixerDevice", "MusicDevice",
     "OutputDevice", "PlaybackHandle", "PlaybackProgram", "PlayerDevice",
-    "RecognizerDevice", "RecordHandle", "RecorderDevice",
+    "ProgramDevice", "RecognizerDevice", "RecordHandle", "RecorderDevice",
     "SynthesizerDevice", "TelephoneDevice", "VirtualDevice",
     "create_virtual_device", "register_device_class",
 ]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...dsp.mixing import mix
 from ...protocol.attributes import (
     ATTR_ENCODING,
     ATTR_SAMPLE_RATE,
@@ -217,8 +218,6 @@ class VirtualDevice:
     def pull_sink(self, port_index: int, sample_time: int,
                   frames: int) -> np.ndarray:
         """Mix everything wired into one of our sink ports."""
-        from ...dsp.mixing import mix
-
         blocks = [wire.source_device.render_source(
                       wire.source_port, sample_time, frames)
                   for wire in self.wires_into(port_index)]

@@ -23,14 +23,13 @@ import numpy as np
 
 from ...dsp.music import MusicSynthesizer
 from ...protocol.errors import bad
-from ...protocol.types import Command, DeviceClass, ErrorCode, PortDirection
-from .base import CommandHandle, InstantHandle, VirtualDevice, \
-    register_device_class
-from .playback import PlaybackHandle, PlaybackProgram
+from ...protocol.types import Command, DeviceClass, ErrorCode
+from .base import CommandHandle, InstantHandle, register_device_class
+from .playback import PlaybackHandle, ProgramDevice
 
 
 @register_device_class
-class MusicDevice(VirtualDevice, PlaybackProgram):
+class MusicDevice(ProgramDevice):
     """Note-based synthesis with a queued output program."""
 
     DEVICE_CLASS = DeviceClass.MUSIC
@@ -38,11 +37,7 @@ class MusicDevice(VirtualDevice, PlaybackProgram):
 
     def __init__(self, device_id, loud, attributes) -> None:
         super().__init__(device_id, loud, attributes)
-        self.init_program()
         self._engine: MusicSynthesizer | None = None
-
-    def _build_ports(self) -> None:
-        self._add_port(PortDirection.SOURCE)
 
     def _synth(self) -> MusicSynthesizer:
         if self._engine is None:
@@ -51,8 +46,6 @@ class MusicDevice(VirtualDevice, PlaybackProgram):
 
     def _start(self, leaf, at_time: int) -> CommandHandle:
         command = leaf.command
-        if command is Command.CHANGE_GAIN and leaf.queued:
-            return self.start_queued_gain(leaf, at_time)
         if command is Command.NOTE:
             note = leaf.args.get("note")
             if note is None:
@@ -69,10 +62,8 @@ class MusicDevice(VirtualDevice, PlaybackProgram):
                     samples = self._synth().render_note(int(note), beats)
             except ValueError as exc:
                 raise bad(ErrorCode.BAD_VALUE, str(exc), self.device_id)
-            handle = PlaybackHandle(self, leaf, at_time,
-                                    np.asarray(samples, dtype=np.int16))
-            handle.not_before = at_time
-            return self.enqueue_playback(handle)
+            return self.enqueue_playback(PlaybackHandle(
+                self, leaf, at_time, np.asarray(samples, dtype=np.int16)))
         if command is Command.SET_VOICE:
             updates = {}
             for key in ("waveform", "volume", "detune-cents", "attack",
@@ -93,14 +84,3 @@ class MusicDevice(VirtualDevice, PlaybackProgram):
                 raise bad(ErrorCode.BAD_VALUE, str(exc), self.device_id)
             return InstantHandle(self, leaf, at_time)
         return super()._start(leaf, at_time)
-
-    def consume(self, sample_time: int, frames: int) -> None:
-        self.program_consume(sample_time, frames)
-
-    def _render(self, port_index: int, sample_time: int,
-                frames: int) -> np.ndarray:
-        return self.program_render(sample_time, frames, self.gain)
-
-    def stop_now(self, at_time: int) -> None:
-        super().stop_now(at_time)
-        self.program_cancel_all(at_time)

@@ -1,10 +1,10 @@
 """Sample-accurate playback programs.
 
-The machinery behind every source device that plays queued material
-(players, speech synthesizers, music synthesizers): an ordered program of
-items, each with an optional absolute earliest-start time, rendered into
-output blocks with *zero* samples dropped or inserted between
-consecutive items.
+The one path by which a virtual device plays samples (players, speech
+synthesizers, music synthesizers, and the telephone's SendDTMF): an
+ordered program of items, each with an optional absolute earliest-start
+time, rendered into output blocks with *zero* samples dropped or
+inserted between consecutive items.
 
 This is where the paper's section 6.2 guarantee lives: "Pre-issuing
 commands allows plays to occur without a single dropped or inserted
@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import CommandHandle, VirtualDevice
+from ...dsp.mixing import apply_gain
+from ...protocol import events as ev
+from ...protocol.attributes import AttributeList
+from ...protocol.types import Command, EventCode, PortDirection
+from .base import CommandHandle, InstantHandle, VirtualDevice
 
 
 class PlaybackHandle(CommandHandle):
@@ -50,12 +54,14 @@ class PlaybackHandle(CommandHandle):
 class PlaybackProgram:
     """Mixin for VirtualDevice subclasses that render queued material.
 
-    The host class calls :meth:`program_render` from its ``_render`` and
-    gets back a block plus the side effects (handle completions, sync
-    callbacks) applied.
+    It comes before :class:`VirtualDevice` among the host's bases, so its
+    ``__init__`` and ``stop_now`` extend the device's.  The host calls
+    :meth:`program_render` and gets back a block plus the side effects
+    (handle completions, SYNC events) applied.
     """
 
-    def init_program(self) -> None:
+    def __init__(self, device_id, loud, attributes) -> None:
+        super().__init__(device_id, loud, attributes)
         self.program: list[PlaybackHandle] = []
         #: Pending sample-accurate gain changes: (sample_time, gain).
         self._gain_points: list[tuple[int, float]] = []
@@ -73,8 +79,6 @@ class PlaybackProgram:
 
     def _apply_gain_automation(self, out: np.ndarray, sample_time: int,
                                frames: int) -> np.ndarray:
-        from ...dsp.mixing import apply_gain
-
         if not self._gain_points and self._current_gain == 1.0:
             return out
         block_end = sample_time + frames
@@ -175,33 +179,73 @@ class PlaybackProgram:
                 self.program.remove(item)
         out = self._apply_gain_automation(out, sample_time, frames)
         if gain != 1.0:
-            from ...dsp.mixing import apply_gain
-
             out = apply_gain(out, gain)
         return out
 
     def _emit_sync(self, item: PlaybackHandle, now: int) -> None:
-        """Fire the host's sync hook at every crossed sync interval."""
+        """A SYNC event at every crossed sync interval."""
         if item.sync_interval <= 0:
             return
         while item.frames_played >= item.next_sync:
-            self.on_sync_point(item, now)
+            self._sync_event(item, now)
             item.next_sync += item.sync_interval
         total = item.total_frames
         if total is not None and item.frames_played >= total:
             # Always mark the final sample so progress bars reach 100%.
-            self.on_sync_point(item, now)
+            self._sync_event(item, now)
             item.next_sync = item.frames_played + item.sync_interval
 
-    # Hooks the host class may override.
-
-    def on_sync_point(self, item: PlaybackHandle, now: int) -> None:
-        """Called at each sync interval during playback."""
+    def _sync_event(self, item: PlaybackHandle, now: int) -> None:
+        total = item.total_frames
+        self.server.events.emit_device(
+            self, EventCode.SYNC, detail=int(item.leaf.serial),
+            sample_time=now,
+            args=AttributeList({
+                ev.ARG_COMMAND_SERIAL: int(item.leaf.serial),
+                ev.ARG_FRAMES_DONE: int(item.frames_played),
+                ev.ARG_FRAMES_TOTAL: int(total if total is not None else -1),
+            }))
 
     def _notify_stream_state(self, item: PlaybackHandle) -> None:
         """Called after consuming from a stream item (flow control)."""
 
-    def program_consume(self, sample_time: int, frames: int) -> None:
+    def stop_now(self, at_time: int) -> None:
+        """Immediate Stop: the base cancels every item (each is one of
+        the device's handles), and the program empties."""
+        super().stop_now(at_time)
+        self.program = []
+
+
+class ProgramDevice(PlaybackProgram, VirtualDevice):
+    """A source device whose single output plays its program.
+
+    The player, the speech synthesizer and the music synthesizer differ
+    only in the commands that put material on the program; the port,
+    sample-accurate queued ChangeGain, rendering and Stop are here.
+    """
+
+    def _build_ports(self) -> None:
+        self._add_port(PortDirection.SOURCE)
+
+    def _start(self, leaf, at_time: int) -> CommandHandle:
+        if leaf.command is Command.CHANGE_GAIN and leaf.queued:
+            # It lands on its start sample, the exact end of the command
+            # before it, not on the whole block.
+            self.schedule_gain(at_time,
+                               float(leaf.args.get("gain", 100)) / 100.0)
+            return InstantHandle(self, leaf, at_time)
+        return super()._start(leaf, at_time)
+
+    def _sync_frames(self, leaf) -> int:
+        """The command's ``sync-interval-ms`` in device-layer frames."""
+        return (int(leaf.args.get("sync-interval-ms", 0))
+                * self.server.hub.sample_rate // 1000)
+
+    def _render(self, port_index: int, sample_time: int,
+                frames: int) -> np.ndarray:
+        return self.program_render(sample_time, frames, self.gain)
+
+    def consume(self, sample_time: int, frames: int) -> None:
         """Advance the program even when nothing pulls this source.
 
         A player "transmits the data out the port" whether or not a
@@ -210,18 +254,3 @@ class PlaybackProgram:
         """
         if 0 not in self._render_cache:
             self.render_source(0, sample_time, frames)
-
-    def start_queued_gain(self, leaf, at_time: int):
-        """Queued ChangeGain on a program device: schedule, don't jump."""
-        from .base import InstantHandle
-
-        self.schedule_gain(at_time,
-                           float(leaf.args.get("gain", 100)) / 100.0)
-        return InstantHandle(self, leaf, at_time)
-
-    # Shared pause/stop behaviour for program devices.
-
-    def program_cancel_all(self, at_time: int) -> None:
-        for item in self.program:
-            item.finish(at_time, status=1)
-        self.program = [item for item in self.program if not item.finished]

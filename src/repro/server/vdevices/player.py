@@ -18,42 +18,25 @@ from __future__ import annotations
 import numpy as np
 
 from ...dsp.resample import resample
-from ...protocol import events as ev
-from ...protocol.attributes import AttributeList
 from ...protocol.errors import bad
-from ...protocol.types import (
-    Command,
-    DeviceClass,
-    ErrorCode,
-    EventCode,
-    PortDirection,
-)
+from ...protocol.types import Command, DeviceClass, ErrorCode, EventCode
 from ..sounds import Sound
-from .base import CommandHandle, VirtualDevice, register_device_class
-from .playback import PlaybackHandle, PlaybackProgram
+from .base import CommandHandle, register_device_class
+from .playback import PlaybackHandle, ProgramDevice
 
 
 @register_device_class
-class PlayerDevice(VirtualDevice, PlaybackProgram):
+class PlayerDevice(ProgramDevice):
     """Plays server-side sounds out its source port."""
 
     DEVICE_CLASS = DeviceClass.PLAYER
     BINDS_TO = None     # pure software
-
-    def __init__(self, device_id, loud, attributes) -> None:
-        super().__init__(device_id, loud, attributes)
-        self.init_program()
-
-    def _build_ports(self) -> None:
-        self._add_port(PortDirection.SOURCE)
 
     # -- commands -------------------------------------------------------------
 
     def _start(self, leaf, at_time: int) -> CommandHandle:
         if leaf.command is Command.PLAY:
             return self._start_play(leaf, at_time)
-        if leaf.command is Command.CHANGE_GAIN and leaf.queued:
-            return self.start_queued_gain(leaf, at_time)
         return super()._start(leaf, at_time)
 
     def _start_play(self, leaf, at_time: int) -> PlaybackHandle:
@@ -63,9 +46,8 @@ class PlayerDevice(VirtualDevice, PlaybackProgram):
                       self.device_id)
         sound = self.server.resources.get(int(sound_id), Sound,
                                           ErrorCode.BAD_SOUND)
-        sync_ms = int(leaf.args.get("sync-interval-ms", 0))
         hub_rate = self.server.hub.sample_rate
-        sync_frames = sync_ms * hub_rate // 1000 if sync_ms else 0
+        sync_frames = self._sync_frames(leaf)
         if sound.is_stream:
             if sound.sound_type.samplerate != hub_rate:
                 raise bad(ErrorCode.BAD_MATCH,
@@ -90,25 +72,7 @@ class PlayerDevice(VirtualDevice, PlaybackProgram):
                                        leaf.serial, at_time)
         return handle
 
-    # -- rendering ------------------------------------------------------------
-
-    def _render(self, port_index: int, sample_time: int,
-                frames: int) -> np.ndarray:
-        return self.program_render(sample_time, frames, self.gain)
-
-    def consume(self, sample_time: int, frames: int) -> None:
-        self.program_consume(sample_time, frames)
-
-    def on_sync_point(self, item: PlaybackHandle, now: int) -> None:
-        total = item.total_frames
-        self.server.events.emit_device(
-            self, EventCode.SYNC, detail=int(item.leaf.serial),
-            sample_time=now,
-            args=AttributeList({
-                ev.ARG_COMMAND_SERIAL: int(item.leaf.serial),
-                ev.ARG_FRAMES_DONE: int(item.frames_played),
-                ev.ARG_FRAMES_TOTAL: int(total if total is not None else -1),
-            }))
+    # -- stream flow control and Stop -----------------------------------------
 
     def _notify_stream_state(self, item: PlaybackHandle) -> None:
         sound = item.stream_sound
@@ -117,6 +81,5 @@ class PlayerDevice(VirtualDevice, PlaybackProgram):
 
     def stop_now(self, at_time: int) -> None:
         super().stop_now(at_time)
-        self.program_cancel_all(at_time)
         self.server.events.emit_device(
             self, EventCode.PLAY_STOPPED, sample_time=at_time)

@@ -24,14 +24,13 @@ import numpy as np
 
 from ...dsp.synthesis import FormantSynthesizer
 from ...protocol.errors import bad
-from ...protocol.types import Command, DeviceClass, ErrorCode, PortDirection
-from .base import CommandHandle, InstantHandle, VirtualDevice, \
-    register_device_class
-from .playback import PlaybackHandle, PlaybackProgram
+from ...protocol.types import Command, DeviceClass, ErrorCode
+from .base import CommandHandle, InstantHandle, register_device_class
+from .playback import PlaybackHandle, ProgramDevice
 
 
 @register_device_class
-class SynthesizerDevice(VirtualDevice, PlaybackProgram):
+class SynthesizerDevice(ProgramDevice):
     """Text in, audio out; playback is queued like a player's."""
 
     DEVICE_CLASS = DeviceClass.SYNTHESIZER
@@ -39,11 +38,7 @@ class SynthesizerDevice(VirtualDevice, PlaybackProgram):
 
     def __init__(self, device_id, loud, attributes) -> None:
         super().__init__(device_id, loud, attributes)
-        self.init_program()
         self._engine: FormantSynthesizer | None = None
-
-    def _build_ports(self) -> None:
-        self._add_port(PortDirection.SOURCE)
 
     def _synth(self) -> FormantSynthesizer:
         if self._engine is None:
@@ -52,21 +47,14 @@ class SynthesizerDevice(VirtualDevice, PlaybackProgram):
 
     def _start(self, leaf, at_time: int) -> CommandHandle:
         command = leaf.command
-        if command is Command.CHANGE_GAIN and leaf.queued:
-            return self.start_queued_gain(leaf, at_time)
         if command is Command.SPEAK_TEXT:
             text = str(leaf.args.get("text", ""))
             # The vocal tract model runs instantaneously in simulation;
             # the rendered waveform is queued for sample-accurate output.
             samples = self._synth().synthesize_text(text)
-            sync_ms = int(leaf.args.get("sync-interval-ms", 0))
-            sync_frames = (sync_ms * self.server.hub.sample_rate // 1000
-                           if sync_ms else 0)
-            handle = PlaybackHandle(self, leaf, at_time,
-                                    np.asarray(samples, dtype=np.int16),
-                                    sync_interval_frames=sync_frames)
-            handle.not_before = at_time
-            return self.enqueue_playback(handle)
+            return self.enqueue_playback(PlaybackHandle(
+                self, leaf, at_time, np.asarray(samples, dtype=np.int16),
+                sync_interval_frames=self._sync_frames(leaf)))
         if command is Command.SET_TEXT_LANGUAGE:
             language = str(leaf.args.get("language", "english"))
             try:
@@ -111,14 +99,3 @@ class SynthesizerDevice(VirtualDevice, PlaybackProgram):
                     raise bad(ErrorCode.BAD_VALUE, str(exc), self.device_id)
             return InstantHandle(self, leaf, at_time)
         return super()._start(leaf, at_time)
-
-    def consume(self, sample_time: int, frames: int) -> None:
-        self.program_consume(sample_time, frames)
-
-    def _render(self, port_index: int, sample_time: int,
-                frames: int) -> np.ndarray:
-        return self.program_render(sample_time, frames, self.gain)
-
-    def stop_now(self, at_time: int) -> None:
-        super().stop_now(at_time)
-        self.program_cancel_all(at_time)

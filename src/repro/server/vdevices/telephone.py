@@ -10,7 +10,9 @@ Ports: source 0 carries audio *from* the line (the caller's voice), sink
   / TELEPHONE_ANSWERED / CALL_PROGRESS events;
 * decodes in-band touch tones on the incoming audio into DTMF_NOTIFY
   events -- this is how touch-tone menus hear the caller's key presses;
-* sends DTMF in-band for the SendDTMF command.
+* sends DTMF in-band for the SendDTMF command from a playback program
+  (``playback.py``): back-to-back SendDTMF commands are gapless like any
+  queued playback, and two that start together play one after the other.
 
 Command arguments: ``Dial`` takes ``number`` (string); ``SendDTMF``
 takes ``digits`` (string).
@@ -35,6 +37,7 @@ from ...protocol.types import (
 )
 from .base import CommandHandle, InstantHandle, VirtualDevice, \
     register_device_class
+from .playback import PlaybackHandle, PlaybackProgram
 
 
 class DialHandle(CommandHandle):
@@ -48,23 +51,8 @@ class DialHandle(CommandHandle):
     can_pause = False     # and no expected end: the far end decides
 
 
-class SendDtmfHandle(CommandHandle):
-    """Finishes when the rendered tones have been transmitted."""
-
-    def __init__(self, device, leaf, start_time: int,
-                 samples: np.ndarray) -> None:
-        super().__init__(device, leaf, start_time)
-        self.samples = samples
-        self.cursor = 0
-        self.not_before = start_time
-
-    def expected_end(self, block_start: int) -> int | None:
-        start = max(block_start, self.not_before)
-        return start + (len(self.samples) - self.cursor)
-
-
 @register_device_class
-class TelephoneDevice(VirtualDevice):
+class TelephoneDevice(PlaybackProgram, VirtualDevice):
     """One telephone line, as seen by an application."""
 
     DEVICE_CLASS = DeviceClass.TELEPHONE
@@ -74,7 +62,6 @@ class TelephoneDevice(VirtualDevice):
         super().__init__(device_id, loud, attributes)
         self._dtmf_detector: DtmfDetector | None = None
         self._dial_handle: DialHandle | None = None
-        self._dtmf_out: list[SendDtmfHandle] = []
         self._hangup_watchers: list = []
 
     def _build_ports(self) -> None:
@@ -189,11 +176,9 @@ class TelephoneDevice(VirtualDevice):
             if not digits:
                 raise bad(ErrorCode.BAD_VALUE, "SendDTMF needs digits",
                           self.device_id)
-            samples = generate_digits(digits,
-                                      self.server.hub.sample_rate)
-            handle = SendDtmfHandle(self, leaf, at_time, samples)
-            self._dtmf_out.append(handle)
-            return handle
+            return self.enqueue_playback(PlaybackHandle(
+                self, leaf, at_time,
+                generate_digits(digits, self.server.hub.sample_rate)))
         return super()._start(leaf, at_time)
 
     # -- the block cycle ------------------------------------------------------
@@ -208,28 +193,10 @@ class TelephoneDevice(VirtualDevice):
     def consume(self, sample_time: int, frames: int) -> None:
         if self.bound is None:
             return
-        # Outbound: whatever is wired to our sink, plus in-flight DTMF.
+        # Outbound: whatever is wired to our sink, plus the DTMF program.
         blocks = [self.pull_sink(1, sample_time, frames)]
-        for handle in list(self._dtmf_out):
-            if handle.finished:
-                self._dtmf_out.remove(handle)
-                continue
-            if handle.paused:
-                continue
-            start = max(sample_time, handle.not_before)
-            offset = start - sample_time
-            if offset >= frames:
-                continue
-            take = min(frames - offset,
-                       len(handle.samples) - handle.cursor)
-            tone_block = np.zeros(frames, dtype=np.int16)
-            tone_block[offset:offset + take] = \
-                handle.samples[handle.cursor:handle.cursor + take]
-            handle.cursor += take
-            blocks.append(tone_block)
-            if handle.cursor >= len(handle.samples):
-                handle.finish(start + take)
-                self._dtmf_out.remove(handle)
+        if self.program:
+            blocks.append(self.program_render(sample_time, frames))
         outbound = mix(blocks, length=frames)
         self.bound.hardware.play(apply_gain(outbound, self.gain))
         # Inbound: decode touch tones for DTMF_NOTIFY.
@@ -240,12 +207,6 @@ class TelephoneDevice(VirtualDevice):
                     self, EventCode.DTMF_NOTIFY,
                     sample_time=sample_time,
                     args=AttributeList({ev.ARG_DIGIT: digit}))
-
-    def stop_now(self, at_time: int) -> None:
-        for handle in self._dtmf_out:
-            handle.cancel(at_time)
-        self._dtmf_out = []
-        super().stop_now(at_time)
 
     def describe(self) -> AttributeList:
         merged = super().describe()

@@ -19,7 +19,7 @@ from repro.toolkit import (
     build_phone_menu,
 )
 
-from conftest import wait_for
+from conftest import wait_blocks, wait_for
 
 RATE = 8000
 
@@ -135,6 +135,31 @@ class TestTapeRecorder:
         recorder.play_back()
         assert client.wait_for_event(
             lambda e: e.code is EventCode.COMMAND_DONE, timeout=15)
+
+    def test_stop_recording_ends_an_open_ended_recording(self, server,
+                                                        client):
+        """With no limit the recording runs until stop_recording: the
+        only way to end the component's default (explicit) recording."""
+        from repro.hardware import InjectedSource
+
+        recorder = TapeRecorder(client)
+        recorder.map()
+        server.hub.rooms["desktop"].inject(
+            InjectedSource(tones.sine(330.0, 1.0, RATE), repeat=True))
+        tape = recorder.record()
+        assert client.wait_for_event(
+            lambda e: e.code is EventCode.RECORD_STARTED, timeout=15)
+        wait_blocks(server, 25)     # half a second
+        recorder.stop_recording()
+        assert client.wait_for_event(
+            lambda e: e.code is EventCode.RECORD_STOPPED, timeout=15)
+        recorded = tape.query().frame_length
+        assert recorded >= RATE // 4
+        assert rms(tape.read_samples()) > 1000
+        server.hub.speakers[0].capture.clear()
+        recorder.play_back()
+        assert wait_for(
+            lambda: rms(server.hub.speakers[0].capture.samples()) > 1000)
 
     def test_play_back_before_record_fails(self, server, client):
         recorder = TapeRecorder(client)
